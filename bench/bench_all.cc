@@ -335,7 +335,7 @@ void SuiteChase(const Config& config, const HarnessOptions& options) {
 // ---- suite: vocab -----------------------------------------------------
 //
 // The Section 2 fixed-vocabulary libraries (owl:sameAs) over scaled
-// author graphs, mirroring bench_sec2_vocab's E12 experiment.
+// author graphs.
 void SuiteVocab(const Config& config, const HarnessOptions& options) {
   Harness harness(options);
 

@@ -13,8 +13,7 @@ namespace triq::analysis {
 
 /// Everything the static analyzer can say about one program: the
 /// termination verdict, the lint findings, and the shape numbers
-/// (stratification and reliance-graph condensation) the chase scheduler
-/// works from.
+/// (stratification and reliance-graph condensation).
 struct ProgramAnalysis {
   TerminationVerdict verdict;
   std::vector<Lint> lints;
@@ -23,8 +22,8 @@ struct ProgramAnalysis {
   bool stratified = true;
   /// Strata of the minimal stratification; 0 when not stratified.
   size_t num_strata = 0;
-  /// Groups of the positive-reliance SCC condensation (the SCC-ordered
-  /// chase schedules one saturation per group).
+  /// Groups of the positive-reliance SCC condensation (mutually
+  /// recursive rules share a group).
   size_t num_rule_groups = 0;
 
   bool HasErrors() const;

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/reliance.h"
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
 
@@ -59,56 +58,13 @@ class ChaseRun {
     }
     TRIQ_ASSIGN_OR_RETURN(Stratification strat,
                           datalog::Stratify(program_.WithoutConstraints()));
-    if (stats_ != nullptr) {
-      stats_->termination =
-          analysis::AnalyzeTermination(program_).termination;
-    }
-    if (options_.collect_plans && stats_ != nullptr) {
-      // Plans as a full-evaluation pass would execute them, recorded
-      // before the chase mutates the statistics they were costed on.
-      MatchOptions mo;
-      mo.greedy_atom_order = options_.greedy_atom_order;
-      mo.join_strategy = options_.join_strategy;
-      stats_->rule_plans.reserve(program_.rules().size());
-      for (const Rule& rule : program_.rules()) {
-        stats_->rule_plans.push_back(
-            datalog::RuleToString(rule, instance_->dict()) + "\n" +
-            ExplainMatchPlan(rule, *instance_, mo));
-      }
-    }
-    // SCC-ordered scheduling: saturate each reliance-graph group to its
-    // fixpoint before its dependents. Sound only where the fixpoint is
-    // schedule-independent, so it is gated to existential-free strata
-    // under partitioned semi-naive evaluation without provenance (see
-    // ChaseOptions::scc_rule_order); other strata keep the joint sweep.
-    std::unique_ptr<analysis::RelianceGraph> reliance;
-    if (options_.scc_rule_order && Partitioned() &&
-        !options_.track_provenance) {
-      reliance = std::make_unique<analysis::RelianceGraph>(program_);
-    }
     for (int s = 0; s < strat.num_strata; ++s) {
       std::vector<size_t> rule_indices = strat.RulesInStratum(program_, s);
       if (rule_indices.empty()) continue;
       if (stats_ != nullptr) ++stats_->strata;
-      if (reliance != nullptr && ExistentialFree(rule_indices)) {
-        for (const std::vector<size_t>& group :
-             reliance->OrderRules(rule_indices)) {
-          if (stats_ != nullptr) ++stats_->rule_groups;
-          TRIQ_RETURN_IF_ERROR(SaturateStratum(group));
-        }
-      } else {
-        if (stats_ != nullptr) ++stats_->rule_groups;
-        TRIQ_RETURN_IF_ERROR(SaturateStratum(rule_indices));
-      }
+      TRIQ_RETURN_IF_ERROR(SaturateStratum(rule_indices));
     }
     return CheckConstraints();
-  }
-
-  bool ExistentialFree(const std::vector<size_t>& rule_indices) const {
-    for (size_t r : rule_indices) {
-      if (!program_.rules()[r].ExistentialVariables().empty()) return false;
-    }
-    return true;
   }
 
  private:
@@ -127,10 +83,6 @@ class ChaseRun {
   /// rebalance shards whose join fan-out is skewed.
   static constexpr size_t kMinDriverPerShard = 64;
   static constexpr size_t kShardsPerThread = 4;
-
-  bool Partitioned() const {
-    return options_.seminaive && options_.partition_deltas;
-  }
 
   // Fills `mo.atom_end` with the old/delta/all windows for the pass
   // whose delta atom is body index `delta`: atoms before it read
@@ -165,7 +117,7 @@ class ChaseRun {
       }
       changed = true;
     } else {
-      // Round 0: full evaluation of every rule. When partitioning, cap
+      // Round 0: full evaluation of every rule. Semi-naive runs cap
       // every atom at the round-start sizes so round 0 enumerates each
       // database match exactly once; anything derived here is picked up
       // as round 1's delta.
@@ -173,7 +125,7 @@ class ChaseRun {
       size_t before = instance_->TotalFacts();
       for (size_t r : rule_indices) {
         MatchOptions mo;
-        if (Partitioned()) {
+        if (options_.seminaive) {
           FillAtomEnds(program_.rules()[r], /*delta=*/-1, prev_start,
                        prev_start, &mo);
         }
@@ -206,11 +158,9 @@ class ChaseRun {
             MatchOptions mo;
             mo.delta_body_index = static_cast<int>(b);
             mo.delta_begin = begin;
-            if (Partitioned()) {
-              mo.delta_end = end;
-              FillAtomEnds(rule, static_cast<int>(b), prev_start, cur_start,
-                           &mo);
-            }
+            mo.delta_end = end;
+            FillAtomEnds(rule, static_cast<int>(b), prev_start, cur_start,
+                         &mo);
             TRIQ_RETURN_IF_ERROR(ApplyRule(r, mo));
           }
         } else {
@@ -678,12 +628,6 @@ Status ValidateChaseOptions(const ChaseOptions& options) {
       options.join_strategy != JoinStrategy::kLeapfrog) {
     return Status::InvalidArgument(
         "ChaseOptions::join_strategy holds no declared enumerator");
-  }
-  if (options.partition_deltas && !options.seminaive) {
-    return Status::InvalidArgument(
-        "ChaseOptions::partition_deltas partitions the semi-naive "
-        "deltas and cannot be combined with seminaive = false; clear "
-        "both flags for the naive fixpoint");
   }
   return Status::OK();
 }

@@ -304,24 +304,6 @@ double Relation::EstimatedDistinct(uint32_t position) const {
   return std::min(std::max(est, 1.0), static_cast<double>(count_));
 }
 
-size_t Relation::DistinctValues(uint32_t position) const {
-  assert(position < arity_);
-  if (count_ == 0) return 0;
-  PositionIndex& index = sorted_[position];
-  if (index.distinct_at == count_) return index.distinct;
-  TRIQ_DCHECK_FROZEN("distinct-count cache");
-  SyncSorted(position);
-  const Term* column = ColumnData(position);
-  const std::vector<uint32_t>& perm = index.perm;
-  uint32_t distinct = 1;
-  for (size_t i = 1; i < perm.size(); ++i) {
-    if (column[perm[i]] != column[perm[i - 1]]) ++distinct;
-  }
-  index.distinct = distinct;
-  index.distinct_at = count_;
-  return distinct;
-}
-
 const std::vector<uint32_t>& Relation::LexPerm(
     const std::vector<uint32_t>& key) const {
   assert(!key.empty());
@@ -336,17 +318,18 @@ const std::vector<uint32_t>& Relation::LexPerm(
     SyncSorted(key[0]);
     return sorted_[key[0]].perm;
   }
+  MutexLock lock(lex_.mu);
 #ifndef NDEBUG
   {
     // The map insert of a missing key is itself a mutation, so check
-    // before lex_[key] rather than on the sync path below.
-    auto it = lex_.find(key);
-    if (it == lex_.end() || it->second.size() != count_) {
+    // before perms[key] rather than on the sync path below.
+    auto it = lex_.perms.find(key);
+    if (it == lex_.perms.end() || it->second.size() != count_) {
       TRIQ_DCHECK_FROZEN("lex permutation");
     }
   }
 #endif
-  std::vector<uint32_t>& perm = lex_[key];
+  std::vector<uint32_t>& perm = lex_.perms[key];
   uint32_t synced = static_cast<uint32_t>(perm.size());
   if (synced == count_) return perm;
   perm.resize(count_);

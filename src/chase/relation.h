@@ -9,6 +9,7 @@
 #include <map>
 #include <vector>
 
+#include "common/thread_annotations.h"
 #include "datalog/term.h"
 
 namespace triq::common {
@@ -165,13 +166,13 @@ class SortedRange {
 //
 // The parallel chase relies on a convention: every lazily built index a
 // sharded pass can touch (sorted permutations, lex permutations, window
-// memos, distinct-count caches) must be frozen — built via FreezeIndex /
-// FreezeLex — BEFORE fan-out, so worker threads only ever hit the
-// immutable early-return paths. ParallelPassScope marks the calling
-// thread as being inside such a sharded slice (MatchBody enters it when
-// the caller injects a driver_order shard), and the index builders
-// assert via TRIQ_DCHECK_FROZEN that no mutable build runs while the
-// mark is set. The checks compile away under NDEBUG.
+// memos) must be frozen — built via FreezeIndex / FreezeLex — BEFORE
+// fan-out, so worker threads only ever hit the immutable early-return
+// paths. ParallelPassScope marks the calling thread as being inside such
+// a sharded slice (MatchBody enters it when the caller injects a
+// driver_order shard), and the index builders assert via
+// TRIQ_DCHECK_FROZEN that no mutable build runs while the mark is set.
+// The checks compile away under NDEBUG.
 
 /// RAII marker: while alive (and constructed with active = true), the
 /// calling thread is inside a sharded parallel match. Nests.
@@ -354,12 +355,6 @@ class Relation {
   /// plans). Clamped to [1, size()] for a non-empty relation.
   double EstimatedDistinct(uint32_t position) const;
 
-  /// Exact distinct-value count of `position`'s column: syncs the sorted
-  /// permutation and counts value transitions, cached until the next
-  /// insert. The explain surface and tests read this; the planner reads
-  /// EstimatedDistinct instead to stay off the index-sync path.
-  size_t DistinctValues(uint32_t position) const;
-
   /// The lexicographic permutation of all stored tuple indices ordered
   /// by the column values at key[0], then key[1], ..., with tuple index
   /// as the final tiebreak — the trie a leapfrog join walks level by
@@ -368,6 +363,15 @@ class Relation {
   /// the insertion tail is sorted and merged with the synced prefix. A
   /// single-position key aliases Sorted(key[0]) — same order, no second
   /// index. The returned reference is valid until the next insert.
+  ///
+  /// Once the relation has stopped growing and its positions are frozen
+  /// (FreezeIndexes), any number of threads may call LexPerm/FreezeLex
+  /// and copy the relation concurrently: readers of a published
+  /// snapshot build missing lex permutations while planning their
+  /// leapfrog joins, and the writer clones the same relations for the
+  /// next snapshot. The multi-position permutations sit behind a mutex
+  /// taken once per call (plan time) and per copy — never on the
+  /// per-probe read paths.
   const std::vector<uint32_t>& LexPerm(const std::vector<uint32_t>& key) const;
 
   /// Syncs the lex permutation for `key` so concurrent matchers can read
@@ -460,10 +464,6 @@ class Relation {
     std::vector<uint32_t> window_perm;
     uint32_t window_begin = 0;
     uint32_t window_end = 0;
-    // Exact distinct count over the first `distinct_at` tuples;
-    // distinct_at != count_ means stale (invalidated by insert).
-    uint32_t distinct = 0;
-    uint32_t distinct_at = UINT32_MAX;
   };
   mutable std::vector<PositionIndex> sorted_;
   // One HyperLogLog sketch per position (64 registers — coarse, but the
@@ -490,8 +490,21 @@ class Relation {
   std::vector<DistinctSketch> sketches_;
   // Multi-position lex permutations, keyed by position sequence; built
   // and extended lazily (FreezeLex pre-builds before parallel fan-out;
-  // std::map so extending one key never moves another's storage).
-  mutable std::map<std::vector<uint32_t>, std::vector<uint32_t>> lex_;
+  // std::map so extending one key never moves another's storage). The
+  // mutex makes lazy builds on a published relation safe against each
+  // other and against a concurrent copy (see LexPerm).
+  struct LexIndex {
+    LexIndex() = default;
+    LexIndex(const LexIndex& other) {
+      MutexLock lock(other.mu);
+      perms = other.perms;
+    }
+
+    mutable Mutex mu;
+    std::map<std::vector<uint32_t>, std::vector<uint32_t>> perms
+        TRIQ_GUARDED_BY(mu);
+  };
+  mutable LexIndex lex_;
   Tuple insert_scratch_;  // gather buffer: Insert sources may alias store_
 };
 

@@ -70,14 +70,8 @@ std::string_view EntailmentRegimeName(EntailmentRegime regime) {
 
 chase::ChaseOptions EngineOptions::ToChaseOptions() const {
   chase::ChaseOptions options;
-  options.mode = chase_mode;
-  options.seminaive = seminaive;
-  options.partition_deltas = partition_deltas;
   options.track_provenance = track_provenance;
-  options.greedy_atom_order = true;
-  options.join_strategy = join_strategy;
   options.num_threads = num_threads;
-  options.scc_rule_order = scc_rule_order;
   options.max_facts = max_facts;
   options.max_null_depth = max_null_depth;
   return options;
@@ -666,8 +660,7 @@ Status Engine::MaterializeLocked(chase::ChaseStats* stats) {
   // sessions always rebuild, because CloneFacts drops the derivation
   // records proof extraction needs.
   const bool incremental = prev != nullptr && !rules_dirty_ &&
-                           program_monotone_ && options.seminaive &&
-                           !options.track_provenance;
+                           program_monotone_ && !options.track_provenance;
   chase::Instance next(dict_);
   std::vector<Term> null_map;
   Status status;

@@ -45,29 +45,24 @@ enum class EntailmentRegime { kNone, kActiveDomain, kAll };
 
 std::string_view EntailmentRegimeName(EntailmentRegime regime);
 
-/// Builder-style session configuration. Every knob the lower layers
-/// expose (chase mode, join strategy, thread count, semi-naive
-/// partitioning, safety caps) is set here once; the engine threads it
-/// down, so callers never construct chase::ChaseOptions themselves.
+/// Builder-style session configuration: thread count, provenance,
+/// safety caps, entailment regime, plan cache, query deadline and
+/// journal are set here once; the engine threads them down, so callers
+/// never construct chase::ChaseOptions themselves. Every session runs
+/// the restricted, semi-naive chase with planner-chosen join strategies;
+/// the chase's differential references (naive fixpoint, forced
+/// strategies, written atom order, oblivious mode) live on
+/// chase::ChaseOptions only.
 ///
 ///   triq::Engine engine(triq::EngineOptions()
 ///                           .SetNumThreads(4)
 ///                           .SetRegime(triq::EntailmentRegime::kAll));
 struct EngineOptions {
-  chase::ChaseOptions::Mode chase_mode = chase::ChaseOptions::Mode::kRestricted;
-  chase::JoinStrategy join_strategy = chase::JoinStrategy::kAuto;
   size_t num_threads = 1;
-  bool seminaive = true;
-  bool partition_deltas = true;
   bool track_provenance = false;
   size_t max_facts = chase::ChaseOptions().max_facts;
   uint32_t max_null_depth = chase::ChaseOptions().max_null_depth;
   EntailmentRegime regime = EntailmentRegime::kNone;
-
-  /// Order each stratum's rule passes by the reliance-graph condensation
-  /// (see chase::ChaseOptions::scc_rule_order). Counter-equivalent to
-  /// the joint schedule; default off.
-  bool scc_rule_order = false;
 
   /// Refuse to materialize unless static analysis proves the data
   /// program's chase terminates (analysis::AnalyzeTermination verdict
@@ -103,25 +98,8 @@ struct EngineOptions {
   /// Appends between fsyncs under JournalFsync::kBatch.
   size_t journal_batch_interval = 64;
 
-  EngineOptions& SetChaseMode(chase::ChaseOptions::Mode mode) {
-    chase_mode = mode;
-    return *this;
-  }
-  EngineOptions& SetJoinStrategy(chase::JoinStrategy strategy) {
-    join_strategy = strategy;
-    return *this;
-  }
   EngineOptions& SetNumThreads(size_t threads) {
     num_threads = threads;
-    return *this;
-  }
-  EngineOptions& SetSeminaive(bool enabled) {
-    seminaive = enabled;
-    if (!enabled) partition_deltas = false;
-    return *this;
-  }
-  EngineOptions& SetPartitionDeltas(bool enabled) {
-    partition_deltas = enabled;
     return *this;
   }
   EngineOptions& SetTrackProvenance(bool enabled) {
@@ -138,10 +116,6 @@ struct EngineOptions {
   }
   EngineOptions& SetRegime(EntailmentRegime r) {
     regime = r;
-    return *this;
-  }
-  EngineOptions& SetSccRuleOrder(bool enabled) {
-    scc_rule_order = enabled;
     return *this;
   }
   EngineOptions& SetRequireTerminationGuarantee(bool enabled) {

@@ -50,7 +50,6 @@ TEST(ChaseTest, NaiveAndSeminaiveAgree) {
   Instance db2 = build(dict2);
   ChaseOptions naive;
   naive.seminaive = false;
-  naive.partition_deltas = false;
   ASSERT_TRUE(RunChase(Parse(text, dict1), &db1, {}).ok());
   ASSERT_TRUE(RunChase(Parse(text, dict2), &db2, naive).ok());
   EXPECT_EQ(db1.ToString(), db2.ToString());

@@ -8,6 +8,8 @@
 //    counters.
 //  * A query-side chase tripping max_facts or the per-query deadline
 //    fails with ResourceExhausted and leaves the session usable.
+//  * Readers planning cyclic SPARQL patterns on a published snapshot
+//    and the writer cloning it do not race on lazily built indexes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -302,20 +304,28 @@ TEST(EngineConcurrencyTest, QueryDeadlineTripsAndLeavesSessionUsable) {
 }
 
 TEST(EngineConcurrencyTest, QueryDeadlineTripsInsideLeapfrogJoin) {
-  // Same contract as above but with the leapfrog triejoin forced: the
-  // deadline must be polled inside the leapfrog alignment/gallop loop
-  // itself, because a single match pass over a chained self-join of the
-  // closure can run far past the budget without ever returning to the
-  // per-pass check.
-  Engine engine(EngineOptions()
-                    .SetJoinStrategy(triq::chase::JoinStrategy::kLeapfrog)
-                    .SetQueryDeadline(std::chrono::milliseconds(5)));
+  // Same contract as above on a join the planner runs as a leapfrog
+  // triejoin: the deadline must be polled inside the leapfrog
+  // alignment/gallop loop itself, because a single match pass over a
+  // chained self-join of the closure can run far past the budget
+  // without ever returning to the per-pass check.
+  Engine engine(
+      EngineOptions().SetQueryDeadline(std::chrono::milliseconds(5)));
   LoadChain(&engine, 120);
   ASSERT_TRUE(engine.Materialize().ok());
 
   auto heavy = engine.Prepare(
       "tc(?A, ?B), tc(?B, ?C), tc(?C, ?D) -> big(?A, ?D) .", "big");
   ASSERT_TRUE(heavy.ok());
+  // The premise: the planner picks leapfrog for this join on its own.
+  // Should it stop doing so, this test would silently fall back to the
+  // per-pass deadline check.
+  auto snapshot = engine.CurrentSnapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const std::string plans = triq::chase::ExplainProgramPlans(
+      heavy->program(), (*snapshot)->instance);
+  ASSERT_NE(plans.find("strategy: leapfrog (auto)"), std::string::npos)
+      << plans;
   auto blown = heavy->Evaluate();
   ASSERT_FALSE(blown.ok());
   EXPECT_EQ(blown.status().code(), StatusCode::kResourceExhausted);
@@ -326,6 +336,81 @@ TEST(EngineConcurrencyTest, QueryDeadlineTripsInsideLeapfrogJoin) {
   auto tc = engine.Answers("tc");
   ASSERT_TRUE(tc.ok());
   EXPECT_EQ(tc->size(), 120u * 121u / 2u);
+}
+
+TEST(EngineConcurrencyTest, CyclicSparqlReadersRaceWriterCleanly) {
+  // Cyclic basic graph patterns plan leapfrog joins whose multi-position
+  // trie orders (Relation::LexPerm) are built lazily on the published
+  // snapshot's own relations. Readers issuing different cyclic patterns
+  // build them concurrently on one snapshot while the writer clones that
+  // snapshot for the next materialization; ThreadSanitizer builds catch
+  // a regression.
+  constexpr int kInitialGadgets = 3;
+  constexpr int kFinalGadgets = 12;
+  Engine engine(
+      EngineOptions().SetRegime(triq::EntailmentRegime::kActiveDomain));
+  // Gadget g: one directed triangle and one directed square, disjoint
+  // from every other gadget.
+  auto add_gadget = [&](int g) {
+    const std::string t = "t" + std::to_string(g) + "_";
+    const std::string q = "s" + std::to_string(g) + "_";
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(engine
+                      .AddTriple(t + std::to_string(i), "edge",
+                                 t + std::to_string((i + 1) % 3))
+                      .ok());
+    }
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(engine
+                      .AddTriple(q + std::to_string(i), "edge",
+                                 q + std::to_string((i + 1) % 4))
+                      .ok());
+    }
+  };
+  for (int g = 0; g < kInitialGadgets; ++g) add_gadget(g);
+  ASSERT_TRUE(engine.Materialize().ok());
+
+  // Each directed triangle matches 3 rotations and each square 4, so a
+  // consistent snapshot with m gadgets answers 3m and 4m rows.
+  const struct {
+    std::string sparql;
+    size_t rows_per_gadget;
+  } kQueries[] = {
+      {"{ ?x edge ?y . ?y edge ?z . ?z edge ?x }", 3},
+      {"{ ?a edge ?b . ?b edge ?c . ?c edge ?d . ?d edge ?a }", 4},
+  };
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (const auto& query : kQueries) {
+    readers.emplace_back([&engine, &done, &failures, &query] {
+      size_t last_rows = 0;
+      for (bool first = true;
+           first || !done.load(std::memory_order_acquire); first = false) {
+        auto rows = engine.Query(query.sparql);
+        if (!rows.ok() || rows->size() % query.rows_per_gadget != 0 ||
+            rows->size() < last_rows ||
+            rows->size() < kInitialGadgets * query.rows_per_gadget) {
+          ++failures;
+          return;
+        }
+        last_rows = rows->size();
+      }
+    });
+  }
+  for (int g = kInitialGadgets; g < kFinalGadgets; ++g) {
+    add_gadget(g);
+    ASSERT_TRUE(engine.Materialize().ok());
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  for (const auto& query : kQueries) {
+    auto rows = engine.Query(query.sparql);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->size(), kFinalGadgets * query.rows_per_gadget);
+  }
 }
 
 TEST(EngineConcurrencyTest, JournaledWritesRaceReadersCleanly) {

@@ -1,7 +1,7 @@
 // The materialize-once / query-many session API: Engine results must be
 // bit-identical to the per-query core::TriqQuery::Evaluate and
-// translate::EvaluateTranslated paths across entailment regimes, join
-// strategies, and thread counts; repeated PreparedQuery evaluations must
+// translate::EvaluateTranslated paths across entailment regimes and
+// thread counts; repeated PreparedQuery evaluations must
 // not re-chase; and post-materialize fact loads must re-saturate
 // incrementally without changing any answer.
 #include "engine/engine.h"
@@ -68,47 +68,39 @@ std::string ChainTurtle(int from, int to) {
 
 // ---- materialize-once == per-query evaluation -------------------------
 
-TEST(EngineTest, MatchesPerQueryEvaluateAcrossStrategiesAndThreads) {
-  for (triq::chase::JoinStrategy strategy :
-       {triq::chase::JoinStrategy::kAuto, triq::chase::JoinStrategy::kHash,
-        triq::chase::JoinStrategy::kMerge}) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      // Reference: the one-shot TriqQuery path over the same facts.
-      auto dict = Dict();
-      triq::rdf::Graph graph(dict);
-      ASSERT_TRUE(triq::rdf::ParseTurtle(kAuthorsTurtle, &graph).ok());
-      auto reference_query = triq::core::TriqQuery::Create(
-          Parse(kAuthorsQuery, dict), "query");
-      ASSERT_TRUE(reference_query.ok());
-      auto reference = reference_query->Evaluate(
-          triq::chase::Instance::FromGraph(graph));
-      ASSERT_TRUE(reference.ok());
+TEST(EngineTest, MatchesPerQueryEvaluateAcrossThreads) {
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    // Reference: the one-shot TriqQuery path over the same facts.
+    auto dict = Dict();
+    triq::rdf::Graph graph(dict);
+    ASSERT_TRUE(triq::rdf::ParseTurtle(kAuthorsTurtle, &graph).ok());
+    auto reference_query = triq::core::TriqQuery::Create(
+        Parse(kAuthorsQuery, dict), "query");
+    ASSERT_TRUE(reference_query.ok());
+    auto reference = reference_query->Evaluate(
+        triq::chase::Instance::FromGraph(graph));
+    ASSERT_TRUE(reference.ok());
 
-      Engine engine(EngineOptions()
-                        .SetJoinStrategy(strategy)
-                        .SetNumThreads(threads));
-      ASSERT_TRUE(engine.LoadTurtle(kAuthorsTurtle).ok());
-      auto prepared = engine.Prepare(kAuthorsQuery, "query");
-      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-      for (int round = 0; round < 3; ++round) {
-        auto answers = prepared->Evaluate();
-        ASSERT_TRUE(answers.ok()) << answers.status().ToString();
-        EXPECT_EQ(Sorted(*answers).size(), 2u);
-        // Engine and reference use different dictionaries; compare by
-        // text.
-        std::vector<std::string> engine_texts, reference_texts;
-        for (const auto& t : *answers) {
-          engine_texts.push_back(engine.dict().Text(t[0].symbol()));
-        }
-        for (const auto& t : *reference) {
-          reference_texts.push_back(dict->Text(t[0].symbol()));
-        }
-        std::sort(engine_texts.begin(), engine_texts.end());
-        std::sort(reference_texts.begin(), reference_texts.end());
-        EXPECT_EQ(engine_texts, reference_texts)
-            << "strategy " << static_cast<int>(strategy) << " threads "
-            << threads;
+    Engine engine(EngineOptions().SetNumThreads(threads));
+    ASSERT_TRUE(engine.LoadTurtle(kAuthorsTurtle).ok());
+    auto prepared = engine.Prepare(kAuthorsQuery, "query");
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    for (int round = 0; round < 3; ++round) {
+      auto answers = prepared->Evaluate();
+      ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+      EXPECT_EQ(Sorted(*answers).size(), 2u);
+      // Engine and reference use different dictionaries; compare by
+      // text.
+      std::vector<std::string> engine_texts, reference_texts;
+      for (const auto& t : *answers) {
+        engine_texts.push_back(engine.dict().Text(t[0].symbol()));
       }
+      for (const auto& t : *reference) {
+        reference_texts.push_back(dict->Text(t[0].symbol()));
+      }
+      std::sort(engine_texts.begin(), engine_texts.end());
+      std::sort(reference_texts.begin(), reference_texts.end());
+      EXPECT_EQ(engine_texts, reference_texts) << "threads " << threads;
     }
   }
 }
@@ -374,13 +366,6 @@ TEST(EngineTest, InvalidOptionsSurfaceFromMaterialize) {
     ASSERT_FALSE(stats.ok());
     EXPECT_EQ(stats.status().code(), triq::StatusCode::kInvalidArgument);
   }
-  // SetSeminaive(false) keeps the pair coherent by clearing
-  // partition_deltas; the incoherent pair is rejected at the chase layer.
-  EXPECT_FALSE(EngineOptions().SetSeminaive(false).partition_deltas);
-  triq::chase::ChaseOptions incoherent;
-  incoherent.seminaive = false;
-  EXPECT_EQ(ValidateChaseOptions(incoherent).code(),
-            triq::StatusCode::kInvalidArgument);
 }
 
 TEST(EngineTest, QueryHeadPredicateClaims) {

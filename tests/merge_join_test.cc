@@ -226,12 +226,11 @@ class RandomDatalog {
 
 class JoinStrategySweep : public ::testing::TestWithParam<int> {};
 
-/// The full ablation grid on random stratified programs: every join
-/// strategy × delta partitioning × threads {1, 4} fixes the instance
-/// the naive fixpoint fixes (plain Datalog: exact ToString, so tuple
-/// order too), and for a fixed partitioning mode the match counts
-/// (`rule_firings`, `facts_derived`) are identical across strategies
-/// and thread counts — the match SET of every pass is
+/// The strategy grid on random stratified programs: every join
+/// strategy × threads {1, 4} fixes the instance the naive fixpoint
+/// fixes (plain Datalog: exact ToString, so tuple order too), and the
+/// match counts (`rule_firings`, `facts_derived`) are identical across
+/// strategies and thread counts — the match SET of every pass is
 /// strategy-independent.
 TEST_P(JoinStrategySweep, StrategyGridEquivalence) {
   uint64_t seed = static_cast<uint64_t>(GetParam());
@@ -246,7 +245,6 @@ TEST_P(JoinStrategySweep, StrategyGridEquivalence) {
 
   chase::ChaseOptions naive;
   naive.seminaive = false;
-  naive.partition_deltas = false;
   naive.join_strategy = chase::JoinStrategy::kHash;
   chase::Instance naive_db = db.CloneFacts();
   ASSERT_TRUE(RunChase(*program, &naive_db, naive).ok());
@@ -255,33 +253,29 @@ TEST_P(JoinStrategySweep, StrategyGridEquivalence) {
   const chase::JoinStrategy strategies[] = {
       chase::JoinStrategy::kHash, chase::JoinStrategy::kMerge,
       chase::JoinStrategy::kLeapfrog, chase::JoinStrategy::kAuto};
-  for (bool partition : {true, false}) {
-    // Reference counters for this partitioning mode: hash, 1 thread.
-    chase::ChaseStats ref_stats;
-    bool have_ref = false;
-    for (chase::JoinStrategy strategy : strategies) {
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        chase::ChaseOptions options;
-        options.partition_deltas = partition;
-        options.join_strategy = strategy;
-        options.num_threads = threads;
-        chase::Instance run_db = db.CloneFacts();
-        chase::ChaseStats stats;
-        ASSERT_TRUE(RunChase(*program, &run_db, options, &stats).ok());
-        std::string label = "strategy=" +
-                            std::to_string(static_cast<int>(strategy)) +
-                            " partition=" + std::to_string(partition) +
-                            " threads=" + std::to_string(threads);
-        EXPECT_EQ(run_db.ToString(), expected)
-            << label << "\n" << program->ToString();
-        if (!have_ref) {
-          ref_stats = stats;
-          have_ref = true;
-        } else {
-          EXPECT_EQ(stats.rule_firings, ref_stats.rule_firings) << label;
-          EXPECT_EQ(stats.facts_derived, ref_stats.facts_derived) << label;
-          EXPECT_EQ(stats.rounds, ref_stats.rounds) << label;
-        }
+  // Reference counters: hash, 1 thread.
+  chase::ChaseStats ref_stats;
+  bool have_ref = false;
+  for (chase::JoinStrategy strategy : strategies) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      chase::ChaseOptions options;
+      options.join_strategy = strategy;
+      options.num_threads = threads;
+      chase::Instance run_db = db.CloneFacts();
+      chase::ChaseStats stats;
+      ASSERT_TRUE(RunChase(*program, &run_db, options, &stats).ok());
+      std::string label = "strategy=" +
+                          std::to_string(static_cast<int>(strategy)) +
+                          " threads=" + std::to_string(threads);
+      EXPECT_EQ(run_db.ToString(), expected)
+          << label << "\n" << program->ToString();
+      if (!have_ref) {
+        ref_stats = stats;
+        have_ref = true;
+      } else {
+        EXPECT_EQ(stats.rule_firings, ref_stats.rule_firings) << label;
+        EXPECT_EQ(stats.facts_derived, ref_stats.facts_derived) << label;
+        EXPECT_EQ(stats.rounds, ref_stats.rounds) << label;
       }
     }
   }

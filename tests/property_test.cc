@@ -94,45 +94,9 @@ TEST_P(ChaseEquivalenceSweep, SeminaiveEqualsNaive) {
   }
   chase::ChaseOptions naive;
   naive.seminaive = false;
-  naive.partition_deltas = false;
   ASSERT_TRUE(RunChase(*program, &db1, {}).ok());
   ASSERT_TRUE(RunChase(*program, &db2, naive).ok());
   EXPECT_EQ(db1.ToString(), db2.ToString()) << program->ToString();
-}
-
-/// Naive, legacy semi-naive, and partitioned (old/delta/all) semi-naive
-/// evaluation all fix the same instance on random stratified programs.
-TEST_P(ChaseEquivalenceSweep, PartitionedSeminaiveMatchesBothBaselines) {
-  uint64_t seed = static_cast<uint64_t>(GetParam());
-  RandomDatalog gen(seed);
-  auto dict = Dict();
-  auto program = datalog::ParseProgram(gen.ProgramText(6), dict);
-  ASSERT_TRUE(program.ok()) << program.status().ToString();
-
-  chase::Instance db(dict);
-  RandomDatalog filler(seed + 3000);
-  filler.FillDatabase(&db, 12);
-
-  chase::ChaseOptions naive;
-  naive.seminaive = false;
-  naive.partition_deltas = false;
-  chase::ChaseOptions legacy;
-  legacy.partition_deltas = false;
-  chase::ChaseOptions partitioned;  // the default
-
-  chase::Instance naive_db = db.CloneFacts();
-  chase::Instance legacy_db = db.CloneFacts();
-  chase::Instance part_db = db.CloneFacts();
-  chase::ChaseStats legacy_stats, part_stats;
-  ASSERT_TRUE(RunChase(*program, &naive_db, naive).ok());
-  ASSERT_TRUE(RunChase(*program, &legacy_db, legacy, &legacy_stats).ok());
-  ASSERT_TRUE(RunChase(*program, &part_db, partitioned, &part_stats).ok());
-  EXPECT_EQ(part_db.ToString(), naive_db.ToString()) << program->ToString();
-  EXPECT_EQ(part_db.ToString(), legacy_db.ToString()) << program->ToString();
-  EXPECT_EQ(part_stats.facts_derived, legacy_stats.facts_derived);
-  // Partitioning never enumerates more matches than the legacy
-  // delta-only filtering, which re-finds multi-delta matches per pass.
-  EXPECT_LE(part_stats.rule_firings, legacy_stats.rule_firings);
 }
 
 /// With old/delta/all partitioning, a rule whose body repeats a
@@ -152,22 +116,12 @@ TEST(PartitionedSeminaiveTest, RepeatedPredicateFiringsAreExact) {
   for (int i = 0; i < kEdges; ++i) {
     db.AddFact("e", {"v" + std::to_string(i), "v" + std::to_string(i + 1)});
   }
-  chase::Instance legacy_db = db.CloneFacts();
-
   chase::ChaseStats stats;
   ASSERT_TRUE(RunChase(*program, &db, {}, &stats).ok());
   // t = all pairs i < j over 5 nodes = 10 facts; join matches = all
   // triples i < j < k = C(5,3) = 10; base rule = 4 edge matches.
   EXPECT_EQ(db.Find("t")->size(), 10u);
   EXPECT_EQ(stats.rule_firings, 14u);
-
-  chase::ChaseOptions legacy;
-  legacy.partition_deltas = false;
-  chase::ChaseStats legacy_stats;
-  ASSERT_TRUE(RunChase(*program, &legacy_db, legacy, &legacy_stats).ok());
-  EXPECT_EQ(legacy_db.ToString(), db.ToString());
-  // The legacy delta passes re-enumerate multi-delta matches.
-  EXPECT_GT(legacy_stats.rule_firings, stats.rule_firings);
 }
 
 /// Join order never changes the result, only the work.

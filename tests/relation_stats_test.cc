@@ -1,14 +1,15 @@
-// The planner's statistics layer (relation.cc): exact distinct counts
-// stay exact under incremental inserts and SortWindow promotion, the
-// HyperLogLog estimate is order-independent and within tolerance, and
-// LexPerm is the lexicographic trie order the leapfrog join assumes.
+// The planner's statistics layer (relation.cc): sorted permutations stay
+// exact under SortWindow promotion, the HyperLogLog estimate is
+// order-independent and within tolerance, LexPerm is the lexicographic
+// trie order the leapfrog join assumes, and a published (frozen)
+// relation tolerates concurrent lazy lex builds and copies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <random>
-#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chase/instance.h"
@@ -19,33 +20,34 @@ namespace {
 
 std::shared_ptr<Dictionary> Dict() { return std::make_shared<Dictionary>(); }
 
-/// Exact distinct count of one column, recomputed from storage.
-size_t TrueDistinct(const chase::Relation& rel, uint32_t pos) {
-  std::set<uint64_t> values;
-  for (chase::TupleView t : rel.tuples()) values.insert(t[pos].raw());
-  return values.size();
+/// Checks that `perm` is (col key[0], col key[1], ..., tuple index)
+/// lexicographic order over all stored tuples.
+void ExpectLexOrder(const chase::Relation& rel,
+                    const std::vector<uint32_t>& key,
+                    const std::vector<uint32_t>& perm) {
+  ASSERT_EQ(perm.size(), rel.size());
+  std::vector<uint32_t> expected(rel.size());
+  for (uint32_t i = 0; i < expected.size(); ++i) expected[i] = i;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](uint32_t a, uint32_t b) {
+                     for (uint32_t pos : key) {
+                       datalog::Term va = rel.tuple(a)[pos];
+                       datalog::Term vb = rel.tuple(b)[pos];
+                       if (va.raw() != vb.raw()) return va < vb;
+                     }
+                     return a < b;
+                   });
+  EXPECT_EQ(perm, expected);
 }
 
-TEST(RelationStatsTest, DistinctValuesExactUnderIncrementalInserts) {
-  auto dict = Dict();
-  chase::Instance db(dict);
-  std::mt19937 rng(3);
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 40; ++i) {
-      db.AddFact("e", {"a" + std::to_string(rng() % 17),
-                       "b" + std::to_string(rng() % 5)});
-    }
-    // Interleave reads with inserts: the cache must invalidate.
-    const chase::Relation* rel = db.Find("e");
-    ASSERT_NE(rel, nullptr);
-    EXPECT_EQ(rel->DistinctValues(0), TrueDistinct(*rel, 0));
-    EXPECT_EQ(rel->DistinctValues(1), TrueDistinct(*rel, 1));
-    // Second read answers from the cache; same value.
-    EXPECT_EQ(rel->DistinctValues(0), TrueDistinct(*rel, 0));
-  }
+/// The whole sorted permutation of `pos` as a plain vector.
+std::vector<uint32_t> SortedIndices(const chase::Relation& rel,
+                                    uint32_t pos) {
+  chase::SortedRange sorted = rel.Sorted(pos);
+  return std::vector<uint32_t>(sorted.begin(), sorted.end());
 }
 
-TEST(RelationStatsTest, DistinctValuesExactAfterSortWindowPromotion) {
+TEST(RelationStatsTest, SortedExactAfterSortWindowPromotion) {
   auto dict = Dict();
   chase::Instance db(dict);
   for (int i = 0; i < 64; ++i) {
@@ -54,7 +56,7 @@ TEST(RelationStatsTest, DistinctValuesExactAfterSortWindowPromotion) {
   }
   const chase::Relation* rel = db.Find("e");
   ASSERT_NE(rel, nullptr);
-  EXPECT_EQ(rel->DistinctValues(0), 9u);  // syncs the permutation
+  ExpectLexOrder(*rel, {0}, SortedIndices(*rel, 0));  // syncs the prefix
 
   // Append a tail, sort exactly the tail window (the semi-naive delta
   // pattern) so SyncSorted can promote the memoized run by merging.
@@ -66,8 +68,7 @@ TEST(RelationStatsTest, DistinctValuesExactAfterSortWindowPromotion) {
   rel->SortWindow(0, tail_begin, static_cast<uint32_t>(rel->size()),
                   &window);
   EXPECT_EQ(window.size(), 48u);
-  EXPECT_EQ(rel->DistinctValues(0), TrueDistinct(*rel, 0));
-  EXPECT_EQ(rel->DistinctValues(0), 16u);
+  ExpectLexOrder(*rel, {0}, SortedIndices(*rel, 0));
 }
 
 TEST(RelationStatsTest, EstimatedDistinctWithinToleranceAndClamped) {
@@ -117,26 +118,6 @@ TEST(RelationStatsTest, EstimatedDistinctIsInsertionOrderIndependent) {
   }
 }
 
-/// Checks that `perm` is (col key[0], col key[1], ..., tuple index)
-/// lexicographic order over all stored tuples.
-void ExpectLexOrder(const chase::Relation& rel,
-                    const std::vector<uint32_t>& key,
-                    const std::vector<uint32_t>& perm) {
-  ASSERT_EQ(perm.size(), rel.size());
-  std::vector<uint32_t> expected(rel.size());
-  for (uint32_t i = 0; i < expected.size(); ++i) expected[i] = i;
-  std::stable_sort(expected.begin(), expected.end(),
-                   [&](uint32_t a, uint32_t b) {
-                     for (uint32_t pos : key) {
-                       datalog::Term va = rel.tuple(a)[pos];
-                       datalog::Term vb = rel.tuple(b)[pos];
-                       if (va.raw() != vb.raw()) return va < vb;
-                     }
-                     return a < b;
-                   });
-  EXPECT_EQ(perm, expected);
-}
-
 TEST(RelationStatsTest, LexPermOrdersByKeyThenIndexAndExtends) {
   auto dict = Dict();
   chase::Instance db(dict);
@@ -162,6 +143,37 @@ TEST(RelationStatsTest, LexPermOrdersByKeyThenIndexAndExtends) {
   // Single-position keys alias the sorted permutation: same order.
   std::vector<uint32_t> key1 = {1};
   ExpectLexOrder(*rel, key1, rel->LexPerm(key1));
+}
+
+// ---- concurrent readers of a published relation -----------------------
+
+/// A published snapshot's relations are frozen and shared: readers
+/// build missing lex permutations while planning leapfrog joins, and the
+/// writer copies the same relations into the next snapshot. Two threads
+/// building one permutation while a third copies the relation must not
+/// race (ThreadSanitizer builds catch a regression).
+TEST(RelationConcurrencyTest, LexPermBuildsRaceCopyOnFrozenRelation) {
+  chase::Relation rel(2);
+  // 61 and 97 are coprime and 61 * 97 > 4096: every tuple is distinct.
+  for (uint32_t i = 0; i < 4096; ++i) {
+    rel.Insert(chase::Tuple{chase::Term::Constant(i % 61),
+                            chase::Term::Constant(i % 97)});
+  }
+  rel.FreezeIndexes();
+  const std::vector<uint32_t> key = {1, 0};
+  const std::vector<uint32_t>* perms[2] = {nullptr, nullptr};
+  std::unique_ptr<chase::Relation> copy;
+  std::thread first([&] { perms[0] = &rel.LexPerm(key); });
+  std::thread second([&] { perms[1] = &rel.LexPerm(key); });
+  std::thread copier([&] { copy = std::make_unique<chase::Relation>(rel); });
+  first.join();
+  second.join();
+  copier.join();
+
+  EXPECT_EQ(perms[0], perms[1]);  // one permutation, built once
+  ExpectLexOrder(rel, key, *perms[0]);
+  ASSERT_EQ(copy->size(), rel.size());
+  EXPECT_EQ(copy->LexPerm(key), *perms[0]);
 }
 
 // ---- frozen-index contract --------------------------------------------
@@ -192,14 +204,12 @@ TEST(FrozenContractTest, FrozenIndexesAreReadableInsideParallelPass) {
   std::vector<uint32_t> key = {0, 1};
   rel.FreezeIndexes();
   rel.FreezeLex(key);
-  (void)rel.DistinctValues(0);  // warm the cache pre-freeze-style
   chase::ParallelPassScope scope(true);
   // Every frozen read path stays on the immutable early returns: no
   // TRIQ_DCHECK_FROZEN fires (a violation aborts a debug build here).
   EXPECT_EQ(rel.Sorted(0).size(), 50u);
   EXPECT_EQ(rel.Postings(0, chase::Term::Constant(3)).empty(), false);
   EXPECT_EQ(rel.LexPerm(key).size(), 50u);
-  EXPECT_EQ(rel.DistinctValues(0), 7u);
   std::vector<uint32_t> window;
   rel.SortWindow(0, 0, 50, &window);  // full window: synced permutation
   EXPECT_EQ(window.size(), 50u);
