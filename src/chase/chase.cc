@@ -192,6 +192,14 @@ class ChaseRun {
     return it == map.end() ? fallback : it->second;
   }
 
+  /// One rule pass: picks the shard count, stages every shard's matches
+  /// (see StageMatch), then commits them in shard order. With a pool, a
+  /// pass whose depth-0 visit order has at least two shards' worth of
+  /// tuples is split into contiguous slices of that order matched
+  /// concurrently; every other pass is one unsharded stage matched on
+  /// this thread. Because the concatenated shard streams equal the
+  /// unsharded match stream (the DriverPlan contract) and commits replay
+  /// on this thread, the result is bit-identical at every thread count.
   Status ApplyRule(size_t rule_index, const MatchOptions& match_options) {
     const Rule& rule = program_.rules()[rule_index];
     if (rule.IsConstraint()) return Status::OK();
@@ -210,44 +218,104 @@ class ChaseRun {
     // themselves instead of relying on the every-1024-matches callback.
     if (deadline_set_) effective.deadline = options_.deadline;
 
+    DriverPlan plan;
+    size_t num_shards = 1;
     if (pool_ != nullptr) {
-      TRIQ_ASSIGN_OR_RETURN(
-          bool sharded,
-          TryApplyRuleSharded(rule_index, rule, existentials, effective));
-      if (sharded) return Status::OK();
+      plan = PlanMatchDriver(rule, *instance_, effective);
+      size_t max_shards = (pool_->num_workers() + 1) * kShardsPerThread;
+      num_shards = std::max<size_t>(
+          1, std::min(max_shards, plan.order.size() / kMinDriverPerShard));
+    }
+    const bool sharded = num_shards > 1;
+    if (sharded) {
+      // Freeze exactly the lazy sorted indexes this pass's join plan can
+      // probe; from here to the end of the fan-out, matching is
+      // read-only on the instance. (Freezing whole relations instead
+      // would eagerly maintain permutations the join never reads — a
+      // full-relation merge per pass on linear rules.)
+      for (const auto& [pred, pos] : plan.probe_index_pairs) {
+        const Relation* rel = instance_->Find(pred);
+        if (rel != nullptr && pos < rel->arity()) rel->FreezeIndex(pos);
+      }
+      for (const auto& [pred, key] : plan.lex_index_pairs) {
+        const Relation* rel = instance_->Find(pred);
+        if (rel != nullptr) rel->FreezeLex(key);
+      }
     }
 
-    // Sequential pass: stage every match (see StageMatch), then drain.
-    // The buffers are members so their capacity persists across passes.
     const bool fast = existentials.empty() && !options_.track_provenance;
-    ResetStage(&seq_stage_);
-    Status deadline_status = Status::OK();
-    size_t since_check = 0;
-    TRIQ_RETURN_IF_ERROR(
-        MatchBody(rule, *instance_, effective, [&](const Match& match) {
-          if (deadline_set_ && (++since_check & 1023u) == 0 &&
-              DeadlineExpired()) {
-            deadline_status = DeadlineError();
-            return false;
-          }
-          StageMatch(rule, match, fast, /*hash_arity=*/-1, &seq_stage_);
-          return true;
-        }));
-    TRIQ_RETURN_IF_ERROR(deadline_status);
-    if (fast) {
-      if (stats_ != nullptr) stats_->rule_firings += seq_stage_.matches;
-      return DrainFastTuples(rule, seq_stage_.tuples.data(),
-                             seq_stage_.matches);
+    // Sharded single-head fast rules take the fully parallel commit:
+    // workers precompute dedup hashes and BatchInserter runs the probe
+    // phases across the pool.
+    const bool batch = sharded && fast && rule.head.size() == 1;
+    const int hash_arity =
+        batch ? static_cast<int>(rule.head[0].args.size()) : -1;
+    // The stage pool persists across passes (reset, not reconstructed)
+    // so staging keeps its buffer capacity.
+    if (stages_.size() < num_shards) stages_.resize(num_shards);
+    auto stage_shard = [&](size_t s) {
+      ShardStage& stage = stages_[s];
+      ResetStage(&stage);
+      MatchOptions slice;
+      if (sharded) {
+        size_t begin = plan.order.size() * s / num_shards;
+        size_t end = plan.order.size() * (s + 1) / num_shards;
+        slice = effective;
+        slice.driver_order = plan.order.data() + begin;
+        slice.driver_order_size = end - begin;
+        slice.driver_sorted = plan.sorted;
+        slice.driver_body_index = plan.body_index;
+      }
+      Status deadline_status = Status::OK();
+      size_t since_check = 0;
+      stage.status = MatchBody(
+          rule, *instance_, sharded ? slice : effective,
+          [&](const Match& match) {
+            if (deadline_set_ && (++since_check & 1023u) == 0 &&
+                DeadlineExpired()) {
+              deadline_status = DeadlineError();
+              return false;
+            }
+            StageMatch(rule, match, fast, hash_arity, &stage);
+            return true;
+          });
+      // An early callback stop makes MatchBody return OK; keep the
+      // deadline error instead.
+      if (stage.status.ok()) stage.status = deadline_status;
+    };
+    if (sharded) {
+      pool_->ParallelFor(num_shards, stage_shard);
+    } else {
+      stage_shard(0);
     }
-    return DrainStagedMatches(rule_index, rule, existentials,
-                              seq_stage_.entries, seq_stage_.facts,
-                              seq_stage_.ends);
+    // The pool may be longer than this pass's shard count: only the
+    // first num_shards entries were reset and filled.
+    size_t staged_matches = 0;
+    for (size_t s = 0; s < num_shards; ++s) {
+      TRIQ_RETURN_IF_ERROR(stages_[s].status);
+      staged_matches += stages_[s].matches;
+    }
+    if (sharded && stats_ != nullptr) ++stats_->sharded_passes;
+    if (fast && stats_ != nullptr) stats_->rule_firings += staged_matches;
+
+    // Deterministic commit, shard order = single-threaded order.
+    if (batch && total_facts_ + staged_matches <= options_.max_facts) {
+      return CommitBatch(rule.head[0], static_cast<uint32_t>(hash_arity),
+                         num_shards);
+    }
+    for (size_t s = 0; s < num_shards; ++s) {
+      const ShardStage& stage = stages_[s];
+      TRIQ_RETURN_IF_ERROR(
+          fast ? DrainFastTuples(rule, stage.tuples.data(), stage.matches)
+               : DrainStagedMatches(rule_index, rule, existentials,
+                                    stage.entries, stage.facts, stage.ends));
+    }
+    return Status::OK();
   }
 
   /// One staging buffer set: everything a match produces is appended
-  /// here and committed after the pass. The sequential executor owns
-  /// one (seq_stage_); the sharded executor gives each shard its own,
-  /// filled thread-locally and merge-committed in shard order.
+  /// here and committed after the pass. Each shard fills its own
+  /// thread-locally; an unsharded pass uses the first.
   struct ShardStage {
     Status status = Status::OK();
     size_t matches = 0;
@@ -276,9 +344,7 @@ class ChaseRun {
   /// head-arity terms per match, applied while the binding is hot —
   /// plus their dedup hashes when `hash_arity` >= 0 (the batch-commit
   /// path). General path: the full homomorphism and the matched body
-  /// facts in flat buffers, one offset record per match. The ONE place
-  /// that defines the staging layout, shared by the sequential pass and
-  /// every shard worker, so the two can never diverge.
+  /// facts in flat buffers, one offset record per match.
   static void StageMatch(const Rule& rule, const Match& match, bool fast,
                          int hash_arity, ShardStage* stage) {
     ++stage->matches;
@@ -305,114 +371,13 @@ class ChaseRun {
     }
   }
 
-  /// Sharded execution of one match pass: plans the depth-0 visit order,
-  /// splits it into contiguous shards, matches each shard on the pool
-  /// into per-shard staging, then commits shard-by-shard in order.
-  /// Because the concatenated shard streams equal the unsharded match
-  /// stream (the DriverPlan contract) and commits replay on this thread,
-  /// the result is bit-identical to the sequential pass. Returns false
-  /// (without matching) when the pass is too small to shard.
-  Result<bool> TryApplyRuleSharded(size_t rule_index, const Rule& rule,
-                                   const std::vector<Term>& existentials,
-                                   const MatchOptions& effective) {
-    DriverPlan plan = PlanMatchDriver(rule, *instance_, effective);
-    if (plan.body_index < 0) return false;
-    size_t total = plan.order.size();
-    size_t max_shards = (pool_->num_workers() + 1) * kShardsPerThread;
-    size_t num_shards = std::min(max_shards, total / kMinDriverPerShard);
-    if (num_shards < 2) return false;
-
-    // Freeze exactly the lazy sorted indexes this pass's join plan can
-    // probe; from here to the end of the fan-out, matching is read-only
-    // on the instance. (Freezing whole relations instead would eagerly
-    // maintain permutations the join never reads — a full-relation
-    // merge per pass on linear rules.)
-    for (const auto& [pred, pos] : plan.probe_index_pairs) {
-      const Relation* rel = instance_->Find(pred);
-      if (rel != nullptr && pos < rel->arity()) rel->FreezeIndex(pos);
-    }
-    for (const auto& [pred, key] : plan.lex_index_pairs) {
-      const Relation* rel = instance_->Find(pred);
-      if (rel != nullptr) rel->FreezeLex(key);
-    }
-
-    const bool fast = existentials.empty() && !options_.track_provenance;
-    // Single-head fast rules take the fully parallel commit: workers
-    // precompute dedup hashes and BatchInserter runs the probe phases
-    // across the pool.
-    const bool batch = fast && rule.head.size() == 1;
-    const uint32_t head_arity =
-        batch ? static_cast<uint32_t>(rule.head[0].args.size()) : 0;
-    // Reuse the member stage pool across passes (reset, not
-    // reconstructed) so shard staging keeps its buffer capacity, like
-    // the sequential path's seq_stage_.
-    if (shard_stages_.size() < num_shards) shard_stages_.resize(num_shards);
-    std::vector<ShardStage>& stages = shard_stages_;
-    for (size_t s = 0; s < num_shards; ++s) ResetStage(&stages[s]);
-    pool_->ParallelFor(num_shards, [&](size_t s) {
-      ShardStage& stage = stages[s];
-      size_t begin = total * s / num_shards;
-      size_t end = total * (s + 1) / num_shards;
-      MatchOptions mo = effective;
-      mo.driver_order = plan.order.data() + begin;
-      mo.driver_order_size = end - begin;
-      mo.driver_sorted = plan.sorted;
-      mo.driver_body_index = plan.body_index;
-      Status deadline_status = Status::OK();
-      size_t since_check = 0;
-      stage.status =
-          MatchBody(rule, *instance_, mo, [&](const Match& match) {
-            if (deadline_set_ && (++since_check & 1023u) == 0 &&
-                DeadlineExpired()) {
-              deadline_status = DeadlineError();
-              return false;
-            }
-            StageMatch(rule, match, fast,
-                       batch ? static_cast<int>(head_arity) : -1, &stage);
-            return true;
-          });
-      // An early callback stop makes MatchBody return OK; keep the
-      // deadline error instead.
-      if (stage.status.ok()) stage.status = deadline_status;
-    });
-    // The pool may be longer than this pass's shard count: only the
-    // first num_shards entries were reset and filled.
-    for (size_t s = 0; s < num_shards; ++s) {
-      TRIQ_RETURN_IF_ERROR(stages[s].status);
-    }
-    if (stats_ != nullptr) ++stats_->sharded_passes;
-
-    size_t staged_matches = 0;
-    for (size_t s = 0; s < num_shards; ++s) {
-      staged_matches += stages[s].matches;
-    }
-    if (fast && stats_ != nullptr) stats_->rule_firings += staged_matches;
-
-    // Deterministic merge-commit, shard order = single-threaded order.
-    if (batch && total_facts_ + staged_matches <= options_.max_facts) {
-      return CommitBatch(rule.head[0], head_arity, stages.data(), num_shards);
-    }
-    for (size_t s = 0; s < num_shards; ++s) {
-      const ShardStage& stage = stages[s];
-      if (fast) {
-        TRIQ_RETURN_IF_ERROR(
-            DrainFastTuples(rule, stage.tuples.data(), stage.matches));
-      } else {
-        TRIQ_RETURN_IF_ERROR(DrainStagedMatches(rule_index, rule,
-                                                existentials, stage.entries,
-                                                stage.facts, stage.ends));
-      }
-    }
-    return true;
-  }
-
   /// Parallel merge-commit of a single-head pass's staged tuples: the
   /// hash-partitioned dedup probes fan out over the pool; the ordered
   /// append (which fixes the tuple indexes to exactly the sequential
   /// ones) stays on this thread. Only called when even an all-new batch
   /// cannot exceed max_facts, so the cap needs no per-tuple check.
-  Result<bool> CommitBatch(const Atom& head, uint32_t head_arity,
-                           const ShardStage* stages, size_t num_shards) {
+  Status CommitBatch(const Atom& head, uint32_t head_arity,
+                     size_t num_shards) {
     Relation& rel = instance_->GetOrCreate(head.predicate, head_arity);
     if (rel.arity() != head_arity) {
       return Status::InvalidArgument(
@@ -422,8 +387,8 @@ class ChaseRun {
     }
     BatchInserter batch(&rel);
     for (size_t s = 0; s < num_shards; ++s) {
-      batch.AddShard(stages[s].tuples.data(), stages[s].hashes.data(),
-                     static_cast<uint32_t>(stages[s].matches));
+      batch.AddShard(stages_[s].tuples.data(), stages_[s].hashes.data(),
+                     static_cast<uint32_t>(stages_[s].matches));
     }
     // The pool also covers the rehash at capacity doublings: Prepare
     // hands it to Relation::GrowSlots, which counting-sorts the live
@@ -437,12 +402,11 @@ class ChaseRun {
                        [&](size_t p) { batch.FinalizeSlots(p); });
     total_facts_ += winners;
     if (stats_ != nullptr) stats_->facts_derived += winners;
-    return true;
+    return Status::OK();
   }
 
   /// Inserts `matches` staged head-tuple groups laid out back-to-back
-  /// at `next` (the fast-path commit, shared by the sequential and
-  /// sharded executors).
+  /// at `next` (the fast-path commit).
   Status DrainFastTuples(const Rule& rule, const Term* next,
                          size_t matches) {
     for (size_t m = 0; m < matches; ++m) {
@@ -468,8 +432,7 @@ class ChaseRun {
   }
 
   /// Fires every staged match of the general path in staging order (the
-  /// general-path commit, shared by the sequential and sharded
-  /// executors).
+  /// general-path commit).
   Status DrainStagedMatches(size_t rule_index, const Rule& rule,
                             const std::vector<Term>& existentials,
                             const std::vector<std::pair<Term, Term>>& entries,
@@ -592,11 +555,9 @@ class ChaseRun {
   std::unique_ptr<common::ThreadPool> pool_;
   std::unordered_set<TriggerKey, TriggerKeyHash> fired_;
 
-  // Staging for the sequential ApplyRule path; the sharded path stages
-  // per shard from the pool below. Members so buffer capacity persists
-  // across passes.
-  ShardStage seq_stage_;
-  std::vector<ShardStage> shard_stages_;
+  // Per-shard staging (an unsharded pass uses the first); a member so
+  // buffer capacity persists across passes.
+  std::vector<ShardStage> stages_;
   Binding scratch_binding_;
   Tuple scratch_tuple_;
 };

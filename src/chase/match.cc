@@ -27,7 +27,10 @@ constexpr size_t kAutoMergeMinWindow = 32;
 /// front, and both depend only on *which* variables are bound at each
 /// depth plus per-relation statistics — never on bound values — so the
 /// plan is identical across all branches of the search, across join
-/// strategies, and across thread counts. The order is cost-based
+/// strategies, and across thread counts. PlanJoin records it, with the
+/// bound positions of every depth, in one DepthPlan per depth; the
+/// search, the sharding driver plan, the index-freeze list and EXPLAIN
+/// all read that record. The order is cost-based
 /// greedy: the delta atom is pinned first (its window drives the
 /// pass), then each depth takes the atom with the smallest estimated
 /// match count given the variables bound so far — window size divided
@@ -67,132 +70,62 @@ class Matcher {
     return status_;
   }
 
-  /// Mirrors the depth-0 access-path choice of EnumerateCandidates and
-  /// materializes the exact tuple visit order, so the parallel chase can
-  /// slice it into shards (see DriverPlan in match.h). Must stay in
-  /// lockstep with the depth-0 branches below: any divergence breaks the
-  /// "concatenated shards == unsharded stream" contract.
+  /// The depth-0 visit order for the parallel chase to slice into shards
+  /// (see DriverPlan in match.h): the unsharded matcher's own depth-0
+  /// candidate enumeration, collected instead of recursed into.
   DriverPlan MakeDriverPlan() {
     DriverPlan out;
     if (plan_.empty()) return out;
-    const DepthPlan& plan = plan_[0];
-    int slot = plan.slot;
-    const Atom& atom = rule_.body[positive_[slot]];
-    out.body_index = positive_[slot];
-    const Relation* rel = instance_.Find(atom.predicate);
-    if (rel == nullptr || rel->arity() != atom.args.size()) return out;
-    auto [begin, end] = SlotWindow(slot);
-    end = std::min(end, rel->size());
-    if (begin >= end) return out;
-
-    // Bound positions under the seed binding: the unsharded matcher
-    // visits a posting intersection in ascending tuple-index order, so
-    // the shortest window-clamped posting list is an ascending superset
-    // with the same relative order (shards re-unify every position).
-    SortedRange shortest;
-    bool have_bound = false;
-    for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
-      Term val = binding_.Apply(atom.args[pos]);
-      if (val.IsVariable()) continue;
-      SortedRange p = rel->Postings(pos, val);
-      if (p.empty()) return out;  // some bound position has no fact
-      if (!have_bound || p.size() < shortest.size()) shortest = p;
-      have_bound = true;
-    }
-    if (have_bound) {
-      const uint32_t* it = std::lower_bound(
-          shortest.begin(), shortest.end(), static_cast<uint32_t>(begin));
-      for (; it != shortest.end() && *it < end; ++it) out.order.push_back(*it);
-      CollectProbePairs(&out);
-      return out;
-    }
-
-    bool want_sorted = plan.sorted_driver &&
-                       (options_.join_strategy == JoinStrategy::kMerge ||
-                        end - begin >= kAutoMergeMinWindow) &&
-                       SetUpCursor();
-    if (want_sorted) {
-      rel->SortWindow(plan.driver_pos, static_cast<uint32_t>(begin),
-                      static_cast<uint32_t>(end), &out.order);
-      out.sorted = true;
-    } else {
-      out.order.reserve(end - begin);
-      for (uint32_t idx = static_cast<uint32_t>(begin); idx < end; ++idx) {
-        out.order.push_back(idx);
-      }
-    }
+    out.body_index = positive_[plan_[0].slot];
+    ForEachCandidate(0, [&](uint32_t idx) {
+      out.order.push_back(idx);
+      return true;
+    });
+    out.sorted = merge_active_;
     CollectProbePairs(&out);
     return out;
   }
 
-  /// Replays the join plan's boundness progression (value-independent,
-  /// exactly as PlanJoin saw it) and records every (predicate, position)
-  /// whose sorted permutation a depth >= 1 step may read: posting probes
-  /// on positions bound by then, and the depth-1 merge cursor. Atoms
-  /// fully bound at their depth resolve through the dedup table
-  /// (FindIndex), which needs no permutation — unless the merge cursor
-  /// reads them anyway.
+  /// Records every (predicate, position) whose sorted permutation a
+  /// depth >= 1 step may read: posting probes on the positions bound by
+  /// then, and the depth-1 merge cursor; a leapfrog residual reads lex
+  /// permutations (a single-position key aliases the sorted one). Atoms
+  /// read through the dedup table (FindIndex) need no permutation.
   void CollectProbePairs(DriverPlan* out) const {
-    std::vector<Term> bound;
-    if (options_.seed != nullptr) {
-      for (const auto& [var, val] : options_.seed->entries()) {
-        bound.push_back(var);
-      }
-    }
-    auto is_bound = [&](Term t) {
-      return !t.IsVariable() ||
-             std::find(bound.begin(), bound.end(), t) != bound.end();
-    };
-    for (Term t : rule_.body[positive_[plan_[0].slot]].args) {
-      if (t.IsVariable() && !is_bound(t)) bound.push_back(t);
-    }
-    if (lftj_) {
-      // Below the driver the leapfrog residual reads lex permutations;
-      // a single-position key aliases the sorted permutation, so it is
-      // frozen through probe_index_pairs like any probe. Fully
-      // restricted atoms resolve through the dedup table (no index).
-      for (const LfAtom& a : lf_atoms_) {
-        if (a.rel == nullptr || a.fully_restricted) continue;
-        if (a.key.size() == 1) {
-          out->probe_index_pairs.emplace_back(a.atom->predicate, a.key[0]);
-        } else {
-          out->lex_index_pairs.emplace_back(a.atom->predicate, a.key);
-        }
-      }
-      return;
-    }
     for (size_t depth = 1; depth < plan_.size(); ++depth) {
-      const Atom& atom = rule_.body[positive_[plan_[depth].slot]];
-      size_t num_bound = 0;
-      for (Term t : atom.args) {
-        if (is_bound(t)) ++num_bound;
+      const DepthPlan& plan = plan_[depth];
+      const Atom& atom = AtomAt(depth);
+      if (plan.access == Access::kLeapfrog) {
+        const LfAtom& a = lf_atoms_[depth - 1];
+        if (a.rel == nullptr) continue;
+        if (a.key.size() == 1) {
+          out->probe_index_pairs.emplace_back(atom.predicate, a.key[0]);
+        } else {
+          out->lex_index_pairs.emplace_back(atom.predicate, a.key);
+        }
+        continue;
       }
-      bool fully_ground = num_bound == atom.args.size() && !atom.args.empty();
-      if (!fully_ground) {
+      if (plan.access == Access::kPostings ||
+          (plan.access == Access::kMergeCursor && !FullyBound(depth))) {
         for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
-          if (is_bound(atom.args[pos])) {
+          if (BoundAt(depth, pos)) {
             out->probe_index_pairs.emplace_back(atom.predicate, pos);
           }
         }
       }
-      if (plan_[depth].merge_cursor) {
-        out->probe_index_pairs.emplace_back(atom.predicate,
-                                            plan_[depth].cursor_pos);
-      }
-      for (Term t : atom.args) {
-        if (t.IsVariable() && !is_bound(t)) bound.push_back(t);
+      if (plan.access == Access::kMergeCursor) {
+        out->probe_index_pairs.emplace_back(atom.predicate, plan.pos);
       }
     }
   }
 
-  /// Renders the planned join: strategy, then one line per atom in join
-  /// order with its access path and the estimate the planner ranked it
-  /// by (replaying the same boundness progression PlanJoin saw).
-  std::string Explain() {
+  /// Renders the plan: strategy, then one line per atom in join order
+  /// with its access path and the estimate the planner ranked it by.
+  std::string Explain() const {
     std::string out = "  strategy: ";
     if (lftj_) {
       out += "leapfrog";
-    } else if (plan_.size() >= 2 && plan_[1].merge_cursor) {
+    } else if (plan_.size() >= 2 && plan_[1].access == Access::kMergeCursor) {
       out += "merge";
     } else {
       out += "hash";
@@ -208,113 +141,160 @@ class Matcher {
         break;
     }
     out += "\n";
-    std::vector<Term> bound;
-    if (options_.seed != nullptr) {
-      for (const auto& [var, val] : options_.seed->entries()) {
-        bound.push_back(var);
-      }
-    }
-    auto is_bound = [&](Term t) {
-      return !t.IsVariable() ||
-             std::find(bound.begin(), bound.end(), t) != bound.end();
-    };
     for (size_t depth = 0; depth < plan_.size(); ++depth) {
-      int slot = plan_[depth].slot;
-      const Atom& atom = rule_.body[positive_[slot]];
-      size_t num_bound = 0;
-      size_t size = 0;
-      double est = EstimateAtom(slot, is_bound, &num_bound, &size);
+      const DepthPlan& plan = plan_[depth];
       std::string access;
-      if (depth == 0) {
-        access = positive_[slot] == options_.delta_body_index
-                     ? "delta-scan"
-                     : "scan";
-        if (num_bound > 0) {
+      switch (plan.access) {
+        case Access::kScan:
+          access = positive_[plan.slot] == options_.delta_body_index
+                       ? "delta-scan"
+                       : "scan";
+          break;
+        case Access::kSortedScan:
+          access = "sorted-scan(pos " + std::to_string(plan.pos) + ")";
+          break;
+        case Access::kPostings:
           access = "postings";
-        } else if (plan_[depth].sorted_driver) {
-          access = "sorted-scan(pos " +
-                   std::to_string(plan_[depth].driver_pos) + ")";
-        }
-      } else if (lftj_) {
-        const LfAtom& a = lf_atoms_[depth - 1];
-        if (a.fully_restricted) {
-          access = "find-index";
-        } else {
+          break;
+        case Access::kFindIndex:
+          // EXPLAIN has always labelled a fully bound driver "postings".
+          access = depth == 0 ? "postings" : "find-index";
+          break;
+        case Access::kMergeCursor:
+          access = "merge-cursor(pos " + std::to_string(plan.pos) + ")";
+          break;
+        case Access::kLeapfrog: {
+          const LfAtom& a = lf_atoms_[depth - 1];
           access = "leapfrog[";
           for (size_t i = 0; i < a.key.size(); ++i) {
             if (i > 0) access += ",";
             access += std::to_string(a.key[i]);
           }
           access += "]";
+          break;
         }
-      } else if (plan_[depth].merge_cursor) {
-        access = "merge-cursor(pos " +
-                 std::to_string(plan_[depth].cursor_pos) + ")";
-      } else if (num_bound == atom.args.size() && !atom.args.empty()) {
-        access = "find-index";
-      } else if (num_bound > 0) {
-        access = "postings";
-      } else {
-        access = "scan";
       }
       char est_buf[32];
-      std::snprintf(est_buf, sizeof(est_buf), "%.3g", est);
+      std::snprintf(est_buf, sizeof(est_buf), "%.3g", plan.est);
       out += "  " + std::to_string(depth) + ": " +
-             AtomToString(atom, instance_.dict()) + "  " + access +
-             "  rows~" + est_buf + " (window " + std::to_string(size) +
+             AtomToString(AtomAt(depth), instance_.dict()) + "  " + access +
+             "  rows~" + est_buf + " (window " + std::to_string(plan.size()) +
              ")\n";
-      for (Term t : atom.args) {
-        if (t.IsVariable() && !is_bound(t)) bound.push_back(t);
-      }
     }
     return out;
   }
 
  private:
-  /// One planned join step: the slot to enumerate at this depth and the
-  /// access path chosen for it.
-  struct DepthPlan {
-    int slot = -1;
-    /// Depth 0 only: enumerate the window ordered by the value of
-    /// column `driver_pos` (enables the cursor below).
-    bool sorted_driver = false;
-    uint32_t driver_pos = 0;
-    /// Depth 1 only: the driver feeds this atom nondecreasing values of
-    /// the shared variable; read it with a galloping cursor on the
-    /// sorted permutation of column `cursor_pos`.
-    bool merge_cursor = false;
-    uint32_t cursor_pos = 0;
+  /// How one join depth reads its atom's relation.
+  enum class Access : uint8_t {
+    // The whole window, ascending tuple index.
+    kScan,
+    // Depth 0: the window in value order of column `pos`, feeding the
+    // merge cursor (a kScan below kAutoMergeMinWindow under kAuto).
+    kSortedScan,
+    // The sorted intersection of the bound positions' posting ranges.
+    kPostings,
+    // Every position bound: one dedup-table lookup.
+    kFindIndex,
+    // Depth 1: a galloping cursor over the sorted permutation of column
+    // `pos` while the driver runs in value order, else probed like
+    // kPostings / kFindIndex.
+    kMergeCursor,
+    // Depth >= 1: one trie of the leapfrog residual.
+    kLeapfrog,
   };
 
+  /// One planned join step: the slot enumerated at this depth, its
+  /// relation and clamped window, the access path, and the estimate it
+  /// was ranked by. `first_arg` indexes the atom's entries in bind_depth_.
+  struct DepthPlan {
+    int slot = -1;
+    Access access = Access::kScan;
+    uint32_t pos = 0;  // the column kSortedScan / kMergeCursor orders by
+    const Relation* rel = nullptr;  // null: absent or arity mismatch
+    size_t begin = 0;
+    size_t end = 0;
+    uint32_t first_arg = 0;
+    uint32_t num_bound = 0;
+    double est = 0.0;
+
+    size_t size() const { return end > begin ? end - begin : 0; }
+  };
+
+  const Atom& AtomAt(size_t depth) const {
+    return rule_.body[positive_[plan_[depth].slot]];
+  }
+  /// The join depth whose atom binds argument `pos` of the depth-`depth`
+  /// atom; -1 for constants and seed-bound variables.
+  int BindDepth(size_t depth, uint32_t pos) const {
+    return bind_depth_[plan_[depth].first_arg + pos];
+  }
+  bool BoundAt(size_t depth, uint32_t pos) const {
+    return BindDepth(depth, pos) < static_cast<int>(depth);
+  }
+  bool FullyBound(size_t depth) const {
+    size_t arity = AtomAt(depth).args.size();
+    return arity > 0 && plan_[depth].num_bound == arity;
+  }
+
   /// Computes the join order (hoisting the greedy most-bound-first
-  /// heuristic out of the recursion) and assigns access paths.
+  /// heuristic out of the recursion), records which positions each depth
+  /// finds bound, and assigns access paths. The only code that works out
+  /// boundness; everything else reads bind_depth_ and plan_.
   void PlanJoin() {
     plan_.resize(positive_.size());
     std::vector<bool> used(positive_.size(), false);
-    std::vector<Term> seed_vars;
+    size_t num_args = 0;
+    for (int body_index : positive_) {
+      num_args += rule_.body[body_index].args.size();
+    }
+    bind_depth_.reserve(num_args);
+    // Variables bound so far, with the depth that binds them.
+    std::vector<std::pair<Term, int>> bound;
+    bound.reserve(num_args +
+                  (options_.seed != nullptr ? options_.seed->size() : 0));
     if (options_.seed != nullptr) {
       for (const auto& [var, val] : options_.seed->entries()) {
-        seed_vars.push_back(var);
+        bound.emplace_back(var, -1);
       }
     }
-    std::vector<Term> bound = seed_vars;  // variables bound so far
+    auto find = [&](Term t) {
+      return std::find_if(bound.begin(), bound.end(),
+                          [&](const auto& entry) { return entry.first == t; });
+    };
     auto is_bound = [&](Term t) {
-      return !t.IsVariable() ||
-             std::find(bound.begin(), bound.end(), t) != bound.end();
+      return !t.IsVariable() || find(t) != bound.end();
     };
     for (size_t depth = 0; depth < positive_.size(); ++depth) {
-      int slot = PickNextAtom(used, is_bound);
-      plan_[depth].slot = slot;
-      used[slot] = true;
-      for (Term t : rule_.body[positive_[slot]].args) {
-        if (t.IsVariable() && !is_bound(t)) bound.push_back(t);
+      DepthPlan& plan = plan_[depth];
+      plan = PickNextAtom(used, is_bound);
+      used[plan.slot] = true;
+      plan.first_arg = static_cast<uint32_t>(bind_depth_.size());
+      const Atom& atom = AtomAt(depth);
+      for (Term t : atom.args) {
+        int at = -1;
+        if (t.IsVariable()) {
+          auto it = find(t);
+          if (it == bound.end()) {
+            bound.emplace_back(t, static_cast<int>(depth));
+            at = static_cast<int>(depth);
+          } else {
+            at = it->second;
+          }
+        }
+        bind_depth_.push_back(at);
+      }
+      if (FullyBound(depth)) {
+        plan.access = Access::kFindIndex;
+      } else if (plan.num_bound > 0) {
+        plan.access = Access::kPostings;
       }
     }
     if (options_.join_strategy == JoinStrategy::kHash || plan_.size() < 2) {
       return;
     }
-    if (ShouldLeapfrog(seed_vars)) {
-      PlanLeapfrog(seed_vars);
+    if (ShouldLeapfrog()) {
+      PlanLeapfrog();
       return;
     }
     // Merge join needs a driver that full-scans its window (no bound
@@ -322,15 +302,9 @@ class Matcher {
     // second atom sharing one of the driver's variables. The shared
     // variable must be bound at its first occurrence in the driver, so
     // its bind order follows the sorted column.
-    const Atom& a0 = rule_.body[positive_[plan_[0].slot]];
-    for (Term t : a0.args) {
-      if (!t.IsVariable() ||
-          std::find(seed_vars.begin(), seed_vars.end(), t) !=
-              seed_vars.end()) {
-        return;
-      }
-    }
-    const Atom& a1 = rule_.body[positive_[plan_[1].slot]];
+    if (plan_[0].num_bound > 0) return;
+    const Atom& a0 = AtomAt(0);
+    const Atom& a1 = AtomAt(1);
     for (uint32_t p = 0; p < a0.args.size(); ++p) {
       Term var = a0.args[p];
       bool first_occurrence = true;
@@ -340,52 +314,48 @@ class Matcher {
       if (!first_occurrence) continue;
       for (uint32_t q = 0; q < a1.args.size(); ++q) {
         if (a1.args[q] != var) continue;
-        plan_[0].sorted_driver = true;
-        plan_[0].driver_pos = p;
-        plan_[1].merge_cursor = true;
-        plan_[1].cursor_pos = q;
+        plan_[0].access = Access::kSortedScan;
+        plan_[0].pos = p;
+        plan_[1].access = Access::kMergeCursor;
+        plan_[1].pos = q;
         return;
       }
     }
   }
 
-  /// Estimated number of matching tuples for slot `i` per intermediate
-  /// binding, given which variables are bound: the atom's effective
-  /// window size divided by the estimated distinct count of every
-  /// statically-bound position (the Trident/RDF-3X
-  /// selectivity-from-index-statistics model, read off the O(1)
-  /// per-position sketches so estimating never syncs an index). Value-
-  /// independent, hence identical across strategies and thread counts.
-  /// A fully bound atom caps at one row — it resolves through the dedup
-  /// table. Also reports the bound-position count and window size for
-  /// the deterministic tie-breaks.
+  /// The plan step for slot `i` given which variables are bound: its
+  /// relation and effective window, and the estimated number of matching
+  /// tuples per intermediate binding — the window size divided by the
+  /// estimated distinct count of every statically-bound position (the
+  /// Trident/RDF-3X selectivity-from-index-statistics model, read off the
+  /// O(1) per-position sketches so estimating never syncs an index).
+  /// Value-independent, hence identical across strategies and thread
+  /// counts. A fully bound atom caps at one row — it resolves through the
+  /// dedup table.
   template <typename BoundFn>
-  double EstimateAtom(int i, const BoundFn& is_bound, size_t* bound_out,
-                      size_t* size_out) const {
+  DepthPlan EstimateAtom(int i, const BoundFn& is_bound) const {
+    DepthPlan plan;
+    plan.slot = i;
     const Atom& atom = rule_.body[positive_[i]];
     const Relation* rel = instance_.Find(atom.predicate);
-    bool usable = rel != nullptr && rel->arity() == atom.args.size();
-    size_t size = 0;
-    if (usable) {
+    if (rel != nullptr && rel->arity() == atom.args.size()) {
+      plan.rel = rel;
       auto [begin, end] = SlotWindow(i);
-      end = std::min(end, rel->size());
-      size = end > begin ? end - begin : 0;
+      plan.begin = begin;
+      plan.end = std::min(end, rel->size());
     }
-    double est = static_cast<double>(size);
-    size_t num_bound = 0;
+    plan.est = static_cast<double>(plan.size());
     for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
       if (!is_bound(atom.args[pos])) continue;
-      ++num_bound;
-      if (usable && size > 0) {
-        est /= std::max(1.0, rel->EstimatedDistinct(pos));
+      ++plan.num_bound;
+      if (plan.size() > 0) {
+        plan.est /= std::max(1.0, rel->EstimatedDistinct(pos));
       }
     }
-    if (num_bound == atom.args.size() && !atom.args.empty()) {
-      est = std::min(est, 1.0);
+    if (plan.num_bound == atom.args.size() && !atom.args.empty()) {
+      plan.est = std::min(plan.est, 1.0);
     }
-    *bound_out = num_bound;
-    *size_out = size;
-    return est;
+    return plan;
   }
 
   // Cost-based greedy ordering: the delta atom is pinned first (its
@@ -395,39 +365,24 @@ class Matcher {
   // then smaller window, then lower slot index — never a value or an
   // address.
   template <typename BoundFn>
-  int PickNextAtom(const std::vector<bool>& used,
-                   const BoundFn& is_bound) const {
-    if (!options_.greedy_atom_order) {
-      for (size_t i = 0; i < positive_.size(); ++i) {
-        if (!used[i] && positive_[i] == options_.delta_body_index) {
-          return static_cast<int>(i);
-        }
-      }
-      for (size_t i = 0; i < positive_.size(); ++i) {
-        if (!used[i]) return static_cast<int>(i);
+  DepthPlan PickNextAtom(const std::vector<bool>& used,
+                         const BoundFn& is_bound) const {
+    for (size_t i = 0; i < positive_.size(); ++i) {
+      if (!used[i] && positive_[i] == options_.delta_body_index) {
+        return EstimateAtom(static_cast<int>(i), is_bound);
       }
     }
-    int best = -1;
-    double best_est = 0.0;
-    size_t best_bound = 0;
-    size_t best_size = 0;
+    DepthPlan best;
     for (size_t i = 0; i < positive_.size(); ++i) {
       if (used[i]) continue;
-      if (positive_[i] == options_.delta_body_index) return static_cast<int>(i);
-      size_t num_bound = 0;
-      size_t size = 0;
-      double est =
-          EstimateAtom(static_cast<int>(i), is_bound, &num_bound, &size);
-      bool better = best == -1 || est < best_est ||
-                    (est == best_est &&
-                     (num_bound > best_bound ||
-                      (num_bound == best_bound && size < best_size)));
-      if (better) {
-        best = static_cast<int>(i);
-        best_est = est;
-        best_bound = num_bound;
-        best_size = size;
-      }
+      DepthPlan next = EstimateAtom(static_cast<int>(i), is_bound);
+      if (!options_.greedy_atom_order) return next;
+      bool better = best.slot == -1 || next.est < best.est ||
+                    (next.est == best.est &&
+                     (next.num_bound > best.num_bound ||
+                      (next.num_bound == best.num_bound &&
+                       next.size() < best.size())));
+      if (better) best = next;
     }
     return best;
   }
@@ -438,29 +393,17 @@ class Matcher {
   /// sharing a variable the driver leaves unbound — the shape where a
   /// binary plan materializes an intermediate result the multi-way
   /// intersection never builds. Value-independent.
-  bool ShouldLeapfrog(const std::vector<Term>& seed_vars) const {
+  bool ShouldLeapfrog() const {
     if (options_.join_strategy == JoinStrategy::kLeapfrog) return true;
     if (options_.join_strategy != JoinStrategy::kAuto) return false;
     if (plan_.size() < 3) return false;
-    std::vector<Term> bound = seed_vars;
-    for (Term t : rule_.body[positive_[plan_[0].slot]].args) {
-      if (t.IsVariable() &&
-          std::find(bound.begin(), bound.end(), t) == bound.end()) {
-        bound.push_back(t);
-      }
-    }
-    auto is_free = [&](Term t) {
-      return t.IsVariable() &&
-             std::find(bound.begin(), bound.end(), t) == bound.end();
-    };
     for (size_t d1 = 1; d1 < plan_.size(); ++d1) {
-      const Atom& a1 = rule_.body[positive_[plan_[d1].slot]];
-      for (Term v : a1.args) {
-        if (!is_free(v)) continue;
+      const Atom& a1 = AtomAt(d1);
+      for (uint32_t pos = 0; pos < a1.args.size(); ++pos) {
+        if (BindDepth(d1, pos) < 1) continue;  // the seed or driver binds it
         for (size_t d2 = d1 + 1; d2 < plan_.size(); ++d2) {
-          const Atom& a2 = rule_.body[positive_[plan_[d2].slot]];
-          for (Term t : a2.args) {
-            if (t == v) return true;
+          for (Term t : AtomAt(d2).args) {
+            if (t == a1.args[pos]) return true;
           }
         }
       }
@@ -477,23 +420,14 @@ class Matcher {
   /// value-independent; the lex permutations are pre-built here (plan
   /// time runs on the scheduling thread) and re-frozen via
   /// DriverPlan::lex_index_pairs before parallel fan-out.
-  void PlanLeapfrog(const std::vector<Term>& seed_vars) {
+  void PlanLeapfrog() {
     lftj_ = true;
-    std::vector<Term> bound = seed_vars;
-    for (Term t : rule_.body[positive_[plan_[0].slot]].args) {
-      if (t.IsVariable() &&
-          std::find(bound.begin(), bound.end(), t) == bound.end()) {
-        bound.push_back(t);
-      }
-    }
-    auto is_bound = [&](Term t) {
-      return !t.IsVariable() ||
-             std::find(bound.begin(), bound.end(), t) != bound.end();
-    };
     std::vector<Term> order;  // leapfrog variables, first occurrence
     for (size_t depth = 1; depth < plan_.size(); ++depth) {
-      for (Term t : rule_.body[positive_[plan_[depth].slot]].args) {
-        if (!is_bound(t) &&
+      const Atom& atom = AtomAt(depth);
+      for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
+        Term t = atom.args[pos];
+        if (BindDepth(depth, pos) >= 1 &&
             std::find(order.begin(), order.end(), t) == order.end()) {
           order.push_back(t);
         }
@@ -503,19 +437,16 @@ class Matcher {
     for (size_t vi = 0; vi < order.size(); ++vi) lf_vars_[vi].var = order[vi];
 
     for (size_t depth = 1; depth < plan_.size(); ++depth) {
-      int slot = plan_[depth].slot;
-      const Atom& atom = rule_.body[positive_[slot]];
+      const DepthPlan& plan = plan_[depth];
+      const Atom& atom = AtomAt(depth);
       LfAtom a;
-      a.slot = slot;
+      a.slot = plan.slot;
       a.atom = &atom;
-      const Relation* rel = instance_.Find(atom.predicate);
-      if (rel != nullptr && rel->arity() == atom.args.size()) a.rel = rel;
+      a.rel = plan.rel;
       if (a.rel == nullptr) lf_possible_ = false;
-      auto [begin, end] = SlotWindow(slot);
-      a.window_end = a.rel == nullptr ? 0 : std::min(end, a.rel->size());
-      (void)begin;  // residual atoms scan [0, end) — the delta drives
+      a.window_end = plan.end;  // residual atoms scan [0, end)
       for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
-        if (is_bound(atom.args[pos])) {
+        if (BindDepth(depth, pos) < 1) {
           a.levels.push_back(LfLevel{pos, atom.args[pos], -1, nullptr});
         }
       }
@@ -541,6 +472,8 @@ class Matcher {
         }
       }
       a.fully_restricted = a.num_restricted == a.levels.size();
+      plan_[depth].access =
+          a.fully_restricted ? Access::kFindIndex : Access::kLeapfrog;
       for (const LfLevel& level : a.levels) a.key.push_back(level.pos);
       if (a.rel != nullptr && !a.fully_restricted) {
         a.perm = &a.rel->LexPerm(a.key);
@@ -737,10 +670,9 @@ class Matcher {
 
   bool EnumerateCandidates(size_t depth) {
     const DepthPlan& plan = plan_[depth];
-    int slot = plan.slot;
-    const Atom& atom = rule_.body[positive_[slot]];
-    const Relation* rel = instance_.Find(atom.predicate);
-    if (rel == nullptr || rel->arity() != atom.args.size()) return true;
+    if (plan.rel == nullptr) return true;
+    const Relation* rel = plan.rel;
+    const Atom& atom = AtomAt(depth);
 
     auto try_tuple = [&](uint32_t idx) -> bool {
       TupleView tuple = rel->tuple(idx);
@@ -757,7 +689,7 @@ class Matcher {
       }
       bool keep_going = true;
       if (unified) {
-        refs_[slot] = FactRef{atom.predicate, idx};
+        refs_[plan.slot] = FactRef{atom.predicate, idx};
         keep_going = Recurse(depth + 1);
       }
       binding_.PopTo(mark);
@@ -770,137 +702,139 @@ class Matcher {
     // lazy index is built, so shard matchers are safe concurrent readers
     // of a frozen instance.
     if (depth == 0 && options_.driver_order != nullptr) {
-      if (positive_[slot] != options_.driver_body_index) {
+      if (positive_[plan.slot] != options_.driver_body_index) {
         status_ = Status::Internal(
             "sharded match pass planned body atom " +
             std::to_string(options_.driver_body_index) +
             " as the driver but the join plan enumerates atom " +
-            std::to_string(positive_[slot]) + " first");
+            std::to_string(positive_[plan.slot]) + " first");
         return false;
       }
       merge_active_ = options_.driver_sorted && plan_.size() > 1 &&
-                      plan_[1].merge_cursor && SetUpCursor();
+                      plan_[1].access == Access::kMergeCursor && SetUpCursor();
       for (size_t i = 0; i < options_.driver_order_size; ++i) {
         if (!try_tuple(options_.driver_order[i])) return false;
       }
       return true;
     }
+    return ForEachCandidate(depth, try_tuple);
+  }
 
-    auto [begin, end] = SlotWindow(slot);
-    end = std::min(end, rel->size());
+  /// Feeds `visit` the candidate tuple indices of the depth-`depth` atom
+  /// under the current binding, read through the planned access path, in
+  /// the order the join visits them; stops (returning false) when
+  /// `visit` does. A candidate may still disagree with the binding (a
+  /// scan checks no position, postings intersect only the two shortest
+  /// ranges), so `visit` must unify.
+  template <typename Visit>
+  bool ForEachCandidate(size_t depth, const Visit& visit) {
+    const DepthPlan& plan = plan_[depth];
+    if (plan.rel == nullptr) return true;
+    const Relation* rel = plan.rel;
+    const Atom& atom = AtomAt(depth);
+    const size_t begin = plan.begin;
+    const size_t end = plan.end;
     if (begin >= end) return true;
 
-    // Merge-cursor path: the driver is feeding us nondecreasing values
-    // of the shared variable, so one galloping cursor walks the sorted
-    // permutation forward instead of probing per binding.
-    if (plan.merge_cursor && merge_active_) {
-      Term v = binding_.Apply(atom.args[plan.cursor_pos]);
-      if (!v.IsVariable()) {
+    Access access = plan.access;
+    if (access == Access::kMergeCursor) {
+      if (merge_active_) {
+        // The driver is feeding us nondecreasing values of the shared
+        // variable, so one galloping cursor walks the sorted permutation
+        // forward instead of probing per binding.
+        Term v = binding_.Apply(atom.args[plan.pos]);
         cursor_ = cursor_range_.SeekValue(cursor_, v);
         for (const uint32_t* it = cursor_;
              it != cursor_range_.end() && cursor_range_.ValueAt(it) == v;
              ++it) {
           uint32_t idx = *it;
           if (idx < begin || idx >= end) continue;
-          if (!try_tuple(idx)) return false;
+          if (!visit(idx)) return false;
         }
         return true;
       }
-      // The shared variable is unexpectedly unbound (defensive): fall
-      // through to the probe paths below.
+      // The driver ran in tuple-index order: probe per binding.
+      access = FullyBound(depth) ? Access::kFindIndex : Access::kPostings;
     }
 
-    // Fully ground atom: the dedup table answers the membership
-    // question in O(1); no posting range (or permutation sync) needed.
-    // Head-satisfaction probes with a fully bound frontier take this
-    // path even while the relation is growing between firings.
-    probe_tuple_.clear();
-    for (Term arg : atom.args) {
-      Term val = binding_.Apply(arg);
-      if (val.IsVariable()) {
-        probe_tuple_.clear();
-        break;
-      }
-      probe_tuple_.push_back(val);
-    }
-    if (probe_tuple_.size() == atom.args.size() && !atom.args.empty()) {
+    if (access == Access::kFindIndex) {
+      // The dedup table answers the membership question in O(1); no
+      // posting range (or permutation sync) needed. Head-satisfaction
+      // probes with a fully bound frontier take this path even while the
+      // relation is growing between firings.
+      probe_tuple_.clear();
+      for (Term arg : atom.args) probe_tuple_.push_back(binding_.Apply(arg));
       uint32_t idx = rel->FindIndex(probe_tuple_);
       if (idx == Relation::kNotFound || idx < begin || idx >= end) {
         return true;
       }
-      return try_tuple(idx);
+      return visit(idx);
     }
 
-    // Collect the posting ranges for the bound positions, keeping the
-    // two shortest: candidates come from their sorted intersection,
-    // which prunes far more than scanning one list and re-checking.
-    SortedRange shortest, second;
-    bool have_shortest = false, have_second = false;
-    for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
-      Term val = binding_.Apply(atom.args[pos]);
-      if (val.IsVariable()) continue;
-      SortedRange p = rel->Postings(pos, val);
-      if (p.empty()) return true;  // some bound position has no fact
-      if (!have_shortest || p.size() < shortest.size()) {
-        if (have_shortest) {
-          second = shortest;
+    if (access == Access::kPostings) {
+      // Collect the posting ranges for the bound positions, keeping the
+      // two shortest: candidates come from their sorted intersection,
+      // which prunes far more than scanning one list and re-checking.
+      SortedRange shortest, second;
+      bool have_shortest = false, have_second = false;
+      for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
+        if (!BoundAt(depth, pos)) continue;
+        SortedRange p = rel->Postings(pos, binding_.Apply(atom.args[pos]));
+        if (p.empty()) return true;  // some bound position has no fact
+        if (!have_shortest || p.size() < shortest.size()) {
+          if (have_shortest) {
+            second = shortest;
+            have_second = true;
+          }
+          shortest = p;
+          have_shortest = true;
+        } else if (!have_second || p.size() < second.size()) {
+          second = p;
           have_second = true;
         }
-        shortest = p;
-        have_shortest = true;
-      } else if (!have_second || p.size() < second.size()) {
-        second = p;
-        have_second = true;
       }
-    }
-
-    if (have_shortest) {
       // Posting entries ascend by tuple index, so the window seek is a
       // binary search instead of a skip-scan.
-      const uint32_t* it =
-          std::lower_bound(shortest.begin(), shortest.end(),
-                           static_cast<uint32_t>(begin));
+      const uint32_t* it = std::lower_bound(
+          shortest.begin(), shortest.end(), static_cast<uint32_t>(begin));
       if (!have_second) {
         for (; it != shortest.end() && *it < end; ++it) {
-          if (!try_tuple(*it)) return false;
+          if (!visit(*it)) return false;
         }
-      } else {
-        const uint32_t* jt =
-            std::lower_bound(second.begin(), second.end(),
-                             static_cast<uint32_t>(begin));
-        while (it != shortest.end() && jt != second.end() && *it < end) {
-          if (*it < *jt) {
-            ++it;
-          } else if (*jt < *it) {
-            ++jt;
-          } else {
-            if (!try_tuple(*it)) return false;
-            ++it;
-            ++jt;
-          }
+        return true;
+      }
+      const uint32_t* jt = std::lower_bound(second.begin(), second.end(),
+                                            static_cast<uint32_t>(begin));
+      while (it != shortest.end() && jt != second.end() && *it < end) {
+        if (*it < *jt) {
+          ++it;
+        } else if (*jt < *it) {
+          ++jt;
+        } else {
+          if (!visit(*it)) return false;
+          ++it;
+          ++jt;
         }
       }
       return true;
     }
 
-    // No bound position: full window scan. At depth 0 the planner may
-    // have asked for value order to drive a merge cursor at depth 1.
-    bool want_sorted =
-        depth == 0 && plan.sorted_driver &&
+    // Full window scan; the sorted driver orders it by value to feed the
+    // merge cursor when the window is large enough to amortize the sort.
+    if (access == Access::kSortedScan &&
         (options_.join_strategy == JoinStrategy::kMerge ||
-         end - begin >= kAutoMergeMinWindow);
-    if (want_sorted && !SetUpCursor()) want_sorted = false;
-    if (want_sorted) {
-      rel->SortWindow(plan.driver_pos, static_cast<uint32_t>(begin),
+         end - begin >= kAutoMergeMinWindow) &&
+        SetUpCursor()) {
+      rel->SortWindow(plan.pos, static_cast<uint32_t>(begin),
                       static_cast<uint32_t>(end), &window_perm_);
       merge_active_ = true;
       for (uint32_t idx : window_perm_) {
-        if (!try_tuple(idx)) return false;
+        if (!visit(idx)) return false;
       }
       return true;
     }
     for (uint32_t idx = static_cast<uint32_t>(begin); idx < end; ++idx) {
-      if (!try_tuple(idx)) return false;
+      if (!visit(idx)) return false;
     }
     return true;
   }
@@ -910,13 +844,9 @@ class Matcher {
   /// driver then scans in plain index order; depth 1 finds no
   /// candidates either way).
   bool SetUpCursor() {
-    const Atom& next = rule_.body[positive_[plan_[1].slot]];
-    const Relation* rel = instance_.Find(next.predicate);
-    if (rel == nullptr || rel->arity() != next.args.size() ||
-        rel->size() == 0) {
-      return false;
-    }
-    cursor_range_ = rel->Sorted(plan_[1].cursor_pos);
+    const Relation* rel = plan_[1].rel;
+    if (rel == nullptr || rel->size() == 0) return false;
+    cursor_range_ = rel->Sorted(plan_[1].pos);
     cursor_ = cursor_range_.begin();
     return true;
   }
@@ -952,6 +882,7 @@ class Matcher {
   std::vector<int> positive_;        // body indices of positive atoms
   std::vector<const Atom*> negative_;
   std::vector<DepthPlan> plan_;      // depth -> slot + access path
+  std::vector<int> bind_depth_;      // per planned argument, see BindDepth
   std::vector<FactRef> refs_;        // matched fact per slot (= body order)
   Tuple scratch_tuple_;              // reused for negated-atom probes
   Tuple probe_tuple_;                // reused for fully-ground atom probes

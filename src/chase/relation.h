@@ -26,15 +26,10 @@ using datalog::TermHash;
 /// column-oriented storage and are read through TupleView.
 using Tuple = std::vector<Term>;
 
+/// Hashes a materialized tuple with the dedup table's hash
+/// (Relation::Hash32), for unordered containers keyed on tuples.
 struct TupleHash {
-  size_t operator()(const Tuple& t) const {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (Term x : t) {
-      h ^= x.raw();
-      h *= 0x100000001b3ULL;
-    }
-    return static_cast<size_t>(h ^ (h >> 32));
-  }
+  size_t operator()(const Tuple& t) const;
 };
 
 /// A non-owning view of one stored tuple. Storage is column-oriented, so
@@ -238,12 +233,7 @@ class Relation {
   /// term bits), exposed so staging layers can precompute it off the
   /// commit thread. Equals the hash of a stored tuple with equal terms.
   static uint32_t Hash32(const Term* terms, uint32_t n) {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (uint32_t i = 0; i < n; ++i) {
-      h ^= terms[i].raw();
-      h *= 0x100000001b3ULL;
-    }
-    return static_cast<uint32_t>(h ^ (h >> 32));
+    return HashView(TupleView(terms, n));
   }
 
   /// Pre-sizes columns and the dedup table for `n` tuples (bulk loads).
@@ -392,9 +382,11 @@ class Relation {
   Term Value(uint32_t pos, uint32_t idx) const {
     return store_[static_cast<size_t>(pos) * capacity_ + idx];
   }
-  uint32_t HashView(TupleView t) const {
+  /// The one implementation of the tuple hash (see Hash32); reads
+  /// stored (strided) and staged (contiguous) tuples alike.
+  static uint32_t HashView(TupleView t) {
     uint64_t h = 0xcbf29ce484222325ULL;
-    for (uint32_t i = 0; i < arity_; ++i) {
+    for (uint32_t i = 0; i < t.size(); ++i) {
       h ^= t[i].raw();
       h *= 0x100000001b3ULL;
     }
@@ -590,6 +582,10 @@ class BatchInserter {
   std::vector<std::vector<Winner>> winners_{Relation::kDedupPartitions};
   std::vector<Winner> merged_;
 };
+
+inline size_t TupleHash::operator()(const Tuple& t) const {
+  return Relation::Hash32(t.data(), static_cast<uint32_t>(t.size()));
+}
 
 }  // namespace triq::chase
 

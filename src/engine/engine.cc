@@ -340,12 +340,15 @@ chase::ChaseOptions Engine::QueryChaseOptions() const {
   return options;
 }
 
-Status Engine::AppendFacts(const chase::Instance& src, chase::Instance* dst) {
+Status Engine::AppendFacts(const chase::Instance& src,
+                           const chase::SaturatedSizes& from,
+                           std::vector<Term>* null_map,
+                           chase::Instance* dst) {
   const bool foreign = src.dict_ptr().get() != dict_.get();
   // Source nulls are re-allocated in the destination, preserving depths
   // and identity sharing (two occurrences of one source null map to one
-  // destination null).
-  std::vector<Term> null_map(src.null_count(), Term());
+  // destination null); nulls already mapped keep their mapping.
+  null_map->resize(src.null_count(), Term());
   // Deterministic predicate order: relations() is an unordered map, and
   // null re-allocation order should not depend on its iteration order.
   std::vector<PredicateId> predicates;
@@ -358,11 +361,12 @@ Status Engine::AppendFacts(const chase::Instance& src, chase::Instance* dst) {
     const chase::Relation* rel = src.Find(pred);
     PredicateId dst_pred =
         foreign ? dict_->Intern(src.dict().Text(pred)) : pred;
-    for (chase::TupleView tuple : rel->tuples()) {
+    auto it = from.find(pred);
+    for (size_t i = it != from.end() ? it->second : 0; i < rel->size(); ++i) {
       mapped.clear();
-      for (Term t : tuple) {
+      for (Term t : rel->tuple(i)) {
         if (t.IsNull()) {
-          Term& remapped = null_map[t.null_id()];
+          Term& remapped = (*null_map)[t.null_id()];
           if (remapped == Term()) {
             remapped = dst->AllocateNull(src.NullDepth(t));
           }
@@ -422,7 +426,8 @@ Status Engine::Ingest(const chase::Instance& src) {
 }
 
 Status Engine::IngestValidated(const chase::Instance& src) {
-  TRIQ_RETURN_IF_ERROR(AppendFacts(src, &base_));
+  std::vector<Term> null_map;
+  TRIQ_RETURN_IF_ERROR(AppendFacts(src, {}, &null_map, &base_));
   // Only a successful load dirties the session: a rejected one left the
   // base untouched, so the published closure is still exact.
   needs_materialize_.store(true, std::memory_order_release);
@@ -598,42 +603,6 @@ Status Engine::AttachRules(std::string_view rule_text) {
 
 // ---- Engine: materialization -------------------------------------------
 
-Status Engine::AppendBaseDelta(chase::Instance* next,
-                               std::vector<Term>* null_map) {
-  // Base nulls first seen in this delta get fresh snapshot nulls; nulls
-  // shared with already-consumed facts reuse their committed mapping, so
-  // identity sharing across deltas is preserved.
-  null_map->resize(base_.null_count(), Term());
-  std::vector<PredicateId> predicates;
-  predicates.reserve(base_.relations().size());
-  for (const auto& [pred, rel] : base_.relations()) predicates.push_back(pred);
-  std::sort(predicates.begin(), predicates.end());
-
-  chase::Tuple mapped;
-  for (PredicateId pred : predicates) {
-    const chase::Relation* rel = base_.Find(pred);
-    auto it = base_consumed_.find(pred);
-    const size_t from = it != base_consumed_.end() ? it->second : 0;
-    for (size_t i = from; i < rel->size(); ++i) {
-      chase::TupleView tuple = rel->tuple(static_cast<uint32_t>(i));
-      mapped.clear();
-      for (Term t : tuple) {
-        if (t.IsNull()) {
-          Term& remapped = (*null_map)[t.null_id()];
-          if (remapped == Term()) {
-            remapped = next->AllocateNull(base_.NullDepth(t));
-          }
-          mapped.push_back(remapped);
-        } else {
-          mapped.push_back(t);
-        }
-      }
-      TRIQ_RETURN_IF_ERROR(next->AddFactChecked(pred, mapped).status());
-    }
-  }
-  return Status::OK();
-}
-
 Status Engine::MaterializeLocked(chase::ChaseStats* stats) {
   const chase::ChaseOptions options = chase_options();
   TRIQ_RETURN_IF_ERROR(chase::ValidateChaseOptions(options));
@@ -666,8 +635,11 @@ Status Engine::MaterializeLocked(chase::ChaseStats* stats) {
   Status status;
   if (incremental) {
     next = prev->instance.CloneFacts();
+    // Base nulls first seen in this delta get fresh snapshot nulls;
+    // nulls shared with already-consumed facts reuse their committed
+    // mapping, so identity sharing across deltas is preserved.
     null_map = base_null_map_;
-    status = AppendBaseDelta(&next, &null_map);
+    status = AppendFacts(base_, base_consumed_, &null_map, &next);
     if (status.ok()) {
       status = chase::ResumeChase(program_, &next, prev->saturated, options,
                                   stats);

@@ -565,16 +565,16 @@ class Engine {
   /// is clean. `stats` may be null.
   Status MaterializeLocked(chase::ChaseStats* stats) TRIQ_REQUIRES(writer_mu_);
 
-  /// Appends every fact of `src` (over any dictionary) to `dst`,
-  /// re-interning foreign symbols and re-allocating nulls.
-  Status AppendFacts(const chase::Instance& src, chase::Instance* dst);
-
-  /// Appends the base facts beyond base_consumed_ into `next`, remapping
-  /// base nulls through `null_map` (extending it for nulls first seen
-  /// here).
-  Status AppendBaseDelta(chase::Instance* next,
-                         std::vector<chase::Term>* null_map)
-      TRIQ_REQUIRES(writer_mu_);
+  /// Appends the facts of `src` (over any dictionary) to `dst`: each
+  /// relation from the tuple index `from` records for it (0 when
+  /// absent), re-interning foreign symbols and remapping `src` nulls
+  /// through `null_map` (extended with fresh `dst` nulls for nulls first
+  /// seen here). Serves both loads into the base and the base delta a
+  /// materialization appends to the next snapshot.
+  Status AppendFacts(const chase::Instance& src,
+                     const chase::SaturatedSizes& from,
+                     std::vector<chase::Term>* null_map,
+                     chase::Instance* dst);
 
   /// Rejects sources carrying facts for query-derived predicates or
   /// arity-conflicting relations, before anything is mutated — loads

@@ -1,5 +1,6 @@
 #include "sparql/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <string>
 #include <vector>
@@ -88,7 +89,7 @@ class PatternParser {
       : tokens_(std::move(tokens)), dict_(dict) {}
 
   Result<std::unique_ptr<GraphPattern>> Parse() {
-    TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<GraphPattern> p, ParsePattern());
+    TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<GraphPattern> p, ParsePattern(0));
     if (pos_ != tokens_.size()) {
       return Status::InvalidArgument("trailing tokens after pattern");
     }
@@ -96,18 +97,23 @@ class PatternParser {
   }
 
  private:
-  Result<std::unique_ptr<GraphPattern>> ParsePattern() {
+  // Every Parse* below takes `depth`, the nesting levels (see
+  // kMaxPatternDepth) above the node it parses.
+  Result<std::unique_ptr<GraphPattern>> ParsePattern(size_t depth) {
     if (Peek(TokKind::kLBrace)) return ParseBasic();
     if (!Peek(TokKind::kIdent)) {
       return Status::InvalidArgument("expected pattern");
     }
     std::string op = tokens_[pos_].text;
+    TRIQ_RETURN_IF_ERROR(CheckDepth(depth + 1));
     if (op == "AND" || op == "UNION" || op == "OPT") {
       ++pos_;
       if (!Consume(TokKind::kLParen)) return Err("expected '('");
-      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<GraphPattern> a, ParsePattern());
+      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<GraphPattern> a,
+                            ParsePattern(depth + 1));
       if (!Consume(TokKind::kComma)) return Err("expected ','");
-      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<GraphPattern> b, ParsePattern());
+      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<GraphPattern> b,
+                            ParsePattern(depth + 1));
       if (!Consume(TokKind::kRParen)) return Err("expected ')'");
       if (op == "AND") return GraphPattern::And(std::move(a), std::move(b));
       if (op == "UNION") {
@@ -118,9 +124,12 @@ class PatternParser {
     if (op == "FILTER") {
       ++pos_;
       if (!Consume(TokKind::kLParen)) return Err("expected '('");
-      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<GraphPattern> p, ParsePattern());
+      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<GraphPattern> p,
+                            ParsePattern(depth + 1));
       if (!Consume(TokKind::kComma)) return Err("expected ','");
-      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<Condition> c, ParseOr());
+      size_t height = 0;
+      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<Condition> c,
+                            ParseOr(depth + 1, &height));
       if (!Consume(TokKind::kRParen)) return Err("expected ')'");
       return GraphPattern::Filter(std::move(p), std::move(c));
     }
@@ -134,7 +143,8 @@ class PatternParser {
       }
       if (vars.empty()) return Err("SELECT needs at least one variable");
       if (!Consume(TokKind::kComma)) return Err("expected ','");
-      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<GraphPattern> p, ParsePattern());
+      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<GraphPattern> p,
+                            ParsePattern(depth + 1));
       if (!Consume(TokKind::kRParen)) return Err("expected ')'");
       return GraphPattern::Select(std::move(vars), std::move(p));
     }
@@ -178,32 +188,53 @@ class PatternParser {
     return PatternTerm::Constant(sym);
   }
 
-  Result<std::unique_ptr<Condition>> ParseOr() {
-    TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<Condition> lhs, ParseAnd());
+  // The condition parsers also report the `height` of what they built
+  // (0 for an atomic condition): a chain nests the operands before each
+  // operator one level deeper without recursing, so only heights show it.
+  Result<std::unique_ptr<Condition>> ParseOr(size_t depth, size_t* height) {
+    TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<Condition> lhs,
+                          ParseAnd(depth, height));
     while (Consume(TokKind::kOrOr)) {
-      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<Condition> rhs, ParseAnd());
+      size_t rhs_height = 0;
+      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<Condition> rhs,
+                            ParseAnd(depth, &rhs_height));
+      *height = std::max(*height, rhs_height) + 1;
+      TRIQ_RETURN_IF_ERROR(CheckDepth(depth + *height));
       lhs = Condition::Or(std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
 
-  Result<std::unique_ptr<Condition>> ParseAnd() {
-    TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<Condition> lhs, ParseUnary());
+  Result<std::unique_ptr<Condition>> ParseAnd(size_t depth, size_t* height) {
+    TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<Condition> lhs,
+                          ParseUnary(depth, height));
     while (Consume(TokKind::kAndAnd)) {
-      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<Condition> rhs, ParseUnary());
+      size_t rhs_height = 0;
+      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<Condition> rhs,
+                            ParseUnary(depth, &rhs_height));
+      *height = std::max(*height, rhs_height) + 1;
+      TRIQ_RETURN_IF_ERROR(CheckDepth(depth + *height));
       lhs = Condition::And(std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
 
-  Result<std::unique_ptr<Condition>> ParseUnary() {
+  Result<std::unique_ptr<Condition>> ParseUnary(size_t depth,
+                                                size_t* height) {
+    *height = 0;
     if (Consume(TokKind::kBang)) {
-      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<Condition> inner, ParseUnary());
+      TRIQ_RETURN_IF_ERROR(CheckDepth(depth + 1));
+      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<Condition> inner,
+                            ParseUnary(depth + 1, height));
+      ++*height;
       return Condition::Not(std::move(inner));
     }
     if (Consume(TokKind::kLParen)) {
-      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<Condition> inner, ParseOr());
+      TRIQ_RETURN_IF_ERROR(CheckDepth(depth + 1));
+      TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<Condition> inner,
+                            ParseOr(depth + 1, height));
       if (!Consume(TokKind::kRParen)) return Err("expected ')'");
+      ++*height;
       return inner;
     }
     if (!Peek(TokKind::kIdent)) return Err("expected condition");
@@ -241,6 +272,11 @@ class PatternParser {
   }
   Status Err(const std::string& msg) const {
     return Status::InvalidArgument(msg + " at token " + std::to_string(pos_));
+  }
+  Status CheckDepth(size_t levels) const {
+    if (levels <= kMaxPatternDepth) return Status::OK();
+    return Err("pattern nests deeper than " +
+               std::to_string(kMaxPatternDepth) + " levels");
   }
 
   std::vector<Token> tokens_;

@@ -220,6 +220,100 @@ TEST(MatchTest, HasMatchFindsWitness) {
   EXPECT_FALSE(HasMatch({atom}, db, seed));
 }
 
+/// Golden EXPLAIN text: pins the whole ExplainMatchPlan output — the
+/// strategy line, then per join depth the atom, its access path, the
+/// planner's rows~ estimate and the window — for plans that between them
+/// show every access path and both strategy suffixes.
+TEST(MatchTest, ExplainMatchPlanGolden) {
+  auto dict = Dict();
+  Instance db(dict);
+  auto node = [](int i) { return "n" + std::to_string(i); };
+  for (int i = 0; i < 48; ++i) db.AddFact("e", {node(i), node(i + 1)});
+  for (int i = 0; i < 48; i += 3) db.AddFact("e", {node(i + 2), node(i)});
+  for (int i = 0; i < 40; ++i) db.AddFact("f", {node(i), node(i % 8)});
+  for (int i = 0; i < 6; ++i) db.AddFact("h", {node(i), node(i + 1)});
+
+  auto explain = [&](std::string_view rule_text, const MatchOptions& options) {
+    return ExplainMatchPlan(ParseR(rule_text, dict.get()), db, options);
+  };
+
+  MatchOptions delta;
+  delta.delta_body_index = 1;
+  delta.delta_begin = 40;
+  delta.delta_end = 60;
+  delta.atom_end = {40, 0};
+  delta.join_strategy = JoinStrategy::kHash;
+  EXPECT_EQ(explain("e(?X, ?Y), e(?Y, ?Z) -> p(?X, ?Z)", delta),
+            "  strategy: hash (forced)\n"
+            "  0: e(?Y, ?Z)  delta-scan  rows~20 (window 20)\n"
+            "  1: e(?X, ?Y)  postings  rows~0.902 (window 40)\n");
+
+  EXPECT_EQ(explain("e(?X, ?Y) -> q(?X)", {}),
+            "  strategy: hash (auto)\n"
+            "  0: e(?X, ?Y)  scan  rows~64 (window 64)\n");
+
+  MatchOptions hash;
+  hash.join_strategy = JoinStrategy::kHash;
+  EXPECT_EQ(explain("e(?X, ?Y), f(?X, ?Y) -> q(?X)", hash),
+            "  strategy: hash (forced)\n"
+            "  0: f(?X, ?Y)  scan  rows~40 (window 40)\n"
+            "  1: e(?X, ?Y)  find-index  rows~0.0325 (window 64)\n");
+
+  EXPECT_EQ(explain("e(?X, ?Y), f(?Y, ?Z) -> g(?X, ?Z)", {}),
+            "  strategy: merge (auto)\n"
+            "  0: f(?Y, ?Z)  sorted-scan(pos 0)  rows~40 (window 40)\n"
+            "  1: e(?X, ?Y)  merge-cursor(pos 1)  rows~1.44 (window 64)\n");
+
+  MatchOptions merge;
+  merge.join_strategy = JoinStrategy::kMerge;
+  EXPECT_EQ(explain("h(?X, ?Y), e(?Y, ?Z) -> g(?X, ?Z)", merge),
+            "  strategy: merge (forced)\n"
+            "  0: h(?X, ?Y)  sorted-scan(pos 1)  rows~6 (window 6)\n"
+            "  1: e(?Y, ?Z)  merge-cursor(pos 0)  rows~1.44 (window 64)\n");
+
+  EXPECT_EQ(explain("e(n3, ?Y), f(?Y, ?Z) -> r(?Z)", {}),
+            "  strategy: hash (auto)\n"
+            "  0: e(n3, ?Y)  postings  rows~1.44 (window 64)\n"
+            "  1: f(?Y, ?Z)  postings  rows~1.09 (window 40)\n");
+
+  EXPECT_EQ(explain(
+                "e(?X, ?Y), e(?Y, ?Z), e(?Z, ?X), f(?X, ?W) -> t(?X, ?W)", {}),
+            "  strategy: leapfrog (auto)\n"
+            "  0: f(?X, ?W)  scan  rows~40 (window 40)\n"
+            "  1: e(?X, ?Y)  leapfrog[0,1]  rows~1.44 (window 64)\n"
+            "  2: e(?Y, ?Z)  leapfrog[0,1]  rows~1.44 (window 64)\n"
+            "  3: e(?Z, ?X)  leapfrog[1,0]  rows~0.0325 (window 64)\n");
+
+  EXPECT_EQ(explain("e(?X, ?Y), e(?Y, ?Z), e(?Z, ?X), h(?X, ?Y) -> t(?X)",
+                    {}),
+            "  strategy: leapfrog (auto)\n"
+            "  0: h(?X, ?Y)  scan  rows~6 (window 6)\n"
+            "  1: e(?X, ?Y)  find-index  rows~0.0325 (window 64)\n"
+            "  2: e(?Y, ?Z)  leapfrog[0,1]  rows~1.44 (window 64)\n"
+            "  3: e(?Z, ?X)  leapfrog[1,0]  rows~0.0325 (window 64)\n");
+
+  MatchOptions leapfrog;
+  leapfrog.join_strategy = JoinStrategy::kLeapfrog;
+  EXPECT_EQ(explain("f(?X, ?Y), e(?Y, ?Z) -> g(?X, ?Z)", leapfrog),
+            "  strategy: leapfrog (forced)\n"
+            "  0: f(?X, ?Y)  scan  rows~40 (window 40)\n"
+            "  1: e(?Y, ?Z)  leapfrog[0,1]  rows~1.44 (window 64)\n");
+
+  // A seed binding every position of the driver: depth 0 reads through
+  // its bound positions.
+  Binding seed;
+  seed.Bind(Term::Variable(dict->Intern("?X")),
+            Term::Constant(dict->Intern("n1")));
+  seed.Bind(Term::Variable(dict->Intern("?Y")),
+            Term::Constant(dict->Intern("n2")));
+  MatchOptions seeded;
+  seeded.seed = &seed;
+  EXPECT_EQ(explain("e(?X, ?Y), f(?Y, ?Z) -> q(?Z)", seeded),
+            "  strategy: hash (auto)\n"
+            "  0: e(?X, ?Y)  postings  rows~0.0325 (window 64)\n"
+            "  1: f(?Y, ?Z)  postings  rows~1.09 (window 40)\n");
+}
+
 TEST(BindingTest, ApplyAndPop) {
   auto dict = Dict();
   Binding b;

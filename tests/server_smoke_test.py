@@ -186,6 +186,24 @@ def scripted_session(server):
             expect(reply[0].startswith("ERR"), f"bad EXPLAIN accepted: {reply}")
             expect(send(f, "PING") == ["OK pong"], "PING after bad EXPLAIN")
 
+            # Hostile nesting: lines well under the 1 MiB line bound whose
+            # patterns nest past the parser's depth limit must get an ERR,
+            # not overflow a worker's stack and take the server down.
+            deep_parens = (
+                "FILTER({ ?x edge ?y }, "
+                + "(" * 30000 + "?x = a" + ")" * 30000 + ")"
+            )
+            long_or = (
+                "FILTER({ ?x edge ?y }, " + " || ".join(["?x = a"] * 30000) + ")"
+            )
+            for pattern in (deep_parens, long_or):
+                reply = send(f, "SPARQL " + pattern)
+                expect(
+                    reply[0].startswith("ERR"),
+                    f"over-nested SPARQL accepted: {reply[0][:80]}",
+                )
+            expect(send(f, "PING") == ["OK pong"], "PING after deep SPARQL")
+
         # A second concurrent-style connection still works after the first
         # closed, and SHUTDOWN stops the whole server.
         with connect(port) as s:

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "rdf/graph.h"
 #include "sparql/eval.h"
 #include "sparql/parser.h"
 #include "test_util.h"
+#include "translate/sparql_to_datalog.h"
 
 namespace triq::sparql {
 namespace {
@@ -244,6 +246,58 @@ TEST(SparqlParserTest, RejectsMalformed) {
                             dict.get())
                    .ok());
   EXPECT_FALSE(ParsePattern("SELECT(, { ?X p ?Y })", dict.get()).ok());
+}
+
+/// `terms` copies of `?x = a` joined by `op` into one left-deep chain.
+std::string Chain(size_t terms, const std::string& op) {
+  std::string out = "?x = a";
+  for (size_t i = 1; i < terms; ++i) out += " " + op + " ?x = a";
+  return out;
+}
+
+TEST(SparqlParserTest, RejectsPatternsNestedPastTheBound) {
+  // Each of these once overflowed the stack in ParsePattern or in
+  // TranslatePattern; all must fail cleanly instead.
+  const std::string filter = "FILTER({ ?x p ?y }, ";
+  const std::string too_deep[] = {
+      filter + std::string(30000, '(') + "?x = a" +
+          std::string(30000, ')') + ")",
+      [] {
+        std::string nested;
+        for (int i = 0; i < 30000; ++i) nested += "AND(";
+        nested += "{ ?x p ?y }";
+        for (int i = 0; i < 30000; ++i) nested += ", { ?x p ?y })";
+        return nested;
+      }(),
+      filter + std::string(100000, '!') + "bound(?x))",
+      filter + Chain(30000, "||") + ")",
+  };
+  for (const std::string& text : too_deep) {
+    auto dict = Dict();
+    auto pattern = ParsePattern(text, dict.get());
+    ASSERT_FALSE(pattern.ok()) << text.substr(0, 40);
+    EXPECT_EQ(pattern.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(pattern.status().message().find("nests deeper than"),
+              std::string::npos)
+        << pattern.status().ToString();
+  }
+}
+
+TEST(SparqlParserTest, AcceptsPatternsNestedToTheBound) {
+  // The FILTER operator is one level, so a chain of kMaxPatternDepth
+  // terms (kMaxPatternDepth - 1 operators) reaches the bound exactly.
+  auto dict = Dict();
+  auto at_bound = ParsePattern(
+      "FILTER({ ?x p ?y }, " + Chain(kMaxPatternDepth, "&&") + ")",
+      dict.get());
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status().ToString();
+  auto translated = translate::TranslatePattern(**at_bound, dict, {});
+  EXPECT_TRUE(translated.ok()) << translated.status().ToString();
+
+  auto past_bound = ParsePattern(
+      "FILTER({ ?x p ?y }, " + Chain(kMaxPatternDepth + 1, "&&") + ")",
+      dict.get());
+  EXPECT_EQ(past_bound.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SparqlParserTest, ToStringRoundTrips) {
