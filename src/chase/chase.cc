@@ -263,7 +263,6 @@ class ChaseRun {
         slice = effective;
         slice.driver_order = plan.order.data() + begin;
         slice.driver_order_size = end - begin;
-        slice.driver_sorted = plan.sorted;
         slice.driver_body_index = plan.body_index;
       }
       Status deadline_status = Status::OK();
@@ -298,8 +297,11 @@ class ChaseRun {
     if (sharded && stats_ != nullptr) ++stats_->sharded_passes;
     if (fast && stats_ != nullptr) stats_->rule_firings += staged_matches;
 
-    // Deterministic commit, shard order = single-threaded order.
-    if (batch && total_facts_ + staged_matches <= options_.max_facts) {
+    // Deterministic commit, shard order = single-threaded order. A pass
+    // that staged nothing skips the batch commit, which would create the
+    // head relation where a one-thread drain leaves it absent.
+    if (batch && staged_matches > 0 &&
+        total_facts_ + staged_matches <= options_.max_facts) {
       return CommitBatch(rule.head[0], static_cast<uint32_t>(hash_arity),
                          num_shards);
     }

@@ -41,8 +41,8 @@ constexpr size_t kAutoMergeMinWindow = 32;
 /// remaining atoms are joined variable-at-a-time over lexicographic
 /// permutations with galloping seeks), else a depth-1 merge cursor
 /// when the first two atoms share a variable, with per-binding posting
-/// probes — binary-searched Equal() ranges, intersecting the two
-/// shortest — as the fallback everywhere deeper.
+/// probes — binary-searched Equal() ranges, scanning the shortest — as
+/// the fallback everywhere deeper.
 class Matcher {
  public:
   Matcher(const Rule& rule, const Instance& instance,
@@ -81,7 +81,6 @@ class Matcher {
       out.order.push_back(idx);
       return true;
     });
-    out.sorted = merge_active_;
     CollectProbePairs(&out);
     return out;
   }
@@ -192,7 +191,7 @@ class Matcher {
     // Depth 0: the window in value order of column `pos`, feeding the
     // merge cursor (a kScan below kAutoMergeMinWindow under kAuto).
     kSortedScan,
-    // The sorted intersection of the bound positions' posting ranges.
+    // The shortest of the bound positions' posting ranges.
     kPostings,
     // Every position bound: one dedup-table lookup.
     kFindIndex,
@@ -710,8 +709,7 @@ class Matcher {
             std::to_string(positive_[plan.slot]) + " first");
         return false;
       }
-      merge_active_ = options_.driver_sorted && plan_.size() > 1 &&
-                      plan_[1].access == Access::kMergeCursor && SetUpCursor();
+      if (SortedDriver()) OpenMergeCursor();
       for (size_t i = 0; i < options_.driver_order_size; ++i) {
         if (!try_tuple(options_.driver_order[i])) return false;
       }
@@ -724,8 +722,8 @@ class Matcher {
   /// under the current binding, read through the planned access path, in
   /// the order the join visits them; stops (returning false) when
   /// `visit` does. A candidate may still disagree with the binding (a
-  /// scan checks no position, postings intersect only the two shortest
-  /// ranges), so `visit` must unify.
+  /// scan checks no position, a posting probe only the position of its
+  /// shortest range), so `visit` must unify.
   template <typename Visit>
   bool ForEachCandidate(size_t depth, const Visit& visit) {
     const DepthPlan& plan = plan_[depth];
@@ -772,62 +770,31 @@ class Matcher {
     }
 
     if (access == Access::kPostings) {
-      // Collect the posting ranges for the bound positions, keeping the
-      // two shortest: candidates come from their sorted intersection,
-      // which prunes far more than scanning one list and re-checking.
-      SortedRange shortest, second;
-      bool have_shortest = false, have_second = false;
+      // Scan only the shortest bound posting range: `visit` unifies
+      // every bound position, so the longer ranges need no walk.
+      SortedRange shortest;
       for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
         if (!BoundAt(depth, pos)) continue;
         SortedRange p = rel->Postings(pos, binding_.Apply(atom.args[pos]));
         if (p.empty()) return true;  // some bound position has no fact
-        if (!have_shortest || p.size() < shortest.size()) {
-          if (have_shortest) {
-            second = shortest;
-            have_second = true;
-          }
-          shortest = p;
-          have_shortest = true;
-        } else if (!have_second || p.size() < second.size()) {
-          second = p;
-          have_second = true;
-        }
+        if (shortest.empty() || p.size() < shortest.size()) shortest = p;
       }
       // Posting entries ascend by tuple index, so the window seek is a
       // binary search instead of a skip-scan.
-      const uint32_t* it = std::lower_bound(
-          shortest.begin(), shortest.end(), static_cast<uint32_t>(begin));
-      if (!have_second) {
-        for (; it != shortest.end() && *it < end; ++it) {
-          if (!visit(*it)) return false;
-        }
-        return true;
-      }
-      const uint32_t* jt = std::lower_bound(second.begin(), second.end(),
-                                            static_cast<uint32_t>(begin));
-      while (it != shortest.end() && jt != second.end() && *it < end) {
-        if (*it < *jt) {
-          ++it;
-        } else if (*jt < *it) {
-          ++jt;
-        } else {
-          if (!visit(*it)) return false;
-          ++it;
-          ++jt;
-        }
+      for (const uint32_t* it = std::lower_bound(
+               shortest.begin(), shortest.end(), static_cast<uint32_t>(begin));
+           it != shortest.end() && *it < end; ++it) {
+        if (!visit(*it)) return false;
       }
       return true;
     }
 
     // Full window scan; the sorted driver orders it by value to feed the
-    // merge cursor when the window is large enough to amortize the sort.
-    if (access == Access::kSortedScan &&
-        (options_.join_strategy == JoinStrategy::kMerge ||
-         end - begin >= kAutoMergeMinWindow) &&
-        SetUpCursor()) {
+    // merge cursor.
+    if (access == Access::kSortedScan && SortedDriver()) {
+      OpenMergeCursor();
       rel->SortWindow(plan.pos, static_cast<uint32_t>(begin),
                       static_cast<uint32_t>(end), &window_perm_);
-      merge_active_ = true;
       for (uint32_t idx : window_perm_) {
         if (!visit(idx)) return false;
       }
@@ -839,16 +806,30 @@ class Matcher {
     return true;
   }
 
+  /// Whether depth 0 runs in value order as the merge join's driver: a
+  /// kSortedScan whose non-empty window is large enough to amortize
+  /// sorting it (any size under kMerge), over a second atom with a
+  /// non-empty relation for the cursor to walk (else the driver scans in
+  /// index order; depth 1 finds no candidates either way). Reads only
+  /// the plan, so an unsharded pass and every shard of its driver order
+  /// decide alike.
+  bool SortedDriver() const {
+    const DepthPlan& driver = plan_[0];
+    if (driver.access != Access::kSortedScan || driver.size() == 0) {
+      return false;
+    }
+    if (options_.join_strategy != JoinStrategy::kMerge &&
+        driver.size() < kAutoMergeMinWindow) {
+      return false;
+    }
+    return plan_[1].rel != nullptr && plan_[1].rel->size() > 0;
+  }
+
   /// Opens the depth-1 sorted permutation the merge cursor walks.
-  /// Returns false when the second atom has no usable relation (the
-  /// driver then scans in plain index order; depth 1 finds no
-  /// candidates either way).
-  bool SetUpCursor() {
-    const Relation* rel = plan_[1].rel;
-    if (rel == nullptr || rel->size() == 0) return false;
-    cursor_range_ = rel->Sorted(plan_[1].pos);
+  void OpenMergeCursor() {
+    cursor_range_ = plan_[1].rel->Sorted(plan_[1].pos);
     cursor_ = cursor_range_.begin();
-    return true;
+    merge_active_ = true;
   }
 
   bool EmitIfNegativesHold() {

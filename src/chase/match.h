@@ -66,9 +66,10 @@ inline constexpr size_t kNoTupleLimit = static_cast<size_t>(-1);
 ///
 ///  * kHash — per-binding posting probes only: every bound position is
 ///    looked up with a binary search on the position's sorted
-///    permutation and candidates come from intersecting the two
-///    shortest posting ranges (the PR 2 execution path, kept as the
-///    ablation baseline and the fallback).
+///    permutation, candidates come from the shortest of those posting
+///    ranges, and unification checks the other bound positions (the
+///    original execution path, kept as the ablation baseline and the
+///    fallback).
 ///  * kMerge — merge join wherever it is structurally available: when
 ///    the first two atoms in join order share a variable, the driver
 ///    atom's window is enumerated in value order of that variable and
@@ -130,10 +131,10 @@ struct MatchOptions {
   /// When `driver_order` is non-null, the join's first atom enumerates
   /// exactly driver_order[0 .. driver_order_size) — tuple indices of its
   /// relation, typically one contiguous slice of PlanMatchDriver's
-  /// `order` — instead of choosing its own depth-0 access path.
-  /// `driver_sorted` marks the order as value order of the planned
-  /// driver column (SortWindow order), which re-enables the depth-1
-  /// merge cursor exactly as in an unsharded run. `driver_body_index`
+  /// `order` — instead of choosing its own depth-0 access path. The
+  /// shard re-derives from its own plan and window whether that order
+  /// is the merge-join driver's value order, so the depth-1 merge
+  /// cursor engages exactly as in an unsharded run. `driver_body_index`
   /// pins the body atom the shard was planned for; MatchBody returns
   /// Internal on a plan mismatch instead of enumerating the wrong atom.
   /// Shard matchers never mutate the instance's lazy indexes, so any
@@ -141,7 +142,6 @@ struct MatchOptions {
   /// relations were frozen (Relation::FreezeIndexes).
   const uint32_t* driver_order = nullptr;
   size_t driver_order_size = 0;
-  bool driver_sorted = false;
   int driver_body_index = -1;
 };
 
@@ -158,12 +158,12 @@ struct DriverPlan {
   /// Body index of the depth-0 atom; -1 when the body has no positive
   /// atoms (fall back to an unsharded MatchBody).
   int body_index = -1;
-  /// True when `order` is in value order of the driver column (the
-  /// merge-join driver); false for ascending tuple-index order.
-  bool sorted = false;
-  /// Depth-0 tuple visit order, already window-clamped. May be a
-  /// superset of the matching tuples (shards re-check bound positions
-  /// by unification); empty when the pass can have no matches.
+  /// Depth-0 tuple visit order, already window-clamped: the window in
+  /// value order of the driver column when the merge join engages, else
+  /// ascending tuple index. May be a superset of the matching tuples (a
+  /// bound driver visits its shortest posting range; shards re-check
+  /// every bound position by unification); empty when the pass can have
+  /// no matches.
   std::vector<uint32_t> order;
   /// The (predicate, position) pairs whose sorted permutation indexes
   /// the planned join may read below depth 0 (posting probes on

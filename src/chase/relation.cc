@@ -200,31 +200,14 @@ bool Relation::Insert(TupleView t, uint32_t* index_out) {
 }
 
 void Relation::SyncSorted(uint32_t pos) const {
-  PositionIndex& index = sorted_[pos];
-  std::vector<uint32_t>& perm = index.perm;
+  std::vector<uint32_t>& perm = sorted_[pos];
   uint32_t synced = static_cast<uint32_t>(perm.size());
   if (synced == count_) return;
   TRIQ_DCHECK_FROZEN("sorted permutation");
   perm.resize(count_);
+  for (uint32_t idx = synced; idx < count_; ++idx) perm[idx] = idx;
   auto by_value = ByValueThenIndex(ColumnData(pos));
-  // Promote a memoized window run that starts exactly at the unsynced
-  // tail (the common chase shape: the round's delta slice was already
-  // sorted for the merge-join driver): splice it in pre-sorted and only
-  // sort whatever the window doesn't cover.
-  uint32_t promoted = synced;
-  if (index.window_begin == synced && index.window_end > synced &&
-      index.window_end <= count_ &&
-      index.window_perm.size() == index.window_end - index.window_begin) {
-    std::copy(index.window_perm.begin(), index.window_perm.end(),
-              perm.begin() + synced);
-    promoted = index.window_end;
-  }
-  for (uint32_t idx = promoted; idx < count_; ++idx) perm[idx] = idx;
-  std::sort(perm.begin() + promoted, perm.end(), by_value);
-  if (promoted > synced && promoted < count_) {
-    std::inplace_merge(perm.begin() + synced, perm.begin() + promoted,
-                       perm.end(), by_value);
-  }
+  std::sort(perm.begin() + synced, perm.end(), by_value);
   if (synced > 0) {
     std::inplace_merge(perm.begin(), perm.begin() + synced, perm.end(),
                        by_value);
@@ -234,7 +217,7 @@ void Relation::SyncSorted(uint32_t pos) const {
 SortedRange Relation::Sorted(uint32_t position) const {
   assert(position < arity_);
   SyncSorted(position);
-  const std::vector<uint32_t>& perm = sorted_[position].perm;
+  const std::vector<uint32_t>& perm = sorted_[position];
   return SortedRange(perm.data(), perm.data() + perm.size(),
                      ColumnData(position));
 }
@@ -253,28 +236,16 @@ void Relation::SortWindow(uint32_t position, uint32_t begin, uint32_t end,
   if (end > count_) end = count_;
   out->clear();
   if (begin >= end) return;
-  PositionIndex& index = sorted_[position];
-  // Full-window request over a frozen position: answer straight from the
-  // synced permutation without touching the window memo. This keeps
-  // SortWindow safe for concurrent readers of a frozen relation (the
-  // memoizing path below writes index state) — an overlay chase over a
-  // published snapshot only ever asks for the base's full window.
-  if (begin == 0 && end == count_ && index.perm.size() == count_) {
-    out->assign(index.perm.begin(), index.perm.end());
+  // The full window of a synced position is the permutation itself — the
+  // window an overlay chase over a published snapshot asks of the base.
+  const std::vector<uint32_t>& perm = sorted_[position];
+  if (begin == 0 && end == count_ && perm.size() == count_) {
+    out->assign(perm.begin(), perm.end());
     return;
   }
-  if (index.window_begin == begin && index.window_end == end &&
-      index.window_perm.size() == end - begin) {
-    *out = index.window_perm;
-    return;
-  }
-  TRIQ_DCHECK_FROZEN("sort-window memo");
   out->reserve(end - begin);
   for (uint32_t idx = begin; idx < end; ++idx) out->push_back(idx);
   std::sort(out->begin(), out->end(), ByValueThenIndex(ColumnData(position)));
-  index.window_perm = *out;
-  index.window_begin = begin;
-  index.window_end = end;
 }
 
 // ---- cardinality statistics -------------------------------------------
@@ -316,7 +287,7 @@ const std::vector<uint32_t>& Relation::LexPerm(
     // order, same tuple-index tiebreak) — alias it instead of holding a
     // second copy of the index.
     SyncSorted(key[0]);
-    return sorted_[key[0]].perm;
+    return sorted_[key[0]];
   }
   MutexLock lock(lex_.mu);
 #ifndef NDEBUG

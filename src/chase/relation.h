@@ -160,14 +160,14 @@ class SortedRange {
 // ---- frozen-index contract (debug-mode checked) -----------------------
 //
 // The parallel chase relies on a convention: every lazily built index a
-// sharded pass can touch (sorted permutations, lex permutations, window
-// memos) must be frozen — built via FreezeIndex / FreezeLex — BEFORE
-// fan-out, so worker threads only ever hit the immutable early-return
-// paths. ParallelPassScope marks the calling thread as being inside such
-// a sharded slice (MatchBody enters it when the caller injects a
-// driver_order shard), and the index builders assert via
-// TRIQ_DCHECK_FROZEN that no mutable build runs while the mark is set.
-// The checks compile away under NDEBUG.
+// sharded pass can touch (sorted and lex permutations) must be frozen —
+// built via FreezeIndex / FreezeLex — BEFORE fan-out, so worker threads
+// only ever hit the immutable early-return paths. ParallelPassScope
+// marks the calling thread as being inside such a sharded slice
+// (MatchBody enters it when the caller injects a driver_order shard),
+// and the index builders assert via TRIQ_DCHECK_FROZEN that no mutable
+// build runs while the mark is set. The checks compile away under
+// NDEBUG.
 
 /// RAII marker: while alive (and constructed with active = true), the
 /// calling thread is inside a sharded parallel match. Nests.
@@ -309,10 +309,9 @@ class Relation {
   /// to sync, so no mutable state is touched. The parallel chase
   /// freezes exactly the (relation, position) pairs a pass's join plan
   /// can probe (DriverPlan::probe_index_pairs) before fan-out.
-  /// SortWindow joins the frozen read set only for the full window
-  /// [0, size()) (it answers from the synced permutation); partial
-  /// windows still memoize, so concurrent matchers receive pre-built
-  /// partial windows instead of sorting their own.
+  /// SortWindow writes only its output, so it is always safe; a frozen
+  /// position answers its full window [0, size()) with a copy of the
+  /// synced permutation instead of a sort.
   void FreezeIndex(uint32_t position) const { SyncSorted(position); }
 
   /// FreezeIndex over every position.
@@ -326,12 +325,9 @@ class Relation {
   /// Writes the permutation of the tuple-index window [begin, end) into
   /// `out`, ordered by (column value at `position`, tuple index). This is
   /// the delta-window counterpart of Sorted(): semi-naive passes sort
-  /// just their delta slice instead of touching the global index.
-  ///
-  /// The last window per position is memoized: a round where several
-  /// rules drive off the same delta slice sorts it once, and SyncSorted
-  /// promotes a memoized run that lines up with the unsynced tail into
-  /// the base permutation by merging instead of re-sorting it.
+  /// just their delta slice instead of touching the global index. Never
+  /// writes relation state; the full window of a synced position is
+  /// copied from the permutation instead of sorted.
   void SortWindow(uint32_t position, uint32_t begin, uint32_t end,
                   std::vector<uint32_t>* out) const;
 
@@ -430,7 +426,7 @@ class Relation {
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
   }
-  /// Extends sorted_[pos].perm to cover all count_ tuples (sort the new
+  /// Extends sorted_[pos] to cover all count_ tuples (sort the new
   /// tail, merge with the sorted prefix).
   void SyncSorted(uint32_t pos) const;
 
@@ -448,16 +444,7 @@ class Relation {
   // instead of gathering every tuple across the columns.
   std::vector<uint32_t> hashes_;
   // Per-position sorted permutation; perm.size() tuples are synced.
-  // window_perm memoizes the last SortWindow result for the position
-  // ([window_begin, window_end) in value order); append-only storage
-  // keeps a memoized run valid forever, so it needs no invalidation.
-  struct PositionIndex {
-    std::vector<uint32_t> perm;
-    std::vector<uint32_t> window_perm;
-    uint32_t window_begin = 0;
-    uint32_t window_end = 0;
-  };
-  mutable std::vector<PositionIndex> sorted_;
+  mutable std::vector<std::vector<uint32_t>> sorted_;
   // One HyperLogLog sketch per position (64 registers — coarse, but the
   // planner only needs the right order of magnitude, and 64 bytes per
   // column keeps the per-append cost to one mix + one max).

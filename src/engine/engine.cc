@@ -68,6 +68,19 @@ std::string_view EntailmentRegimeName(EntailmentRegime regime) {
   return "?";
 }
 
+Result<EntailmentRegime> ParseEntailmentRegime(std::string_view name) {
+  for (EntailmentRegime regime :
+       {EntailmentRegime::kNone, EntailmentRegime::kActiveDomain,
+        EntailmentRegime::kAll}) {
+    if (name == EntailmentRegimeName(regime)) return regime;
+  }
+  if (name == "plain") return EntailmentRegime::kNone;
+  if (name == "active") return EntailmentRegime::kActiveDomain;
+  return Status::InvalidArgument("unknown entailment regime '" +
+                                 std::string(name) +
+                                 "' (use none|active-domain|all)");
+}
+
 chase::ChaseOptions EngineOptions::ToChaseOptions() const {
   chase::ChaseOptions options;
   options.track_provenance = track_provenance;

@@ -43,7 +43,13 @@ namespace triq {
 /// closure instead of re-deriving it.
 enum class EntailmentRegime { kNone, kActiveDomain, kAll };
 
+/// The regime's name: `none`, `active-domain` or `all`.
 std::string_view EntailmentRegimeName(EntailmentRegime regime);
+
+/// The regime named `name`: any name EntailmentRegimeName prints, plus
+/// the aliases `plain` (kNone) and `active` (kActiveDomain).
+/// InvalidArgument for anything else.
+Result<EntailmentRegime> ParseEntailmentRegime(std::string_view name);
 
 /// Builder-style session configuration: thread count, provenance,
 /// safety caps, entailment regime, plan cache, query deadline and

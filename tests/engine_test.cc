@@ -352,6 +352,27 @@ TEST(EngineTest, LoadFactsRemapsSymbolsAndNulls) {
 
 // ---- validation --------------------------------------------------------
 
+TEST(EngineTest, EntailmentRegimeNamesRoundTrip) {
+  for (EntailmentRegime regime :
+       {EntailmentRegime::kNone, EntailmentRegime::kActiveDomain,
+        EntailmentRegime::kAll}) {
+    auto parsed = triq::ParseEntailmentRegime(EntailmentRegimeName(regime));
+    ASSERT_TRUE(parsed.ok()) << EntailmentRegimeName(regime);
+    EXPECT_EQ(*parsed, regime);
+  }
+  auto plain = triq::ParseEntailmentRegime("plain");
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(*plain, EntailmentRegime::kNone);
+  auto active = triq::ParseEntailmentRegime("active");
+  ASSERT_TRUE(active.ok());
+  EXPECT_EQ(*active, EntailmentRegime::kActiveDomain);
+  for (std::string_view bad : {"", "ALL", "active_domain", "none "}) {
+    auto parsed = triq::ParseEntailmentRegime(bad);
+    ASSERT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_EQ(parsed.status().code(), triq::StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(EngineTest, InvalidOptionsSurfaceFromMaterialize) {
   {
     Engine engine(EngineOptions().SetNumThreads(0));

@@ -224,30 +224,18 @@ class RandomDatalog {
   std::mt19937_64 rng_;
 };
 
-class JoinStrategySweep : public ::testing::TestWithParam<int> {};
-
-/// The strategy grid on random stratified programs: every join
-/// strategy × threads {1, 4} fixes the instance the naive fixpoint
-/// fixes (plain Datalog: exact ToString, so tuple order too), and the
-/// match counts (`rule_firings`, `facts_derived`) are identical across
-/// strategies and thread counts — the match SET of every pass is
-/// strategy-independent.
-TEST_P(JoinStrategySweep, StrategyGridEquivalence) {
-  uint64_t seed = static_cast<uint64_t>(GetParam());
-  RandomDatalog gen(seed);
-  auto dict = Dict();
-  auto program = datalog::ParseProgram(gen.ProgramText(6), dict);
-  ASSERT_TRUE(program.ok()) << program.status().ToString();
-
-  chase::Instance db(dict);
-  RandomDatalog filler(seed + 7000);
-  filler.FillDatabase(&db, 60);  // dense: merge paths engage under kAuto
-
+/// The strategy grid: every join strategy × threads {1, 4} fixes the
+/// instance the naive fixpoint fixes (plain Datalog: exact ToString, so
+/// tuple order too), and the match counts (`rule_firings`,
+/// `facts_derived`) are identical across strategies and thread counts —
+/// the match SET of every pass is strategy-independent.
+void ExpectStrategyGridEquivalence(const datalog::Program& program,
+                                   const chase::Instance& db) {
   chase::ChaseOptions naive;
   naive.seminaive = false;
   naive.join_strategy = chase::JoinStrategy::kHash;
   chase::Instance naive_db = db.CloneFacts();
-  ASSERT_TRUE(RunChase(*program, &naive_db, naive).ok());
+  ASSERT_TRUE(RunChase(program, &naive_db, naive).ok());
   const std::string expected = naive_db.ToString();
 
   const chase::JoinStrategy strategies[] = {
@@ -263,12 +251,12 @@ TEST_P(JoinStrategySweep, StrategyGridEquivalence) {
       options.num_threads = threads;
       chase::Instance run_db = db.CloneFacts();
       chase::ChaseStats stats;
-      ASSERT_TRUE(RunChase(*program, &run_db, options, &stats).ok());
+      ASSERT_TRUE(RunChase(program, &run_db, options, &stats).ok());
       std::string label = "strategy=" +
                           std::to_string(static_cast<int>(strategy)) +
                           " threads=" + std::to_string(threads);
       EXPECT_EQ(run_db.ToString(), expected)
-          << label << "\n" << program->ToString();
+          << label << "\n" << program.ToString();
       if (!have_ref) {
         ref_stats = stats;
         have_ref = true;
@@ -281,7 +269,53 @@ TEST_P(JoinStrategySweep, StrategyGridEquivalence) {
   }
 }
 
+class JoinStrategySweep : public ::testing::TestWithParam<int> {};
+
+/// The strategy grid on random stratified programs.
+TEST_P(JoinStrategySweep, StrategyGridEquivalence) {
+  uint64_t seed = static_cast<uint64_t>(GetParam());
+  RandomDatalog gen(seed);
+  auto dict = Dict();
+  auto program = datalog::ParseProgram(gen.ProgramText(6), dict);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+
+  chase::Instance db(dict);
+  RandomDatalog filler(seed + 7000);
+  filler.FillDatabase(&db, 60);  // dense: merge paths engage under kAuto
+  ExpectStrategyGridEquivalence(*program, db);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinStrategySweep, ::testing::Range(1, 21));
+
+/// The strategy grid on probes bound at two positions with skewed
+/// posting ranges: a bound subject with one or two triples next to the
+/// 5,000-entry `e` range, and a hub subject with thousands of triples
+/// next to the six-entry `r` range. Either way only the shorter range
+/// is scanned and unification rejects the rest.
+TEST(MergeJoinChaseTest, TwoBoundProbesOverSkewedPostingsAgree) {
+  auto dict = Dict();
+  auto program = datalog::ParseProgram(R"(
+    start(?X), triple(?X, e, ?Y) -> step(?X, ?Y) .
+    step(?X, ?Y), triple(?Y, e, ?Z) -> two(?X, ?Z) .
+    step(?X, ?Y), triple(?Y, r, ?Z) -> tagged(?X, ?Z) .
+    start(?X), triple(?X, r, ?Z) -> rare(?X, ?Z) .
+  )",
+                                       dict);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  chase::Instance db(dict);
+  for (int i = 0; i < 2500; ++i) {
+    std::string m = "m" + std::to_string(i);
+    db.AddFact("triple", {"hub", "e", m});
+    db.AddFact("triple", {m, "e", "x" + std::to_string(i % 40)});
+  }
+  for (int j = 0; j < 3; ++j) {
+    db.AddFact("triple", {"hub", "r", "q" + std::to_string(j)});
+    db.AddFact("triple", {"m" + std::to_string(7 * j), "r", "q0"});
+  }
+  db.AddFact("start", {"hub"});
+  db.AddFact("start", {"m7"});
+  ExpectStrategyGridEquivalence(*program, db);
+}
 
 /// Triangle closure end-to-end through the chase: the 3-atom cyclic
 /// rule that kAuto routes to the leapfrog operator, on a random graph,

@@ -128,6 +128,17 @@ TEST(ParallelChaseTest, RepeatedPredicatesAndNegationSweep) {
       dict);
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   CheckEquivalenceSweep(*program, db);
+
+  // A self-join with no matches over disjoint edges: the sharded pass
+  // stages nothing and must leave `two` absent, as one thread does.
+  Instance disjoint(dict);
+  for (int i = 0; i < 400; ++i) {
+    disjoint.AddFact("e", {"s" + std::to_string(i), "d" + std::to_string(i)});
+  }
+  auto no_matches =
+      datalog::ParseProgram("e(?X, ?Y), e(?Y, ?Z) -> two(?X, ?Z) .\n", dict);
+  ASSERT_TRUE(no_matches.ok()) << no_matches.status().ToString();
+  CheckEquivalenceSweep(*no_matches, disjoint);
 }
 
 TEST(ParallelChaseTest, ExistentialRulesKeepNullIdentity) {
@@ -336,6 +347,32 @@ std::vector<std::string> MatchStream(const datalog::Rule& rule,
   return out;
 }
 
+/// Asserts the sharding contract for `plan`: the match streams of 1, 2,
+/// 3 and 7 contiguous shards of its order concatenate to `unsharded`.
+/// Freezes every relation first, as the scheduler does before fan-out.
+void ExpectShardsConcatenate(const datalog::Rule& rule, const Instance& db,
+                             const chase::MatchOptions& options,
+                             const chase::DriverPlan& plan,
+                             const std::vector<std::string>& unsharded) {
+  for (const auto& entry : db.relations()) entry.second.FreezeIndexes();
+  for (size_t num_shards : {1, 2, 3, 7}) {
+    std::vector<std::string> concatenated;
+    for (size_t s = 0; s < num_shards; ++s) {
+      size_t begin = plan.order.size() * s / num_shards;
+      size_t end = plan.order.size() * (s + 1) / num_shards;
+      chase::MatchOptions shard = options;
+      shard.driver_order = plan.order.data() + begin;
+      shard.driver_order_size = end - begin;
+      shard.driver_body_index = plan.body_index;
+      std::vector<std::string> piece = MatchStream(rule, db, shard);
+      concatenated.insert(concatenated.end(), piece.begin(), piece.end());
+    }
+    EXPECT_EQ(concatenated, unsharded)
+        << "strategy " << static_cast<int>(options.join_strategy) << ", "
+        << num_shards << " shards";
+  }
+}
+
 TEST(DriverPlanTest, ConcatenatedShardsEqualUnshardedStream) {
   auto dict = std::make_shared<Dictionary>();
   Instance db(dict);
@@ -355,51 +392,43 @@ TEST(DriverPlanTest, ConcatenatedShardsEqualUnshardedStream) {
 
     chase::DriverPlan plan = chase::PlanMatchDriver(*rule, db, options);
     ASSERT_GE(plan.body_index, 0);
-    for (const auto& entry : db.relations()) entry.second.FreezeIndexes();
-    for (size_t num_shards : {1, 2, 3, 7}) {
-      std::vector<std::string> concatenated;
-      for (size_t s = 0; s < num_shards; ++s) {
-        size_t begin = plan.order.size() * s / num_shards;
-        size_t end = plan.order.size() * (s + 1) / num_shards;
-        chase::MatchOptions shard = options;
-        shard.driver_order = plan.order.data() + begin;
-        shard.driver_order_size = end - begin;
-        shard.driver_sorted = plan.sorted;
-        shard.driver_body_index = plan.body_index;
-        std::vector<std::string> piece = MatchStream(*rule, db, shard);
-        concatenated.insert(concatenated.end(), piece.begin(), piece.end());
-      }
-      EXPECT_EQ(concatenated, unsharded)
-          << "strategy " << static_cast<int>(strategy) << ", " << num_shards
-          << " shards";
-    }
+    ExpectShardsConcatenate(*rule, db, options, plan, unsharded);
   }
 }
 
 TEST(DriverPlanTest, BoundPositionPlansAscendingSupersets) {
-  // A constant in the depth-0 atom: the plan's order is the shortest
-  // posting list (ascending); shards re-check by unification.
+  // Constants in the depth-0 atom: the plan's order is the shortest
+  // bound posting range (ascending); shards re-check by unification.
   auto dict = std::make_shared<Dictionary>();
   Instance db(dict);
   for (int i = 0; i < 80; ++i) {
     db.AddFact("t", {"s" + std::to_string(i), i % 2 == 0 ? "e" : "x",
-                     "o" + std::to_string(i)});
+                     "o" + std::to_string(i % 3)});
   }
+  chase::MatchOptions options;
   auto rule = datalog::ParseRule("t(?X, e, ?Y) -> hop(?X, ?Y)", dict.get());
   ASSERT_TRUE(rule.ok());
-  chase::MatchOptions options;
   chase::DriverPlan plan = chase::PlanMatchDriver(*rule, db, options);
   ASSERT_GE(plan.body_index, 0);
-  EXPECT_FALSE(plan.sorted);
   EXPECT_EQ(plan.order.size(), 40u);  // the 'e' posting list, not all 80
   EXPECT_TRUE(std::is_sorted(plan.order.begin(), plan.order.end()));
-  std::vector<std::string> unsharded = MatchStream(*rule, db, options);
-  chase::MatchOptions shard = options;
-  shard.driver_order = plan.order.data();
-  shard.driver_order_size = plan.order.size();
-  shard.driver_sorted = plan.sorted;
-  shard.driver_body_index = plan.body_index;
-  EXPECT_EQ(MatchStream(*rule, db, shard), unsharded);
+  ExpectShardsConcatenate(*rule, db, options, plan,
+                          MatchStream(*rule, db, options));
+
+  // Bound at two positions: the order is the shorter 'o1' range (27
+  // tuples), not its intersection with the 'e' range (13 tuples).
+  auto two_bound = datalog::ParseRule("t(?X, e, o1) -> hop(?X)", dict.get());
+  ASSERT_TRUE(two_bound.ok());
+  plan = chase::PlanMatchDriver(*two_bound, db, options);
+  ASSERT_GE(plan.body_index, 0);
+  std::vector<uint32_t> o1_range;
+  for (uint32_t i = 0; i < 80; ++i) {
+    if (i % 3 == 1) o1_range.push_back(i);
+  }
+  EXPECT_EQ(plan.order, o1_range);
+  std::vector<std::string> unsharded = MatchStream(*two_bound, db, options);
+  EXPECT_EQ(unsharded.size(), 13u);
+  ExpectShardsConcatenate(*two_bound, db, options, plan, unsharded);
 }
 
 TEST(DriverPlanTest, MismatchedBodyIndexFailsLoudly) {

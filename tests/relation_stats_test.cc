@@ -1,5 +1,5 @@
 // The planner's statistics layer (relation.cc): sorted permutations stay
-// exact under SortWindow promotion, the HyperLogLog estimate is
+// exact when a delta window was sorted first, the HyperLogLog estimate is
 // order-independent and within tolerance, LexPerm is the lexicographic
 // trie order the leapfrog join assumes, and a published (frozen)
 // relation tolerates concurrent lazy lex builds and copies.
@@ -47,7 +47,7 @@ std::vector<uint32_t> SortedIndices(const chase::Relation& rel,
   return std::vector<uint32_t>(sorted.begin(), sorted.end());
 }
 
-TEST(RelationStatsTest, SortedExactAfterSortWindowPromotion) {
+TEST(RelationStatsTest, SortedExactAfterSortWindow) {
   auto dict = Dict();
   chase::Instance db(dict);
   for (int i = 0; i < 64; ++i) {
@@ -58,8 +58,8 @@ TEST(RelationStatsTest, SortedExactAfterSortWindowPromotion) {
   ASSERT_NE(rel, nullptr);
   ExpectLexOrder(*rel, {0}, SortedIndices(*rel, 0));  // syncs the prefix
 
-  // Append a tail, sort exactly the tail window (the semi-naive delta
-  // pattern) so SyncSorted can promote the memoized run by merging.
+  // Append a tail and sort exactly the tail window (the semi-naive delta
+  // pattern) before SyncSorted extends the permutation over it.
   uint32_t tail_begin = static_cast<uint32_t>(rel->size());
   for (int i = 0; i < 48; ++i) {
     db.AddFact("e", {"c" + std::to_string(i % 7), "b" + std::to_string(i)});
@@ -205,14 +205,17 @@ TEST(FrozenContractTest, FrozenIndexesAreReadableInsideParallelPass) {
   rel.FreezeIndexes();
   rel.FreezeLex(key);
   chase::ParallelPassScope scope(true);
-  // Every frozen read path stays on the immutable early returns: no
-  // TRIQ_DCHECK_FROZEN fires (a violation aborts a debug build here).
+  // Every frozen read path stays on the immutable early returns, and
+  // SortWindow writes only its output: no TRIQ_DCHECK_FROZEN fires (a
+  // violation aborts a debug build here).
   EXPECT_EQ(rel.Sorted(0).size(), 50u);
   EXPECT_EQ(rel.Postings(0, chase::Term::Constant(3)).empty(), false);
   EXPECT_EQ(rel.LexPerm(key).size(), 50u);
   std::vector<uint32_t> window;
   rel.SortWindow(0, 0, 50, &window);  // full window: synced permutation
   EXPECT_EQ(window.size(), 50u);
+  rel.SortWindow(0, 2, 5, &window);  // partial window: sorted, not stored
+  EXPECT_EQ(window, (std::vector<uint32_t>{2, 3, 4}));
 }
 
 #if !defined(NDEBUG) && defined(GTEST_HAS_DEATH_TEST)
@@ -232,18 +235,6 @@ TEST(FrozenContractDeathTest, UnfrozenLexPermTripsInsideParallelPass) {
   std::vector<uint32_t> key = {0, 1};
   chase::ParallelPassScope scope(true);
   EXPECT_DEATH((void)rel.LexPerm(key), "frozen-index contract");
-}
-
-TEST(FrozenContractDeathTest, PartialWindowMemoTripsInsideParallelPass) {
-  chase::Relation rel(1);
-  for (uint32_t i = 0; i < 8; ++i) {
-    rel.Insert(chase::Tuple{chase::Term::Constant(i)});
-  }
-  rel.FreezeIndexes();
-  chase::ParallelPassScope scope(true);
-  std::vector<uint32_t> window;
-  // A PARTIAL window misses the memo and would write it: contract trip.
-  EXPECT_DEATH(rel.SortWindow(0, 2, 5, &window), "frozen-index contract");
 }
 
 #endif  // !NDEBUG && GTEST_HAS_DEATH_TEST

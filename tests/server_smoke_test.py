@@ -11,6 +11,10 @@ unbounded buffering), a connection over --max-conns (must be shed with
 ERR BUSY, not queued), an idle client (must be reaped), and finally a
 SIGTERM with a connection still open (must drain and exit 0).
 
+Phase 3: flag parsing. Malformed numeric flags must be usage errors
+(exit 2, no LISTENING banner), and `--regime active` is accepted as an
+alias of `active-domain`.
+
 Usage: server_smoke_test.py <path-to-triq_server>
 """
 
@@ -286,10 +290,42 @@ def misbehaving_clients(server):
             proc.wait()
 
 
+def flag_parsing(server):
+    # Rejected before binding: a negative --workers must never reach the
+    # thread pool, and a port above 65535 must not wrap to another one.
+    for flags in (["--workers", "-1"], ["--port", "70000"]):
+        try:
+            run = subprocess.run(
+                [server, *flags], capture_output=True, text=True, timeout=15
+            )
+        except subprocess.TimeoutExpired:
+            raise AssertionError(f"{flags} started a server") from None
+        expect(run.returncode == 2, f"{flags}: exit code {run.returncode}")
+        expect(
+            "LISTENING" not in run.stdout, f"{flags}: announced {run.stdout!r}"
+        )
+
+    proc, port = start_server(server, "--regime", "active")
+    try:
+        with connect(port) as s:
+            f = s.makefile("rw")
+            expect(send(f, "PING") == ["OK pong"], "PING under --regime active")
+            expect(
+                send(f, "SHUTDOWN") == ["OK shutting-down"], "SHUTDOWN failed"
+            )
+        proc.wait(timeout=15)
+        expect(proc.returncode == 0, f"server exit code {proc.returncode}")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
 def main():
     server = sys.argv[1]
     scripted_session(server)
     misbehaving_clients(server)
+    flag_parsing(server)
     print("server smoke test passed")
 
 

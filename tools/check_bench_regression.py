@@ -10,9 +10,11 @@ chase/clique_k3_complete/7:0.75 for noisy sub-5ms workloads measured in
 
 Independently of the gated names, the deterministic workload counters
 (facts_derived, answers, ...) of EVERY benchmark present in both files
-must match exactly — a machine-independent result-correctness gate.
-Counters whose names end in a measurement suffix (_qps, _ns, _us) are
-recorded observations (throughput, latency percentiles), not workload
+must match exactly — a machine-independent result-correctness gate. A
+deterministic counter one side emits and the other does not fails the
+gate too, so a benchmark cannot pass by dropping a counter. Counters
+whose names end in a measurement suffix (_qps, _ns, _us) are recorded
+observations (throughput, latency percentiles), not workload
 invariants, and are excluded from the exactness check.
 
 CI (Release job) runs:
@@ -42,17 +44,24 @@ MEASUREMENT_SUFFIXES = ("_qps", "_ns", "_us")
 
 
 def check_counters(name, baseline, current):
-    """Returns True when any deterministic counter diverges."""
+    """Returns True when any deterministic counter diverges or is
+    missing from one side."""
     failed = False
     base_counters = baseline.get("counters", {})
     cur_counters = current.get("counters", {})
-    for key in sorted(set(base_counters) & set(cur_counters)):
+    for key in sorted(set(base_counters) | set(cur_counters)):
         if key.endswith(MEASUREMENT_SUFFIXES):
             continue
-        if base_counters[key] != cur_counters[key]:
+        if key not in cur_counters:
+            print(f"FAIL {name}: counter {key} missing from current run")
+        elif key not in base_counters:
+            print(f"FAIL {name}: counter {key} missing from baseline")
+        elif base_counters[key] != cur_counters[key]:
             print(f"FAIL {name}: counter {key} changed "
                   f"{base_counters[key]} -> {cur_counters[key]}")
-            failed = True
+        else:
+            continue
+        failed = True
     return failed
 
 

@@ -12,8 +12,9 @@
 //   --answer PRED     answer predicate of the rule program
 //   --sparql TEXT     SPARQL graph pattern (alternative to --program)
 //   --pattern TEXT    legacy alias of --sparql
-//   --regime MODE     none | active | all         (default none;
-//                     plain is accepted as a legacy alias of none)
+//   --regime MODE     none | active-domain | all  (default none;
+//                     plain and active are accepted as aliases of
+//                     none and active-domain)
 //   --threads N       chase thread count (default 1; N > 1 runs the
 //                     parallel sharded executor, same answers)
 //   --classify        print the language class of the program and exit
@@ -204,7 +205,7 @@ int main(int argc, char** argv) {
     } else if (flag == "--help" || flag == "-h") {
       std::cout << "usage: triq_run --graph FILE"
                    " (--program FILE --answer PRED | --sparql TEXT)"
-                   " [--regime none|active|all] [--threads N]"
+                   " [--regime none|active-domain|all] [--threads N]"
                    " [--classify] [--analyze] [--explain] [--prove a,b,c]\n";
       return 0;
     } else {
@@ -216,21 +217,14 @@ int main(int argc, char** argv) {
     return Fail("give exactly one of --program / --sparql");
   }
 
-  triq::EntailmentRegime regime;
-  if (args.regime == "none" || args.regime == "plain") {
-    regime = triq::EntailmentRegime::kNone;
-  } else if (args.regime == "active") {
-    regime = triq::EntailmentRegime::kActiveDomain;
-  } else if (args.regime == "all") {
-    regime = triq::EntailmentRegime::kAll;
-  } else {
-    return Fail("unknown --regime (use none|active|all)");
-  }
+  triq::Result<triq::EntailmentRegime> regime =
+      triq::ParseEntailmentRegime(args.regime);
+  if (!regime.ok()) return Fail(regime.status().ToString());
 
   triq::Engine engine(triq::EngineOptions()
                           .SetNumThreads(args.threads)
                           .SetTrackProvenance(!args.prove.empty())
-                          .SetRegime(regime));
+                          .SetRegime(*regime));
   triq::Status loaded = engine.LoadTurtleFile(args.graph_file);
   if (!loaded.ok()) return Fail(loaded.ToString());
   std::cerr << "loaded " << engine.base().TotalFacts() << " triple(s)\n";

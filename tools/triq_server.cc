@@ -51,7 +51,9 @@
 // Usage: triq_server [--port P] [--workers N] [--regime R] [hardening...]
 // `--port 0` (the default) binds an ephemeral port; the chosen port is
 // announced on stdout as `LISTENING <port>` so test harnesses can
-// connect without racing.
+// connect without racing. Numeric flags take a whole non-negative
+// decimal in their field's range (a port is at most 65535); anything
+// else prints the usage and exits 2 before binding.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -60,9 +62,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -436,6 +442,27 @@ void WorkerLoop(Engine& engine, int listen_fd, const ServerConfig& cfg) {
   }
 }
 
+/// Parses `text` as a whole non-negative decimal integer no larger than
+/// `max`: no sign, no whitespace, no trailing bytes.
+bool ParseCount(const char* text, uint64_t max, uint64_t* out) {
+  const char* end = text + std::strlen(text);
+  uint64_t value = 0;
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value > max) return false;
+  *out = value;
+  return true;
+}
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: triq_server [--port P] [--workers N] "
+               "[--regime none|active-domain|all] [--max-conns N] "
+               "[--idle-timeout-ms MS] [--write-timeout-ms MS] "
+               "[--max-line BYTES] [--journal PATH] "
+               "[--fsync never|batch|always]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -453,33 +480,35 @@ int main(int argc, char** argv) {
       if (v == nullptr) std::fprintf(stderr, "%s wants a value\n", flag);
       return v;
     };
+    // Reads a numeric flag's value into `n`; false (after saying why)
+    // when it is missing or not a whole number in [0, max].
+    uint64_t n = 0;
+    auto count = [&](const char* flag, uint64_t max) {
+      const char* v = want(flag);
+      if (v == nullptr) return false;
+      if (ParseCount(v, max, &n)) return true;
+      std::fprintf(stderr, "%s wants a whole number in [0, %llu], got '%s'\n",
+                   flag, static_cast<unsigned long long>(max), v);
+      return false;
+    };
     if (arg == "--port") {
-      const char* v = want("--port");
-      if (v == nullptr) return 2;
-      port = std::atoi(v);
+      if (!count("--port", 65535)) return Usage();
+      port = static_cast<int>(n);
     } else if (arg == "--workers") {
-      const char* v = want("--workers");
-      if (v == nullptr) return 2;
-      workers = static_cast<size_t>(std::atoi(v));
-      if (workers == 0) workers = 1;
+      if (!count("--workers", SIZE_MAX)) return Usage();
+      workers = std::max<size_t>(n, 1);
     } else if (arg == "--max-conns") {
-      const char* v = want("--max-conns");
-      if (v == nullptr) return 2;
-      cfg.max_conns = static_cast<size_t>(std::atoi(v));
+      if (!count("--max-conns", SIZE_MAX)) return Usage();
+      cfg.max_conns = n;
     } else if (arg == "--idle-timeout-ms") {
-      const char* v = want("--idle-timeout-ms");
-      if (v == nullptr) return 2;
-      cfg.idle_timeout_ms = std::atoi(v);
+      if (!count("--idle-timeout-ms", INT_MAX)) return Usage();
+      cfg.idle_timeout_ms = static_cast<int>(n);
     } else if (arg == "--write-timeout-ms") {
-      const char* v = want("--write-timeout-ms");
-      if (v == nullptr) return 2;
-      cfg.write_timeout_ms = std::atoi(v);
-      if (cfg.write_timeout_ms <= 0) cfg.write_timeout_ms = 1;
+      if (!count("--write-timeout-ms", INT_MAX)) return Usage();
+      cfg.write_timeout_ms = std::max(static_cast<int>(n), 1);
     } else if (arg == "--max-line") {
-      const char* v = want("--max-line");
-      if (v == nullptr) return 2;
-      cfg.max_line = static_cast<size_t>(std::atol(v));
-      if (cfg.max_line == 0) cfg.max_line = 1;
+      if (!count("--max-line", SIZE_MAX)) return Usage();
+      cfg.max_line = std::max<size_t>(n, 1);
     } else if (arg == "--journal") {
       const char* v = want("--journal");
       if (v == nullptr) return 2;
@@ -501,25 +530,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--regime") {
       const char* v = want("--regime");
       if (v == nullptr) return 2;
-      std::string regime = v;
-      if (regime == "none") {
-        options.SetRegime(triq::EntailmentRegime::kNone);
-      } else if (regime == "active-domain") {
-        options.SetRegime(triq::EntailmentRegime::kActiveDomain);
-      } else if (regime == "all") {
-        options.SetRegime(triq::EntailmentRegime::kAll);
-      } else {
-        std::fprintf(stderr, "unknown regime '%s'\n", regime.c_str());
+      triq::Result<triq::EntailmentRegime> regime =
+          triq::ParseEntailmentRegime(v);
+      if (!regime.ok()) {
+        std::fprintf(stderr, "%s\n", regime.status().ToString().c_str());
         return 2;
       }
+      options.SetRegime(*regime);
     } else {
-      std::fprintf(stderr,
-                   "usage: triq_server [--port P] [--workers N] "
-                   "[--regime none|active-domain|all] [--max-conns N] "
-                   "[--idle-timeout-ms MS] [--write-timeout-ms MS] "
-                   "[--max-line BYTES] [--journal PATH] "
-                   "[--fsync never|batch|always]\n");
-      return 2;
+      return Usage();
     }
   }
 
