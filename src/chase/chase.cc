@@ -227,21 +227,6 @@ class ChaseRun {
           1, std::min(max_shards, plan.order.size() / kMinDriverPerShard));
     }
     const bool sharded = num_shards > 1;
-    if (sharded) {
-      // Freeze exactly the lazy sorted indexes this pass's join plan can
-      // probe; from here to the end of the fan-out, matching is
-      // read-only on the instance. (Freezing whole relations instead
-      // would eagerly maintain permutations the join never reads — a
-      // full-relation merge per pass on linear rules.)
-      for (const auto& [pred, pos] : plan.probe_index_pairs) {
-        const Relation* rel = instance_->Find(pred);
-        if (rel != nullptr && pos < rel->arity()) rel->FreezeIndex(pos);
-      }
-      for (const auto& [pred, key] : plan.lex_index_pairs) {
-        const Relation* rel = instance_->Find(pred);
-        if (rel != nullptr) rel->FreezeLex(key);
-      }
-    }
 
     const bool fast = existentials.empty() && !options_.track_provenance;
     // Sharded single-head fast rules take the fully parallel commit:

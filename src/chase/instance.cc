@@ -88,7 +88,9 @@ std::unordered_map<PredicateId, size_t> Instance::RelationSizes() const {
 }
 
 void Instance::FreezeAllIndexes() const {
-  for (const auto& [pred, rel] : relations_) rel.FreezeIndexes();
+  for (const auto& [pred, rel] : relations_) {
+    for (uint32_t pos = 0; pos < rel.arity(); ++pos) rel.Sorted(pos);
+  }
 }
 
 Instance Instance::CloneFacts() const {

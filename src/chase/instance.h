@@ -58,9 +58,9 @@ class Instance {
   explicit Instance(std::shared_ptr<Dictionary> dict)
       : dict_(std::move(dict)) {}
 
-  /// An empty overlay whose reads fall through to `base`, which must be
-  /// frozen for the overlay's lifetime and outlive it. Null allocation
-  /// starts above base->null_count().
+  /// An empty overlay whose reads fall through to `base`, which must not
+  /// grow during the overlay's lifetime and must outlive it. Null
+  /// allocation starts above base->null_count().
   static Instance MakeOverlay(const Instance* base) {
     Instance out(base->dict_);
     out.base_ = base;
@@ -132,9 +132,9 @@ class Instance {
   /// for overlays — the base's (which never appear in relations()).
   std::unordered_map<PredicateId, size_t> RelationSizes() const;
 
-  /// Syncs every relation's sorted permutation on every position, so all
-  /// subsequent index reads (and full-window SortWindow calls) are
-  /// const in the concurrent sense. Called once at snapshot publish.
+  /// Builds every relation's sorted permutation on every position. No
+  /// library code calls it — relations build their indexes on first use
+  /// — but perfbench's traced replays still do.
   void FreezeAllIndexes() const;
 
   /// A fact-level copy: same dictionary, relations and null registry,

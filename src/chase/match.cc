@@ -29,20 +29,19 @@ constexpr size_t kAutoMergeMinWindow = 32;
 /// plan is identical across all branches of the search, across join
 /// strategies, and across thread counts. PlanJoin records it, with the
 /// bound positions of every depth, in one DepthPlan per depth; the
-/// search, the sharding driver plan, the index-freeze list and EXPLAIN
-/// all read that record. The order is cost-based
-/// greedy: the delta atom is pinned first (its window drives the
-/// pass), then each depth takes the atom with the smallest estimated
-/// match count given the variables bound so far — window size divided
-/// by the estimated distinct count (Relation::EstimatedDistinct) of
-/// every bound position. On top of the order the planner picks access
-/// paths (see JoinStrategy): a leapfrog-triejoin residual when the
-/// strategy calls for it (the driver enumerates as usual; the
-/// remaining atoms are joined variable-at-a-time over lexicographic
-/// permutations with galloping seeks), else a depth-1 merge cursor
-/// when the first two atoms share a variable, with per-binding posting
-/// probes — binary-searched Equal() ranges, scanning the shortest — as
-/// the fallback everywhere deeper.
+/// search, the sharding driver plan and EXPLAIN all read that record.
+/// The order is cost-based greedy: the delta atom is pinned first (its
+/// window drives the pass), then each depth takes the atom with the
+/// smallest estimated match count given the variables bound so far —
+/// window size divided by the estimated distinct count
+/// (Relation::EstimatedDistinct) of every bound position. On top of the
+/// order the planner picks access paths (see JoinStrategy): a
+/// leapfrog-triejoin residual when the strategy calls for it (the
+/// driver enumerates as usual; the remaining atoms are joined
+/// variable-at-a-time over lexicographic permutations with galloping
+/// seeks), else a depth-1 merge cursor when the first two atoms share a
+/// variable, with per-binding posting probes — binary-searched Equal()
+/// ranges, scanning the shortest — as the fallback everywhere deeper.
 class Matcher {
  public:
   Matcher(const Rule& rule, const Instance& instance,
@@ -81,41 +80,7 @@ class Matcher {
       out.order.push_back(idx);
       return true;
     });
-    CollectProbePairs(&out);
     return out;
-  }
-
-  /// Records every (predicate, position) whose sorted permutation a
-  /// depth >= 1 step may read: posting probes on the positions bound by
-  /// then, and the depth-1 merge cursor; a leapfrog residual reads lex
-  /// permutations (a single-position key aliases the sorted one). Atoms
-  /// read through the dedup table (FindIndex) need no permutation.
-  void CollectProbePairs(DriverPlan* out) const {
-    for (size_t depth = 1; depth < plan_.size(); ++depth) {
-      const DepthPlan& plan = plan_[depth];
-      const Atom& atom = AtomAt(depth);
-      if (plan.access == Access::kLeapfrog) {
-        const LfAtom& a = lf_atoms_[depth - 1];
-        if (a.rel == nullptr) continue;
-        if (a.key.size() == 1) {
-          out->probe_index_pairs.emplace_back(atom.predicate, a.key[0]);
-        } else {
-          out->lex_index_pairs.emplace_back(atom.predicate, a.key);
-        }
-        continue;
-      }
-      if (plan.access == Access::kPostings ||
-          (plan.access == Access::kMergeCursor && !FullyBound(depth))) {
-        for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
-          if (BoundAt(depth, pos)) {
-            out->probe_index_pairs.emplace_back(atom.predicate, pos);
-          }
-        }
-      }
-      if (plan.access == Access::kMergeCursor) {
-        out->probe_index_pairs.emplace_back(atom.predicate, plan.pos);
-      }
-    }
   }
 
   /// Renders the plan: strategy, then one line per atom in join order
@@ -416,9 +381,9 @@ class Matcher {
   /// occurrence positions as one contiguous level group — and per
   /// variable its participant list. Variables are ordered by first
   /// unbound occurrence across the residual in join order. All of it is
-  /// value-independent; the lex permutations are pre-built here (plan
-  /// time runs on the scheduling thread) and re-frozen via
-  /// DriverPlan::lex_index_pairs before parallel fan-out.
+  /// value-independent. The lex permutations are fetched here, so the
+  /// first matcher to plan over a relation builds them (Relation::LexPerm
+  /// serializes concurrent shards' builds).
   void PlanLeapfrog() {
     lftj_ = true;
     std::vector<Term> order;  // leapfrog variables, first occurrence
@@ -697,9 +662,7 @@ class Matcher {
 
     // Injected depth-0 shard (parallel chase): enumerate exactly the
     // given indices — a slice of PlanMatchDriver's window-clamped order.
-    // Bound positions are re-checked by try_tuple's unification, and no
-    // lazy index is built, so shard matchers are safe concurrent readers
-    // of a frozen instance.
+    // Bound positions are re-checked by try_tuple's unification.
     if (depth == 0 && options_.driver_order != nullptr) {
       if (positive_[plan.slot] != options_.driver_body_index) {
         status_ = Status::Internal(
@@ -940,11 +903,6 @@ class Matcher {
 Status MatchBody(const datalog::Rule& rule, const Instance& instance,
                  const MatchOptions& options,
                  const std::function<bool(const Match&)>& fn) {
-  // A non-null driver_order marks this call as one sharded slice of a
-  // parallel pass: every index the plan can probe was frozen before
-  // fan-out, so flag the thread and let the index builders assert the
-  // frozen-index contract (TRIQ_DCHECK_FROZEN) on any mutable build.
-  ParallelPassScope parallel_scope(options.driver_order != nullptr);
   return Matcher(rule, instance, options, fn).Run();
 }
 

@@ -137,9 +137,9 @@ struct MatchOptions {
   /// cursor engages exactly as in an unsharded run. `driver_body_index`
   /// pins the body atom the shard was planned for; MatchBody returns
   /// Internal on a plan mismatch instead of enumerating the wrong atom.
-  /// Shard matchers never mutate the instance's lazy indexes, so any
-  /// number of them may run concurrently over an instance whose read
-  /// relations were frozen (Relation::FreezeIndexes).
+  /// Any number of shard matchers may run concurrently over one instance
+  /// while nothing inserts into it: the permutation indexes they probe
+  /// are built on first use under each relation's own lock.
   const uint32_t* driver_order = nullptr;
   size_t driver_order_size = 0;
   int driver_body_index = -1;
@@ -165,30 +165,10 @@ struct DriverPlan {
   /// every bound position by unification); empty when the pass can have
   /// no matches.
   std::vector<uint32_t> order;
-  /// The (predicate, position) pairs whose sorted permutation indexes
-  /// the planned join may read below depth 0 (posting probes on
-  /// statically-bound positions, plus the depth-1 merge cursor). The
-  /// scheduler must freeze exactly these (Relation::FreezeIndex) before
-  /// concurrent fan-out; everything else the matchers touch is
-  /// insert-stable storage. Deliberately NOT every position of every
-  /// body relation: blanket freezing would eagerly build and maintain
-  /// permutations the join never reads — on linear rules like
-  /// tc(X,Z) :- edge(X,Y), tc(Y,Z) that is an O(|tc|) merge per pass
-  /// for indexes only the driver's delta window ever needed.
-  std::vector<std::pair<datalog::PredicateId, uint32_t>> probe_index_pairs;
-  /// The multi-position lexicographic permutations a leapfrog residual
-  /// join walks below depth 0 (Relation::LexPerm keys). The scheduler
-  /// must freeze exactly these (Relation::FreezeLex) before concurrent
-  /// fan-out; single-position leapfrog keys alias the sorted
-  /// permutation and appear in probe_index_pairs instead. Empty unless
-  /// the plan engages the leapfrog operator.
-  std::vector<std::pair<datalog::PredicateId, std::vector<uint32_t>>>
-      lex_index_pairs;
 };
 
-/// Plans the depth-0 enumeration for (rule, instance, options). Runs on
-/// the scheduling thread and may build lazy sorted indexes; call before
-/// freezing and fan-out.
+/// Plans the depth-0 enumeration for (rule, instance, options). May
+/// build the permutation indexes the plan reads, on first use.
 DriverPlan PlanMatchDriver(const datalog::Rule& rule,
                            const Instance& instance,
                            const MatchOptions& options);

@@ -31,21 +31,7 @@ auto ByValueThenIndex(const Term* column) {
   };
 }
 
-// Depth, not a flag: overlay matchers recurse into base-snapshot match
-// paths, and each layer may open its own scope.
-thread_local int tls_parallel_pass_depth = 0;
-
 }  // namespace
-
-ParallelPassScope::ParallelPassScope(bool active) : active_(active) {
-  if (active_) ++tls_parallel_pass_depth;
-}
-
-ParallelPassScope::~ParallelPassScope() {
-  if (active_) --tls_parallel_pass_depth;
-}
-
-bool InParallelPass() { return tls_parallel_pass_depth > 0; }
 
 const uint32_t* SortedRange::SeekValue(const uint32_t* from, Term v) const {
   // Gallop: bracket the target with doubling steps from `from`, then
@@ -199,11 +185,22 @@ bool Relation::Insert(TupleView t, uint32_t* index_out) {
   return true;
 }
 
+Relation::Indexes::Indexes(const Indexes& other)
+    : synced(other.synced.size()) {
+  MutexLock lock(other.mu);
+  sorted = other.sorted;
+  lex = other.lex;
+  for (size_t pos = 0; pos < sorted.size(); ++pos) {
+    synced[pos].store(static_cast<uint32_t>(sorted[pos].size()),
+                      std::memory_order_relaxed);
+  }
+}
+
 void Relation::SyncSorted(uint32_t pos) const {
-  std::vector<uint32_t>& perm = sorted_[pos];
+  MutexLock lock(index_.mu);
+  std::vector<uint32_t>& perm = index_.sorted[pos];
   uint32_t synced = static_cast<uint32_t>(perm.size());
-  if (synced == count_) return;
-  TRIQ_DCHECK_FROZEN("sorted permutation");
+  if (synced == count_) return;  // another reader built it first
   perm.resize(count_);
   for (uint32_t idx = synced; idx < count_; ++idx) perm[idx] = idx;
   auto by_value = ByValueThenIndex(ColumnData(pos));
@@ -212,22 +209,20 @@ void Relation::SyncSorted(uint32_t pos) const {
     std::inplace_merge(perm.begin(), perm.begin() + synced, perm.end(),
                        by_value);
   }
+  index_.synced[pos].store(count_, std::memory_order_release);
 }
 
 SortedRange Relation::Sorted(uint32_t position) const {
   assert(position < arity_);
-  SyncSorted(position);
-  const std::vector<uint32_t>& perm = sorted_[position];
-  return SortedRange(perm.data(), perm.data() + perm.size(),
-                     ColumnData(position));
+  if (index_.synced[position].load(std::memory_order_acquire) != count_) {
+    SyncSorted(position);
+  }
+  const std::vector<uint32_t>& perm = index_.sorted[position];
+  return SortedRange(perm.data(), perm.data() + count_, ColumnData(position));
 }
 
 SortedRange Relation::Postings(uint32_t position, Term value) const {
   return Sorted(position).Equal(value);
-}
-
-void Relation::FreezeIndexes() const {
-  for (uint32_t pos = 0; pos < arity_; ++pos) SyncSorted(pos);
 }
 
 void Relation::SortWindow(uint32_t position, uint32_t begin, uint32_t end,
@@ -236,11 +231,11 @@ void Relation::SortWindow(uint32_t position, uint32_t begin, uint32_t end,
   if (end > count_) end = count_;
   out->clear();
   if (begin >= end) return;
-  // The full window of a synced position is the permutation itself — the
-  // window an overlay chase over a published snapshot asks of the base.
-  const std::vector<uint32_t>& perm = sorted_[position];
-  if (begin == 0 && end == count_ && perm.size() == count_) {
-    out->assign(perm.begin(), perm.end());
+  // The full window is the permutation itself — the window an overlay
+  // chase over a published snapshot asks of the base.
+  if (begin == 0 && end == count_) {
+    SortedRange all = Sorted(position);
+    out->assign(all.begin(), all.end());
     return;
   }
   out->reserve(end - begin);
@@ -286,21 +281,11 @@ const std::vector<uint32_t>& Relation::LexPerm(
     // A one-position lex order IS the sorted permutation (same value
     // order, same tuple-index tiebreak) — alias it instead of holding a
     // second copy of the index.
-    SyncSorted(key[0]);
-    return sorted_[key[0]];
+    Sorted(key[0]);
+    return index_.sorted[key[0]];
   }
-  MutexLock lock(lex_.mu);
-#ifndef NDEBUG
-  {
-    // The map insert of a missing key is itself a mutation, so check
-    // before perms[key] rather than on the sync path below.
-    auto it = lex_.perms.find(key);
-    if (it == lex_.perms.end() || it->second.size() != count_) {
-      TRIQ_DCHECK_FROZEN("lex permutation");
-    }
-  }
-#endif
-  std::vector<uint32_t>& perm = lex_.perms[key];
+  MutexLock lock(index_.mu);
+  std::vector<uint32_t>& perm = index_.lex[key];
   uint32_t synced = static_cast<uint32_t>(perm.size());
   if (synced == count_) return perm;
   perm.resize(count_);

@@ -3,7 +3,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
+#include <atomic>
 #include <cstdint>
 #include <iterator>
 #include <map>
@@ -157,47 +157,6 @@ class SortedRange {
   const Term* column_ = nullptr;
 };
 
-// ---- frozen-index contract (debug-mode checked) -----------------------
-//
-// The parallel chase relies on a convention: every lazily built index a
-// sharded pass can touch (sorted and lex permutations) must be frozen —
-// built via FreezeIndex / FreezeLex — BEFORE fan-out, so worker threads
-// only ever hit the immutable early-return paths. ParallelPassScope
-// marks the calling thread as being inside such a sharded slice
-// (MatchBody enters it when the caller injects a driver_order shard),
-// and the index builders assert via TRIQ_DCHECK_FROZEN that no mutable
-// build runs while the mark is set. The checks compile away under
-// NDEBUG.
-
-/// RAII marker: while alive (and constructed with active = true), the
-/// calling thread is inside a sharded parallel match. Nests.
-class ParallelPassScope {
- public:
-  explicit ParallelPassScope(bool active);
-  ~ParallelPassScope();
-  ParallelPassScope(const ParallelPassScope&) = delete;
-  ParallelPassScope& operator=(const ParallelPassScope&) = delete;
-
- private:
-  bool active_;
-};
-
-/// True while the calling thread is inside an active ParallelPassScope.
-bool InParallelPass();
-
-/// Asserts the frozen-index contract at an index-mutation site: building
-/// `what` during a sharded parallel pass means FreezeIndex/FreezeLex was
-/// skipped for a (relation, position) the join plan probes — a data race
-/// in release builds. No-op under NDEBUG.
-#ifndef NDEBUG
-#define TRIQ_DCHECK_FROZEN(what)                                        \
-  assert(!::triq::chase::InParallelPass() &&                            \
-         "frozen-index contract violated: " what                        \
-         " built during a sharded parallel pass (freeze before fan-out)")
-#else
-#define TRIQ_DCHECK_FROZEN(what) ((void)0)
-#endif
-
 /// The extension of one predicate: an append-only, duplicate-free fact
 /// store in column-oriented layout (VLog-style) — one contiguous column
 /// of Terms per position, all columns packed capacity-strided into a
@@ -208,11 +167,15 @@ bool InParallelPass();
 /// this to run dedup probes concurrently with a deterministic result).
 /// Each position can expose a sorted permutation index
 /// (tuple indices ordered by column value, tuple-index tiebreak), built
-/// lazily on first sorted access and extended incrementally by sorting
-/// the insertion tail and merging — scans, merge joins and posting-list
-/// probes all read these permutations. Append-only storage keeps the
-/// chase's delta tracking cheap: the facts added since a snapshot are
-/// exactly the tuple-index suffix starting at the snapshot size.
+/// on first sorted access and extended incrementally by sorting the
+/// insertion tail and merging — scans, merge joins and posting-list
+/// probes all read these permutations. The relation alone decides when
+/// a permutation is built: whichever reader first needs one builds it
+/// under the relation's own mutex, so any number of threads may read a
+/// relation, and copy it, while nothing inserts into it. Append-only
+/// storage keeps the chase's delta tracking cheap: the facts added since
+/// a snapshot are exactly the tuple-index suffix starting at the
+/// snapshot size.
 class Relation {
  public:
   /// Dedup sub-table count. Fixed (never a function of the thread
@@ -223,8 +186,8 @@ class Relation {
   explicit Relation(uint32_t arity)
       : arity_(arity),
         part_counts_(kDedupPartitions, 0),
-        sorted_(arity),
-        sketches_(arity) {}
+        sketches_(arity),
+        index_(arity) {}
 
   uint32_t arity() const { return arity_; }
   size_t size() const { return count_; }
@@ -296,26 +259,13 @@ class Relation {
   uint32_t FindIndex(TupleView t) const;
 
   /// The whole sorted permutation of `position`: every stored tuple
-  /// index, ordered by (column value, tuple index). Syncs the index with
-  /// the insertion tail first, so the call is amortized; the returned
-  /// view is valid until the next insert.
+  /// index, ordered by (column value, tuple index). Once the
+  /// permutation covers every stored tuple the call is one acquire load;
+  /// otherwise it first extends the permutation over the insertion tail
+  /// under the relation's mutex (amortized: the tail is sorted and
+  /// merged). Safe under concurrent readers while nothing inserts; the
+  /// returned view is valid until the next insert.
   SortedRange Sorted(uint32_t position) const;
-
-  /// Syncs `position`'s sorted permutation with the insertion tail.
-  /// After a freeze — and until the next insert — the read paths over
-  /// that position (Sorted/Postings and the SortedRange views they
-  /// return), plus the always-safe tuple/Column/FindIndex/Contains, are
-  /// safe under concurrent readers: a frozen Sorted finds nothing left
-  /// to sync, so no mutable state is touched. The parallel chase
-  /// freezes exactly the (relation, position) pairs a pass's join plan
-  /// can probe (DriverPlan::probe_index_pairs) before fan-out.
-  /// SortWindow writes only its output, so it is always safe; a frozen
-  /// position answers its full window [0, size()) with a copy of the
-  /// synced permutation instead of a sort.
-  void FreezeIndex(uint32_t position) const { SyncSorted(position); }
-
-  /// FreezeIndex over every position.
-  void FreezeIndexes() const;
 
   /// Tuple indices (ascending) whose `position`-th term equals `value` —
   /// the Equal() slice of Sorted(position). Empty range when no fact
@@ -325,9 +275,9 @@ class Relation {
   /// Writes the permutation of the tuple-index window [begin, end) into
   /// `out`, ordered by (column value at `position`, tuple index). This is
   /// the delta-window counterpart of Sorted(): semi-naive passes sort
-  /// just their delta slice instead of touching the global index. Never
-  /// writes relation state; the full window of a synced position is
-  /// copied from the permutation instead of sorted.
+  /// just their delta slice instead of touching the global index. The
+  /// full window [0, size()) is copied from Sorted(position) — built on
+  /// first use — instead of sorted; a partial window writes only `out`.
   void SortWindow(uint32_t position, uint32_t begin, uint32_t end,
                   std::vector<uint32_t>* out) const;
 
@@ -345,26 +295,16 @@ class Relation {
   /// by the column values at key[0], then key[1], ..., with tuple index
   /// as the final tiebreak — the trie a leapfrog join walks level by
   /// level (each level's slice is a SortedRange over the next key
-  /// position). Built lazily and extended incrementally like Sorted():
-  /// the insertion tail is sorted and merged with the synced prefix. A
-  /// single-position key aliases Sorted(key[0]) — same order, no second
-  /// index. The returned reference is valid until the next insert.
+  /// position). Extended incrementally like Sorted(): the insertion tail
+  /// is sorted and merged with the synced prefix. A single-position key
+  /// aliases Sorted(key[0]) — same order, no second index. The returned
+  /// reference is valid until the next insert.
   ///
-  /// Once the relation has stopped growing and its positions are frozen
-  /// (FreezeIndexes), any number of threads may call LexPerm/FreezeLex
-  /// and copy the relation concurrently: readers of a published
-  /// snapshot build missing lex permutations while planning their
-  /// leapfrog joins, and the writer clones the same relations for the
-  /// next snapshot. The multi-position permutations sit behind a mutex
-  /// taken once per call (plan time) and per copy — never on the
-  /// per-probe read paths.
+  /// Built on first use under the relation's mutex, which is taken once
+  /// per call (plan time) — never on the per-probe read paths — so
+  /// readers of a published snapshot may build missing lex permutations
+  /// while the writer copies the same relation.
   const std::vector<uint32_t>& LexPerm(const std::vector<uint32_t>& key) const;
-
-  /// Syncs the lex permutation for `key` so concurrent matchers can read
-  /// it without touching mutable state — the multi-position counterpart
-  /// of FreezeIndex, driven by DriverPlan::lex_index_pairs before
-  /// parallel fan-out.
-  void FreezeLex(const std::vector<uint32_t>& key) const { LexPerm(key); }
 
  private:
   friend class BatchInserter;
@@ -426,8 +366,8 @@ class Relation {
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
   }
-  /// Extends sorted_[pos] to cover all count_ tuples (sort the new
-  /// tail, merge with the sorted prefix).
+  /// Extends index_.sorted[pos] to cover all count_ tuples (sort the
+  /// new tail, merge with the sorted prefix) and publishes the length.
   void SyncSorted(uint32_t pos) const;
 
   uint32_t arity_;
@@ -443,8 +383,6 @@ class Relation {
   // Stored tuple hashes: rehashing and probe pre-filtering read these
   // instead of gathering every tuple across the columns.
   std::vector<uint32_t> hashes_;
-  // Per-position sorted permutation; perm.size() tuples are synced.
-  mutable std::vector<std::vector<uint32_t>> sorted_;
   // One HyperLogLog sketch per position (64 registers — coarse, but the
   // planner only needs the right order of magnitude, and 64 bytes per
   // column keeps the per-append cost to one mix + one max).
@@ -467,23 +405,28 @@ class Relation {
     double Estimate() const;
   };
   std::vector<DistinctSketch> sketches_;
-  // Multi-position lex permutations, keyed by position sequence; built
-  // and extended lazily (FreezeLex pre-builds before parallel fan-out;
-  // std::map so extending one key never moves another's storage). The
-  // mutex makes lazy builds on a published relation safe against each
-  // other and against a concurrent copy (see LexPerm).
-  struct LexIndex {
-    LexIndex() = default;
-    LexIndex(const LexIndex& other) {
-      MutexLock lock(other.mu);
-      perms = other.perms;
-    }
+  // The permutation indexes: per-position sorted permutations and
+  // multi-position lex permutations, built on first use by whichever
+  // reader asks first. Nothing inserts while others read, so between two
+  // inserts each permutation is extended at most once, to cover every
+  // stored tuple; `mu` serializes the builders against each other and
+  // against a concurrent copy. A sorted permutation is written only
+  // under `mu`, and its builder then release-stores the synced length; a
+  // reader whose acquire load of that length sees count_ reads it
+  // without the lock.
+  struct Indexes {
+    explicit Indexes(uint32_t arity) : sorted(arity), synced(arity) {}
+    Indexes(const Indexes& other);
 
     mutable Mutex mu;
-    std::map<std::vector<uint32_t>, std::vector<uint32_t>> perms
+    std::vector<std::vector<uint32_t>> sorted;
+    std::vector<std::atomic<uint32_t>> synced;  // per position
+    // Keyed by position sequence; std::map so extending one key never
+    // moves another's storage.
+    std::map<std::vector<uint32_t>, std::vector<uint32_t>> lex
         TRIQ_GUARDED_BY(mu);
   };
-  mutable LexIndex lex_;
+  mutable Indexes index_;
   Tuple insert_scratch_;  // gather buffer: Insert sources may alias store_
 };
 

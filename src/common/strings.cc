@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
 
 namespace triq {
 
@@ -47,6 +48,15 @@ std::string Join(const std::vector<std::string>& parts,
     out.append(parts[i]);
   }
   return out;
+}
+
+bool ParseCount(std::string_view text, uint64_t max, uint64_t* out) {
+  const char* end = text.data() + text.size();
+  uint64_t value = 0;
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) return false;
+  *out = value;
+  return true;
 }
 
 }  // namespace triq

@@ -1,6 +1,7 @@
 #ifndef TRIQ_COMMON_STRINGS_H_
 #define TRIQ_COMMON_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,6 +20,11 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
+
+/// Parses `text` as a whole non-negative decimal integer no larger than
+/// `max`: no sign, no whitespace, no trailing bytes. Leaves `out`
+/// untouched and returns false otherwise.
+bool ParseCount(std::string_view text, uint64_t max, uint64_t* out);
 
 }  // namespace triq
 

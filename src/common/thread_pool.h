@@ -12,6 +12,11 @@
 
 namespace triq::common {
 
+/// The most threads a command-line flag may ask for (triq_run --threads,
+/// triq_server --workers): far above any real deployment, and low enough
+/// that a typo cannot exhaust memory spawning threads.
+inline constexpr uint64_t kMaxThreads = 1024;
+
 /// A small fixed-size worker pool for fork-join parallel loops.
 ///
 /// ParallelFor(n, fn) runs fn(i) for every i in [0, n) across the

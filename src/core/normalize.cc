@@ -1,4 +1,4 @@
-#include "datalog/normalize.h"
+#include "core/normalize.h"
 
 #include <algorithm>
 #include <string>
@@ -9,7 +9,16 @@
 #include "datalog/positions.h"
 #include "datalog/stratify.h"
 
-namespace triq::datalog {
+namespace triq::core {
+
+using datalog::Atom;
+using datalog::PositionAnalysis;
+using datalog::PredicateId;
+using datalog::Program;
+using datalog::Rule;
+using datalog::Stratification;
+using datalog::Term;
+using datalog::VariableClasses;
 
 namespace {
 
@@ -183,7 +192,7 @@ void EnumerateTuples(const std::vector<Term>& domain, size_t arity,
 Result<std::pair<Program, chase::Instance>> EliminateNegation(
     const Program& program, const chase::Instance& database) {
   TRIQ_ASSIGN_OR_RETURN(Stratification strat,
-                        Stratify(program.WithoutConstraints()));
+                        datalog::Stratify(program.WithoutConstraints()));
   Dictionary& dict = const_cast<Dictionary&>(program.dict());
 
   // dom(D): the constants of the database.
@@ -253,4 +262,4 @@ Result<std::pair<Program, chase::Instance>> EliminateNegation(
   return std::make_pair(std::move(positive), std::move(augmented));
 }
 
-}  // namespace triq::datalog
+}  // namespace triq::core

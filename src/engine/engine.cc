@@ -203,7 +203,7 @@ Result<PreparedQuery::Pinned> PreparedQuery::EvaluatePinned(
   }
 
   // Chase the query program over a private overlay of the snapshot. The
-  // data closure is reused as the frozen base — never re-derived, never
+  // data closure is reused as the base — never re-derived, never
   // mutated — so a failed query chase (caps, deadline, inconsistency)
   // only discards this overlay: the session, and this handle's last good
   // evaluation, stay untouched.
@@ -211,9 +211,6 @@ Result<PreparedQuery::Pinned> PreparedQuery::EvaluatePinned(
       chase::Instance::MakeOverlay(&snap->instance));
   TRIQ_RETURN_IF_ERROR(chase::RunChase(query_.program(), overlay.get(),
                                        engine_->QueryChaseOptions(), stats));
-  // Decoders may probe the overlay's indexes from several threads once
-  // it is shared; sync them while still private.
-  overlay->FreezeAllIndexes();
   eval_->snapshot = snap;
   eval_->overlay = overlay;
   return Pinned{std::move(snap), std::move(overlay)};
@@ -679,10 +676,6 @@ Status Engine::MaterializeLocked(chase::ChaseStats* stats) {
   if (!incremental) rebuild_count_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t generation =
       materialize_count_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Freeze every permutation index while the instance is still private:
-  // after publication any number of readers may probe them, and a lazy
-  // first sort under concurrent readers would be a race.
-  next.FreezeAllIndexes();
   chase::SaturatedSizes saturated = SnapshotSizes(next);
   auto snap = std::make_shared<const EngineSnapshot>(
       std::move(next), std::move(saturated), generation);

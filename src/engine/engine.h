@@ -155,14 +155,13 @@ struct EngineOptions {
   chase::ChaseOptions ToChaseOptions() const;
 };
 
-/// One published materialization: the frozen closure Π(D) plus the
-/// bookkeeping a resume needs. Immutable after publication — every
-/// sorted permutation index is synced before the snapshot becomes
-/// visible, so any number of reader threads may scan, probe, and
-/// overlay-chase it without synchronization. Readers pin a snapshot with
-/// the shared_ptr; a snapshot superseded by the next publication stays
-/// alive until its last reader drops it (epoch/RCU reclamation for
-/// free).
+/// One published materialization: the closure Π(D) plus the bookkeeping
+/// a resume needs. Its facts never change after publication, so any
+/// number of reader threads may scan, probe, and overlay-chase it; the
+/// permutation indexes they read are built on first use, under each
+/// relation's own lock. Readers pin a snapshot with the shared_ptr; a
+/// snapshot superseded by the next publication stays alive until its
+/// last reader drops it (epoch/RCU reclamation for free).
 struct EngineSnapshot {
   EngineSnapshot(chase::Instance inst, chase::SaturatedSizes sat,
                  uint64_t gen)
@@ -359,12 +358,12 @@ struct EngineStats {
 /// shared closure. Writers (LoadX / AttachX / Materialize) serialize on
 /// an internal mutex, build the next closure off to the side —
 /// incrementally from the appended delta when the data program is
-/// monotone, from the pristine base otherwise — freeze its indexes, and
-/// publish it in one pointer swap. A reader that needs a snapshot while
-/// another thread is already re-materializing serves the latest
-/// published one (consistent, possibly one version behind) instead of
-/// blocking; the thread that performed the write observes its own write
-/// as soon as its Materialize returns. A failed materialization
+/// monotone, from the pristine base otherwise — and publish it in one
+/// pointer swap. A reader that needs a snapshot while another thread is
+/// already re-materializing serves the latest published one
+/// (consistent, possibly one version behind) instead of blocking; the
+/// thread that performed the write observes its own write as soon as
+/// its Materialize returns. A failed materialization
 /// publishes nothing: the previous snapshot keeps serving.
 class Engine {
  public:

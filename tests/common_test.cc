@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/dictionary.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -99,6 +101,30 @@ TEST(StringsTest, StartsWith) {
 TEST(StringsTest, Join) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(Join({}, ","), "");
+}
+
+TEST(StringsTest, ParseCountAcceptsWholeNumbersUpToMax) {
+  uint64_t n = 7;
+  EXPECT_TRUE(ParseCount("0", 10, &n));
+  EXPECT_EQ(n, 0u);
+  EXPECT_TRUE(ParseCount("1024", 1024, &n));
+  EXPECT_EQ(n, 1024u);
+  EXPECT_TRUE(ParseCount("18446744073709551615", UINT64_MAX, &n));
+  EXPECT_EQ(n, UINT64_MAX);
+}
+
+TEST(StringsTest, ParseCountRejectsMalformedAndOverBound) {
+  uint64_t n = 7;
+  EXPECT_FALSE(ParseCount("2x", 1024, &n));  // trailing garbage
+  EXPECT_FALSE(ParseCount("4 ", 1024, &n));
+  EXPECT_FALSE(ParseCount(" 4", 1024, &n));
+  EXPECT_FALSE(ParseCount("-1", 1024, &n));  // sign
+  EXPECT_FALSE(ParseCount("+1", 1024, &n));
+  EXPECT_FALSE(ParseCount("", 1024, &n));  // empty
+  EXPECT_FALSE(ParseCount("1025", 1024, &n));  // over the bound
+  EXPECT_FALSE(ParseCount("1000000000", 1024, &n));
+  EXPECT_FALSE(ParseCount("18446744073709551616", UINT64_MAX, &n));
+  EXPECT_EQ(n, 7u);  // untouched on failure
 }
 
 }  // namespace

@@ -7,10 +7,10 @@
 #include <memory>
 
 #include "chase/proof_tree.h"
+#include "core/normalize.h"
 #include "core/triq.h"
 #include "core/workloads.h"
 #include "datalog/classify.h"
-#include "datalog/normalize.h"
 #include "datalog/parser.h"
 #include "owl/generator.h"
 #include "owl/rdf_mapping.h"
@@ -61,8 +61,8 @@ TEST(IntegrationTest, RegimeProgramSurvivesNormalization) {
   OntologyToGraph(o, &g);
 
   datalog::Program program = translate::BuildOwl2QlCoreProgram(dict);
-  datalog::Program normalized = datalog::NormalizeWardedSplit(
-      datalog::NormalizeSingleExistential(program));
+  datalog::Program normalized = core::NormalizeWardedSplit(
+      core::NormalizeSingleExistential(program));
   EXPECT_TRUE(datalog::IsWarded(normalized))
       << datalog::IsWarded(normalized).reason;
 
@@ -184,7 +184,7 @@ TEST(IntegrationTest, CliqueViaNegationEliminationPipeline) {
   for (int i = 0; i < 3; ++i) {
     db.AddFact("succ0", {std::to_string(i), std::to_string(i + 1)});
   }
-  auto rewritten = EliminateNegation(*aux, db);
+  auto rewritten = core::EliminateNegation(*aux, db);
   ASSERT_TRUE(rewritten.ok());
   chase::Instance direct = core::CloneInstance(db);
   ASSERT_TRUE(RunChase(*aux, &direct).ok());

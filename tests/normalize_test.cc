@@ -5,14 +5,17 @@
 #include <sstream>
 
 #include "chase/chase.h"
+#include "core/normalize.h"
 #include "datalog/classify.h"
-#include "datalog/normalize.h"
 #include "datalog/parser.h"
 #include "test_util.h"
 
 namespace triq::datalog {
 namespace {
 
+using core::EliminateNegation;
+using core::NormalizeSingleExistential;
+using core::NormalizeWardedSplit;
 using test::Dict;
 using test::Parse;
 

@@ -1,8 +1,8 @@
 // The planner's statistics layer (relation.cc): sorted permutations stay
 // exact when a delta window was sorted first, the HyperLogLog estimate is
 // order-independent and within tolerance, LexPerm is the lexicographic
-// trie order the leapfrog join assumes, and a published (frozen)
-// relation tolerates concurrent lazy lex builds and copies.
+// trie order the leapfrog join assumes, and a relation that stopped
+// growing tolerates concurrent first-use index builds and copies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -69,6 +69,19 @@ TEST(RelationStatsTest, SortedExactAfterSortWindow) {
                   &window);
   EXPECT_EQ(window.size(), 48u);
   ExpectLexOrder(*rel, {0}, SortedIndices(*rel, 0));
+
+  // The full window is a copy of the permutation; a partial window is
+  // sorted on its own.
+  chase::Relation small(2);
+  for (uint32_t i = 0; i < 50; ++i) {
+    small.Insert(chase::Tuple{chase::Term::Constant(i % 7),
+                              chase::Term::Constant(i)});
+  }
+  small.SortWindow(0, 0, 50, &window);
+  EXPECT_EQ(window.size(), 50u);
+  EXPECT_EQ(window, SortedIndices(small, 0));
+  small.SortWindow(0, 2, 5, &window);
+  EXPECT_EQ(window, (std::vector<uint32_t>{2, 3, 4}));
 }
 
 TEST(RelationStatsTest, EstimatedDistinctWithinToleranceAndClamped) {
@@ -147,24 +160,31 @@ TEST(RelationStatsTest, LexPermOrdersByKeyThenIndexAndExtends) {
 
 // ---- concurrent readers of a published relation -----------------------
 
-/// A published snapshot's relations are frozen and shared: readers
-/// build missing lex permutations while planning leapfrog joins, and the
-/// writer copies the same relations into the next snapshot. Two threads
-/// building one permutation while a third copies the relation must not
-/// race (ThreadSanitizer builds catch a regression).
-TEST(RelationConcurrencyTest, LexPermBuildsRaceCopyOnFrozenRelation) {
+/// A published snapshot's relations are shared and never grow: readers
+/// build missing indexes on first use — posting probes, a driver's full
+/// window, leapfrog lex permutations — while the writer copies the same
+/// relations into the next snapshot. Two readers first-touching every
+/// index of a never-synced relation while a third thread copies it must
+/// not race (ThreadSanitizer builds catch a regression).
+TEST(RelationConcurrencyTest, FirstUseBuildsRaceCopy) {
   chase::Relation rel(2);
   // 61 and 97 are coprime and 61 * 97 > 4096: every tuple is distinct.
   for (uint32_t i = 0; i < 4096; ++i) {
     rel.Insert(chase::Tuple{chase::Term::Constant(i % 61),
                             chase::Term::Constant(i % 97)});
   }
-  rel.FreezeIndexes();
   const std::vector<uint32_t> key = {1, 0};
   const std::vector<uint32_t>* perms[2] = {nullptr, nullptr};
+  std::vector<uint32_t> windows[2];
+  size_t postings[2] = {0, 0};
+  auto read = [&](int r) {
+    postings[r] = rel.Postings(0, chase::Term::Constant(5)).size();
+    rel.SortWindow(1, 0, 4096, &windows[r]);
+    perms[r] = &rel.LexPerm(key);
+  };
   std::unique_ptr<chase::Relation> copy;
-  std::thread first([&] { perms[0] = &rel.LexPerm(key); });
-  std::thread second([&] { perms[1] = &rel.LexPerm(key); });
+  std::thread first(read, 0);
+  std::thread second(read, 1);
   std::thread copier([&] { copy = std::make_unique<chase::Relation>(rel); });
   first.join();
   second.join();
@@ -172,72 +192,14 @@ TEST(RelationConcurrencyTest, LexPermBuildsRaceCopyOnFrozenRelation) {
 
   EXPECT_EQ(perms[0], perms[1]);  // one permutation, built once
   ExpectLexOrder(rel, key, *perms[0]);
+  EXPECT_EQ(windows[0], windows[1]);
+  EXPECT_EQ(windows[0], SortedIndices(rel, 1));
+  // 4096 = 67 * 61 + 9, so value 5 occurs 68 times in position 0.
+  EXPECT_EQ(postings[0], 68u);
+  EXPECT_EQ(postings[1], 68u);
   ASSERT_EQ(copy->size(), rel.size());
   EXPECT_EQ(copy->LexPerm(key), *perms[0]);
 }
-
-// ---- frozen-index contract --------------------------------------------
-
-TEST(FrozenContractTest, ScopeMarksThreadAndNests) {
-  EXPECT_FALSE(chase::InParallelPass());
-  {
-    chase::ParallelPassScope outer(true);
-    EXPECT_TRUE(chase::InParallelPass());
-    {
-      // Inactive scopes (serial MatchBody calls) leave the mark alone.
-      chase::ParallelPassScope inactive(false);
-      EXPECT_TRUE(chase::InParallelPass());
-      chase::ParallelPassScope inner(true);
-      EXPECT_TRUE(chase::InParallelPass());
-    }
-    EXPECT_TRUE(chase::InParallelPass());
-  }
-  EXPECT_FALSE(chase::InParallelPass());
-}
-
-TEST(FrozenContractTest, FrozenIndexesAreReadableInsideParallelPass) {
-  chase::Relation rel(2);
-  for (uint32_t i = 0; i < 50; ++i) {
-    rel.Insert(chase::Tuple{chase::Term::Constant(i % 7),
-                            chase::Term::Constant(i)});
-  }
-  std::vector<uint32_t> key = {0, 1};
-  rel.FreezeIndexes();
-  rel.FreezeLex(key);
-  chase::ParallelPassScope scope(true);
-  // Every frozen read path stays on the immutable early returns, and
-  // SortWindow writes only its output: no TRIQ_DCHECK_FROZEN fires (a
-  // violation aborts a debug build here).
-  EXPECT_EQ(rel.Sorted(0).size(), 50u);
-  EXPECT_EQ(rel.Postings(0, chase::Term::Constant(3)).empty(), false);
-  EXPECT_EQ(rel.LexPerm(key).size(), 50u);
-  std::vector<uint32_t> window;
-  rel.SortWindow(0, 0, 50, &window);  // full window: synced permutation
-  EXPECT_EQ(window.size(), 50u);
-  rel.SortWindow(0, 2, 5, &window);  // partial window: sorted, not stored
-  EXPECT_EQ(window, (std::vector<uint32_t>{2, 3, 4}));
-}
-
-#if !defined(NDEBUG) && defined(GTEST_HAS_DEATH_TEST)
-
-using FrozenContractDeathTest = ::testing::Test;
-
-TEST(FrozenContractDeathTest, UnfrozenSortTripsInsideParallelPass) {
-  chase::Relation rel(1);
-  rel.Insert(chase::Tuple{chase::Term::Constant(1)});
-  chase::ParallelPassScope scope(true);
-  EXPECT_DEATH((void)rel.Sorted(0), "frozen-index contract");
-}
-
-TEST(FrozenContractDeathTest, UnfrozenLexPermTripsInsideParallelPass) {
-  chase::Relation rel(2);
-  rel.Insert(chase::Tuple{chase::Term::Constant(1), chase::Term::Constant(2)});
-  std::vector<uint32_t> key = {0, 1};
-  chase::ParallelPassScope scope(true);
-  EXPECT_DEATH((void)rel.LexPerm(key), "frozen-index contract");
-}
-
-#endif  // !NDEBUG && GTEST_HAS_DEATH_TEST
 
 }  // namespace
 }  // namespace triq

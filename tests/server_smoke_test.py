@@ -11,9 +11,9 @@ unbounded buffering), a connection over --max-conns (must be shed with
 ERR BUSY, not queued), an idle client (must be reaped), and finally a
 SIGTERM with a connection still open (must drain and exit 0).
 
-Phase 3: flag parsing. Malformed numeric flags must be usage errors
-(exit 2, no LISTENING banner), and `--regime active` is accepted as an
-alias of `active-domain`.
+Phase 3: flag parsing. Malformed or over-bound numeric flags must be
+usage errors (exit 2, no LISTENING banner), and `--regime active` is
+accepted as an alias of `active-domain`.
 
 Usage: server_smoke_test.py <path-to-triq_server>
 """
@@ -291,9 +291,14 @@ def misbehaving_clients(server):
 
 
 def flag_parsing(server):
-    # Rejected before binding: a negative --workers must never reach the
-    # thread pool, and a port above 65535 must not wrap to another one.
-    for flags in (["--workers", "-1"], ["--port", "70000"]):
+    # Rejected before binding: a negative or absurd --workers must never
+    # reach the thread pool, and a port above 65535 must not wrap to
+    # another one.
+    for flags in (
+        ["--workers", "-1"],
+        ["--workers", "1000000000"],
+        ["--port", "70000"],
+    ):
         try:
             run = subprocess.run(
                 [server, *flags], capture_output=True, text=True, timeout=15

@@ -15,8 +15,8 @@
 //   --regime MODE     none | active-domain | all  (default none;
 //                     plain and active are accepted as aliases of
 //                     none and active-domain)
-//   --threads N       chase thread count (default 1; N > 1 runs the
-//                     parallel sharded executor, same answers)
+//   --threads N       chase thread count, 1..1024 (default 1; N > 1
+//                     runs the parallel sharded executor, same answers)
 //   --classify        print the language class of the program and exit
 //   --analyze         print the static-analysis report (termination
 //                     verdict, lint findings) for the attached program
@@ -27,7 +27,7 @@
 //                     query executor chose against the materialized
 //                     instance, then the answers
 //   --prove TUPLE     print a proof tree for answer tuple "a,b,c"
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -36,6 +36,7 @@
 
 #include "chase/proof_tree.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "datalog/parser.h"
 #include "engine/engine.h"
 
@@ -189,8 +190,13 @@ int main(int argc, char** argv) {
     } else if (flag == "--threads") {
       const char* v = next();
       if (v == nullptr) return Fail("--threads needs a value");
-      int parsed = std::atoi(v);
-      if (parsed < 1) return Fail("--threads must be >= 1");
+      uint64_t parsed = 0;
+      if (!triq::ParseCount(v, triq::common::kMaxThreads, &parsed) ||
+          parsed < 1) {
+        return Fail("--threads wants a whole number in [1, " +
+                    std::to_string(triq::common::kMaxThreads) + "], got '" +
+                    v + "'");
+      }
       args.threads = static_cast<size_t>(parsed);
     } else if (flag == "--prove") {
       const char* v = next();

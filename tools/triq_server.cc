@@ -52,8 +52,9 @@
 // `--port 0` (the default) binds an ephemeral port; the chosen port is
 // announced on stdout as `LISTENING <port>` so test harnesses can
 // connect without racing. Numeric flags take a whole non-negative
-// decimal in their field's range (a port is at most 65535); anything
-// else prints the usage and exits 2 before binding.
+// decimal in their field's range (a port is at most 65535, --workers
+// at most 1024; 0 workers means 1); anything else prints the usage and
+// exits 2 before binding.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -65,7 +66,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <climits>
 #include <cstdint>
@@ -77,6 +77,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/strings.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "engine/engine.h"
@@ -442,17 +443,6 @@ void WorkerLoop(Engine& engine, int listen_fd, const ServerConfig& cfg) {
   }
 }
 
-/// Parses `text` as a whole non-negative decimal integer no larger than
-/// `max`: no sign, no whitespace, no trailing bytes.
-bool ParseCount(const char* text, uint64_t max, uint64_t* out) {
-  const char* end = text + std::strlen(text);
-  uint64_t value = 0;
-  auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end || value > max) return false;
-  *out = value;
-  return true;
-}
-
 int Usage() {
   std::fprintf(stderr,
                "usage: triq_server [--port P] [--workers N] "
@@ -486,7 +476,7 @@ int main(int argc, char** argv) {
     auto count = [&](const char* flag, uint64_t max) {
       const char* v = want(flag);
       if (v == nullptr) return false;
-      if (ParseCount(v, max, &n)) return true;
+      if (triq::ParseCount(v, max, &n)) return true;
       std::fprintf(stderr, "%s wants a whole number in [0, %llu], got '%s'\n",
                    flag, static_cast<unsigned long long>(max), v);
       return false;
@@ -495,7 +485,7 @@ int main(int argc, char** argv) {
       if (!count("--port", 65535)) return Usage();
       port = static_cast<int>(n);
     } else if (arg == "--workers") {
-      if (!count("--workers", SIZE_MAX)) return Usage();
+      if (!count("--workers", triq::common::kMaxThreads)) return Usage();
       workers = std::max<size_t>(n, 1);
     } else if (arg == "--max-conns") {
       if (!count("--max-conns", SIZE_MAX)) return Usage();
