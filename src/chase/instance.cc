@@ -38,10 +38,12 @@ bool Instance::AddFact(std::string_view predicate,
 }
 
 const Relation* Instance::Find(PredicateId predicate) const {
-  const Relation* rel =
-      predicate < by_predicate_.size() ? by_predicate_[predicate] : nullptr;
-  if (rel == nullptr && base_ != nullptr) rel = base_->Find(predicate);
-  return rel;
+  if (base_ == nullptr) {
+    return predicate < by_predicate_.size() ? by_predicate_[predicate]
+                                            : nullptr;
+  }
+  auto it = relations_.find(predicate);
+  return it != relations_.end() ? &it->second : base_->Find(predicate);
 }
 
 const Relation* Instance::Find(std::string_view predicate) const {
@@ -50,15 +52,19 @@ const Relation* Instance::Find(std::string_view predicate) const {
 }
 
 Relation& Instance::GetOrCreate(PredicateId predicate, uint32_t arity) {
+  if (base_ != nullptr) {
+    auto [it, created] = relations_.try_emplace(predicate, arity);
+    // An overlay must never grow a relation its base already has — the
+    // overlay copy would shadow the base facts in Find(). The engine's
+    // claim registry keeps query-derived predicates disjoint from data
+    // predicates, so this cannot fire for engine traffic.
+    assert(!created || base_->Find(predicate) == nullptr);
+    return it->second;
+  }
   if (predicate < by_predicate_.size() &&
       by_predicate_[predicate] != nullptr) {
     return *by_predicate_[predicate];
   }
-  // An overlay must never grow a relation its base already has — the
-  // overlay copy would shadow the base facts on the Find() fast path.
-  // The engine's claim registry keeps query-derived predicates disjoint
-  // from data predicates, so this cannot fire for engine traffic.
-  assert(base_ == nullptr || base_->Find(predicate) == nullptr);
   Relation& rel =
       relations_.emplace(predicate, Relation(arity)).first->second;
   if (predicate >= by_predicate_.size()) {

@@ -52,7 +52,11 @@ struct Derivation {
 /// base's range, so a query-time chase can derive query-predicate facts
 /// on top of a published snapshot without ever mutating it. The base and
 /// overlay predicate sets must be disjoint (the engine's claim registry
-/// enforces this) — an overlay never shadows a base relation.
+/// enforces this) — an overlay never shadows a base relation. An
+/// overlay's own state is sized by its own relations: it looks its
+/// handful of predicates up in its relation map, never in a vector
+/// indexed by predicate id, so a query overlay stays small however far
+/// the dictionary has grown.
 class Instance {
  public:
   explicit Instance(std::shared_ptr<Dictionary> dict)
@@ -72,9 +76,9 @@ class Instance {
   /// The base this instance overlays, or nullptr.
   const Instance* overlay_base() const { return base_; }
 
-  // Movable but not copyable: the dense predicate cache points into the
-  // relation map's (address-stable, move-invariant) nodes. Use
-  // CloneFacts() for an explicit fact-level copy.
+  // Movable but not copyable: a root instance's dense predicate lookup
+  // points into the relation map's (address-stable, move-invariant)
+  // nodes. Use CloneFacts() for an explicit fact-level copy.
   Instance(const Instance&) = delete;
   Instance& operator=(const Instance&) = delete;
   Instance(Instance&&) = default;
@@ -185,10 +189,13 @@ class Instance {
  private:
   std::shared_ptr<Dictionary> dict_;
   std::unordered_map<PredicateId, Relation> relations_;
-  // Dense Find() cache: predicate id -> relation pointer (the map's
-  // nodes are address-stable). Predicate ids are small dictionary ids,
-  // so the vector stays tiny; rebuilt wholesale by CloneFacts.
-  mutable std::vector<Relation*> by_predicate_;
+  // Root instances only (an overlay leaves it empty and searches
+  // relations_): dense Find() lookup, predicate id -> relation pointer
+  // (the map's nodes are address-stable). It spans ids up to the largest
+  // predicate the instance holds — for a root, data predicates, which
+  // the dictionary mostly interns before any query's fresh names.
+  // Rebuilt wholesale by CloneFacts.
+  std::vector<Relation*> by_predicate_;
   std::unordered_map<FactRef, Derivation, FactRefHash> derivations_;
   // Overlay read-through base (see MakeOverlay); non-owning.
   const Instance* base_ = nullptr;

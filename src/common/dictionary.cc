@@ -20,7 +20,8 @@ Dictionary::~Dictionary() {
   }
 }
 
-SymbolId Dictionary::Intern(std::string_view text) {
+SymbolId Dictionary::Intern(std::string_view text, bool* created) {
+  if (created != nullptr) *created = false;
   {
     ReaderLock lock(mu_);
     auto it = ids_.find(text);
@@ -29,6 +30,7 @@ SymbolId Dictionary::Intern(std::string_view text) {
   WriterLock lock(mu_);
   auto it = ids_.find(text);
   if (it != ids_.end()) return it->second;  // raced another interner
+  if (created != nullptr) *created = true;
 
   SymbolId id = next_id_;
   uint32_t chunk_index = id >> kChunkBits;

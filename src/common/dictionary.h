@@ -46,7 +46,10 @@ class Dictionary {
   Dictionary& operator=(Dictionary&&) = delete;
 
   /// Interns `text`, returning its id (existing id if already present).
-  SymbolId Intern(std::string_view text);
+  /// When `created` is given, it is set to whether this call added the
+  /// symbol — decided under the interning lock, so of several threads
+  /// interning one new text exactly one sees true.
+  SymbolId Intern(std::string_view text, bool* created = nullptr);
 
   /// Const lookup: returns the id of `text`, or kInvalidSymbol if it was
   /// never interned. Never allocates a new id.

@@ -103,16 +103,21 @@ void SortUnique(std::vector<PredicateId>* preds) {
 
 Status QueryClaims::Acquire(std::vector<PredicateId> heads,
                             std::vector<PredicateId> reads,
-                            uint64_t fingerprint, const Dictionary& dict,
+                            std::string program_text, const Dictionary& dict,
                             Token* token) {
   SortUnique(&heads);
   SortUnique(&reads);
   MutexLock lock(mu_);
+  // A text no live token holds gets the next id, but is registered only
+  // once every check below passes.
+  auto known = identities_.find(program_text);
+  const uint64_t identity =
+      known != identities_.end() ? known->second.identity : next_identity_;
   // Validate every claim before recording any: a rejected Prepare must
   // leave the registry exactly as it found it.
   for (PredicateId pred : heads) {
     auto it = heads_.find(pred);
-    if (it != heads_.end() && it->second.fingerprint != fingerprint) {
+    if (it != heads_.end() && it->second.identity != identity) {
       return Status::InvalidArgument(
           "predicate '" + dict.Text(pred) +
           "' is already derived by a different prepared query");
@@ -121,7 +126,7 @@ Status QueryClaims::Acquire(std::vector<PredicateId> heads,
     // depending on evaluation order — same staleness in the other
     // direction.
     auto reader = reads_.find(pred);
-    if (reader != reads_.end() && reader->second.fingerprint != fingerprint) {
+    if (reader != reads_.end() && reader->second.identity != identity) {
       return Status::InvalidArgument(
           "query derives predicate '" + dict.Text(pred) +
           "', which another prepared query reads (evaluation-order "
@@ -131,32 +136,37 @@ Status QueryClaims::Acquire(std::vector<PredicateId> heads,
   // Reading another query's derived predicate is just as unsound as the
   // data program doing it: whether those facts exist depends on
   // evaluation order, and a cached evaluation would never see them. A
-  // query reading its *own* derived predicates (same fingerprint) is
+  // query reading its *own* derived predicates (same identity) is
   // ordinary recursion and stays allowed.
   for (PredicateId pred : reads) {
     auto it = heads_.find(pred);
-    if (it != heads_.end() && it->second.fingerprint != fingerprint) {
+    if (it != heads_.end() && it->second.identity != identity) {
       return Status::InvalidArgument(
           "query reads predicate '" + dict.Text(pred) +
           "', which another prepared query derives (evaluation-order "
           "dependent); combine them into one program");
     }
   }
+  if (known == identities_.end()) {
+    known = identities_
+                .emplace(std::move(program_text), Claim{next_identity_++, 0})
+                .first;
+  }
+  ++known->second.refs;
   for (PredicateId pred : heads) {
-    ++heads_.emplace(pred, Claim{fingerprint, 0}).first->second.refs;
+    ++heads_.emplace(pred, Claim{identity, 0}).first->second.refs;
   }
   for (PredicateId pred : reads) {
-    ++reads_.emplace(pred, Claim{fingerprint, 0}).first->second.refs;
+    ++reads_.emplace(pred, Claim{identity, 0}).first->second.refs;
   }
   token->heads = std::move(heads);
   token->reads = std::move(reads);
-  token->fingerprint = fingerprint;
-  token->active = true;
+  token->identity = &known->first;
   return Status::OK();
 }
 
 void QueryClaims::Release(Token* token) {
-  if (!token->active) return;
+  if (token->identity == nullptr) return;
   MutexLock lock(mu_);
   for (PredicateId pred : token->heads) {
     auto it = heads_.find(pred);
@@ -166,12 +176,20 @@ void QueryClaims::Release(Token* token) {
     auto it = reads_.find(pred);
     if (it != reads_.end() && --it->second.refs == 0) reads_.erase(it);
   }
-  token->active = false;
+  // The last token under this identity forgets its text.
+  auto it = identities_.find(*token->identity);
+  if (--it->second.refs == 0) identities_.erase(it);
+  token->identity = nullptr;
 }
 
 bool QueryClaims::HeadClaimed(PredicateId pred) const {
   MutexLock lock(mu_);
   return heads_.count(pred) > 0;
+}
+
+size_t QueryClaims::programs() const {
+  MutexLock lock(mu_);
+  return identities_.size();
 }
 
 // ---- PreparedQuery ----------------------------------------------------
@@ -764,6 +782,8 @@ EngineStats Engine::stats() const {
     out.journal_recovered_records = journal_recovered_records_;
     out.journal_truncated_bytes = journal_truncated_bytes_;
   }
+  out.dictionary_symbols = dict_->size();
+  out.query_programs = claims_->programs();
   MutexLock lock(cache_mu_);
   out.sparql_cache_size = sparql_lru_.size();
   return out;
@@ -794,19 +814,6 @@ analysis::ProgramAnalysis Engine::AnalyzeProgram(
 
 // ---- Engine: queries ---------------------------------------------------
 
-uint64_t Engine::FingerprintId(const datalog::Program& program,
-                               datalog::PredicateId answer) {
-  // Interned full texts, not hashes: the id comparison decides whether
-  // two queries may share derived predicates — a soundness question — so
-  // a hash collision must not be able to merge two different programs.
-  std::string text = program.ToString();
-  text.push_back('\x1f');
-  text += std::to_string(answer);
-  auto [it, inserted] =
-      fingerprint_ids_.emplace(std::move(text), fingerprint_ids_.size() + 1);
-  return it->second;
-}
-
 Result<PreparedQuery> Engine::PrepareInternal(
     datalog::Program program, std::string_view answer_predicate) {
   if (program.dict_ptr().get() != dict_.get()) {
@@ -817,6 +824,10 @@ Result<PreparedQuery> Engine::PrepareInternal(
   TRIQ_ASSIGN_OR_RETURN(
       core::TriqQuery query,
       core::TriqQuery::Create(std::move(program), answer_predicate));
+  // The claim registry's identity for (program, answer).
+  std::string program_text = query.program().ToString();
+  program_text.push_back('\x1f');
+  program_text += std::to_string(query.answer_predicate());
 
   MutexLock lock(writer_mu_);
   // The query's derived (head) predicates must be disjoint from the data
@@ -824,8 +835,6 @@ Result<PreparedQuery> Engine::PrepareInternal(
   // is already fixed, so feeding data rules from them would silently
   // under-derive. The claim registry then validates query-vs-query
   // conflicts, in full, before recording anything.
-  const uint64_t fingerprint =
-      FingerprintId(query.program(), query.answer_predicate());
   std::unordered_set<PredicateId> data_predicates = program_.Predicates();
   std::vector<PredicateId> heads, reads;
   for (const Rule& rule : query.program().rules()) {
@@ -847,7 +856,8 @@ Result<PreparedQuery> Engine::PrepareInternal(
   }
   QueryClaims::Token token;
   TRIQ_RETURN_IF_ERROR(claims_->Acquire(std::move(heads), std::move(reads),
-                                        fingerprint, *dict_, &token));
+                                        std::move(program_text), *dict_,
+                                        &token));
   return PreparedQuery(this, std::move(query), claims_, std::move(token));
 }
 
@@ -922,8 +932,9 @@ Result<sparql::MappingSet> Engine::Query(const std::string& sparql_text) {
     auto it = sparql_index_.find(std::string_view(sparql_text));
     if (it != sparql_index_.end()) {
       // Two threads raced on the same miss: adopt the winner's entry and
-      // drop ours (its claims are refcounted under the same fingerprint,
-      // so releasing them leaves the winner's intact).
+      // drop ours. The two translations got different fresh names, so
+      // they never share an identity: dropping ours releases only its
+      // own claims and forgets its own program text.
       sparql_lru_.splice(sparql_lru_.begin(), sparql_lru_, it->second);
       entry = sparql_lru_.front().second;
     } else {

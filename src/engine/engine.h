@@ -182,29 +182,40 @@ using EngineSnapshotPtr = std::shared_ptr<const EngineSnapshot>;
 /// Thread-safe registry of the predicates prepared queries own. A
 /// query's derived (head) predicates and read (body) predicates are
 /// claimed while any handle to it is alive, and released when the last
-/// one drops; claims are reference-counted per (program, answer)
-/// fingerprint, so identical queries share and conflicting ones are
-/// rejected. Shared via shared_ptr between the Engine and every
-/// PreparedQuery/cached plan, so release is safe in either destruction
-/// order.
+/// one drops; claims are reference-counted per program identity, so
+/// identical queries share and conflicting ones are rejected. Shared via
+/// shared_ptr between the Engine and every PreparedQuery/cached plan, so
+/// release is safe in either destruction order.
+///
+/// Identity lifetime: a program's identity is its full text (never a
+/// hash — whether two queries may share derived predicates is a
+/// soundness question). The registry holds each text once, with an id
+/// and a count of the tokens holding it, for exactly as long as some
+/// token does: the last Release forgets the text. Ids come from a
+/// counter that never repeats, so once every claim under an id is
+/// released no live claim can name it again, and a later Acquire of the
+/// same text simply starts a new identity.
 class QueryClaims {
  public:
   /// One query's claim: returned by Acquire, surrendered to Release.
   struct Token {
     std::vector<datalog::PredicateId> heads;
     std::vector<datalog::PredicateId> reads;
-    uint64_t fingerprint = 0;
-    bool active = false;
+    /// The registry's copy of the program text this token holds a
+    /// reference on; null when the token is inactive (never acquired,
+    /// or already released).
+    const std::string* identity = nullptr;
   };
 
   /// Validates `heads`/`reads` (deduplicated internally) against every
-  /// live claim and, on success, records them into `token`. Conflicts —
-  /// a head someone else derives or reads, a read someone else derives,
-  /// under a different fingerprint — return InvalidArgument and record
-  /// nothing.
+  /// live claim and, on success, records them into `token` under the
+  /// identity `program_text`. Conflicts — a head someone else derives or
+  /// reads, a read someone else derives, under a different identity —
+  /// return InvalidArgument and record nothing, identity included.
   Status Acquire(std::vector<datalog::PredicateId> heads,
                  std::vector<datalog::PredicateId> reads,
-                 uint64_t fingerprint, const Dictionary& dict, Token* token);
+                 std::string program_text, const Dictionary& dict,
+                 Token* token);
 
   /// Releases a token acquired above (idempotent; inactive tokens are
   /// ignored).
@@ -213,15 +224,23 @@ class QueryClaims {
   /// Whether some live query derives `pred` (the loader/attach guard).
   bool HeadClaimed(datalog::PredicateId pred) const;
 
+  /// How many distinct program identities live tokens hold.
+  size_t programs() const;
+
  private:
+  // An identity id and the number of live tokens holding it.
   struct Claim {
-    uint64_t fingerprint;
+    uint64_t identity;
     uint32_t refs;
   };
 
   mutable Mutex mu_;
   std::unordered_map<datalog::PredicateId, Claim> heads_ TRIQ_GUARDED_BY(mu_);
   std::unordered_map<datalog::PredicateId, Claim> reads_ TRIQ_GUARDED_BY(mu_);
+  // Program text -> its identity. Node-based, so a token's pointer to
+  // its key stays valid while the token holds a reference.
+  std::unordered_map<std::string, Claim> identities_ TRIQ_GUARDED_BY(mu_);
+  uint64_t next_identity_ TRIQ_GUARDED_BY(mu_) = 1;
 };
 
 class Engine;
@@ -317,7 +336,8 @@ class PreparedQuery {
 };
 
 /// Counters a running session exposes for ops introspection (all
-/// monotonically increasing except the cache size).
+/// monotonically increasing except the cache size and the live query
+/// programs).
 struct EngineStats {
   uint64_t materializations = 0;
   uint64_t rebuilds = 0;
@@ -325,6 +345,12 @@ struct EngineStats {
   uint64_t sparql_cache_misses = 0;
   uint64_t sparql_cache_evictions = 0;
   size_t sparql_cache_size = 0;
+  /// Symbols in the session dictionary (it never shrinks; every SPARQL
+  /// plan-cache miss still interns the translation's fresh names).
+  size_t dictionary_symbols = 0;
+  /// Distinct program identities with live claims: prepared handles and
+  /// cached SPARQL plans, counting identical programs once.
+  size_t query_programs = 0;
   /// Journal activity (all zero without a journal): appends/bytes/syncs
   /// and checkpoints since Open, plus what recovery found at Open —
   /// replayed tail records and torn bytes truncated.
@@ -587,12 +613,6 @@ class Engine {
   Status CheckLoadable(const chase::Instance& src) const
       TRIQ_REQUIRES(writer_mu_);
 
-  /// Collision-free identity of a (program, answer) pair for the claim
-  /// registry.
-  uint64_t FingerprintId(const datalog::Program& program,
-                         datalog::PredicateId answer)
-      TRIQ_REQUIRES(writer_mu_);
-
   /// Appends freshly loaded facts to the base instance and marks the
   /// session for re-materialization.
   Status Ingest(const chase::Instance& src) TRIQ_REQUIRES(writer_mu_);
@@ -645,11 +665,6 @@ class Engine {
   // interleave). Committed only when a publication succeeds.
   chase::SaturatedSizes base_consumed_ TRIQ_GUARDED_BY(writer_mu_);
   std::vector<chase::Term> base_null_map_ TRIQ_GUARDED_BY(writer_mu_);
-  // (program text, answer) -> dense fingerprint id. Interned full texts,
-  // so fingerprint equality is exactly program identity (no hash
-  // collisions deciding soundness).
-  std::unordered_map<std::string, uint64_t> fingerprint_ids_
-      TRIQ_GUARDED_BY(writer_mu_);
   // The write-ahead journal (null = no durability). Deliberately not
   // GUARDED_BY(writer_mu_): the pointer is set once by Open before the
   // engine is shared and never reassigned, and stats() reads it

@@ -87,9 +87,19 @@ class Translator {
     std::vector<SymbolId> certain;  // subset bound in every answer
   };
 
+  /// A predicate no one has named before: `base@N` for the next counter
+  /// value whose text this call newly interns. Names already in the
+  /// dictionary — e.g. a user rule deriving `q@0` — are skipped, so a
+  /// query never claims a predicate the data program mentions.
   PredicateId Fresh(const char* base) {
-    return dict_->Intern(std::string(base) + "@" +
-                         std::to_string(g_node_counter.fetch_add(1)));
+    for (;;) {
+      bool created = false;
+      PredicateId pred =
+          dict_->Intern(std::string(base) + "@" +
+                            std::to_string(g_node_counter.fetch_add(1)),
+                        &created);
+      if (created) return pred;
+    }
   }
 
   Term Star() const { return Term::Constant(star_); }

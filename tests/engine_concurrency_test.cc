@@ -5,7 +5,7 @@
 //    prefix, never a mix of two closures — with monotone generations.
 //  * Dropping a PreparedQuery releases its head-predicate claims.
 //  * The SPARQL plan cache is bounded (LRU) with hit/miss/eviction
-//    counters.
+//    counters, and an evicted plan's program identity is forgotten.
 //  * A query-side chase tripping max_facts or the per-query deadline
 //    fails with ResourceExhausted and leaves the session usable.
 //  * Readers planning cyclic SPARQL patterns on a published snapshot
@@ -241,6 +241,36 @@ TEST(EngineConcurrencyTest, SparqlCacheEvictsLeastRecentlyUsedPlan) {
   EXPECT_EQ(stats.sparql_cache_hits, 2u);
   EXPECT_EQ(stats.sparql_cache_evictions, 2u);
   EXPECT_EQ(stats.sparql_cache_size, 2u);
+}
+
+TEST(EngineConcurrencyTest, EvictedSparqlPlansForgetTheirProgramIdentities) {
+  Engine engine(EngineOptions().SetSparqlCacheCapacity(2));
+  LoadChain(&engine, 8);
+  ASSERT_TRUE(engine.Materialize().ok());
+
+  // Every text is distinct, so every call misses; each miss registers a
+  // new program identity, and each eviction must forget one.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 25;
+  std::atomic<int> failures{0};
+  auto runner = [&](int t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      const std::string z = "?z" + std::to_string(t * kPerThread + i);
+      auto mappings = engine.Query("{ ?x edge ?y . ?y edge " + z + " }");
+      if (!mappings.ok() || mappings->size() != 7u) ++failures;
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(runner, t);
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.sparql_cache_misses,
+            static_cast<uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(stats.sparql_cache_size, 2u);
+  // Only the two cached plans still hold identities.
+  EXPECT_EQ(stats.query_programs, 2u);
 }
 
 TEST(EngineConcurrencyTest, QueryTrippingMaxFactsLeavesSessionUsable) {

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chase/chase.h"
@@ -443,6 +444,113 @@ TEST(EngineTest, CrossQueryReadsAreRejectedInBothPrepareOrders) {
   auto answers = combined->Evaluate();
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(answers->size(), 1u);
+}
+
+TEST(QueryClaimsTest, IdentityLivesExactlyAsLongAsItsTokens) {
+  auto dict = Dict();
+  const triq::SymbolId q = dict->Intern("q");
+  const triq::SymbolId triple = dict->Intern("triple");
+  triq::QueryClaims claims;
+  triq::QueryClaims::Token first, second, clash;
+  ASSERT_TRUE(claims.Acquire({q}, {triple}, "A", *dict, &first).ok());
+  ASSERT_TRUE(claims.Acquire({q, q}, {triple}, "A", *dict, &second).ok());
+  // Identical text: one registry entry, held twice.
+  ASSERT_NE(first.identity, nullptr);
+  EXPECT_EQ(first.identity, second.identity);
+  EXPECT_EQ(*first.identity, "A");
+  EXPECT_EQ(claims.programs(), 1u);
+
+  // A different program deriving q is rejected and records nothing.
+  EXPECT_FALSE(claims.Acquire({q}, {triple}, "B", *dict, &clash).ok());
+  EXPECT_EQ(clash.identity, nullptr);
+  EXPECT_EQ(claims.programs(), 1u);
+
+  claims.Release(&first);
+  EXPECT_EQ(first.identity, nullptr);
+  EXPECT_EQ(claims.programs(), 1u);  // `second` still holds "A"
+  EXPECT_TRUE(claims.HeadClaimed(q));
+  claims.Release(&second);
+  claims.Release(&second);  // idempotent
+  EXPECT_EQ(claims.programs(), 0u);
+  EXPECT_FALSE(claims.HeadClaimed(q));
+
+  // "A" is forgotten, so q is free for the program rejected above, and
+  // "A" itself can come back as a new identity once "B" lets go.
+  ASSERT_TRUE(claims.Acquire({q}, {triple}, "B", *dict, &clash).ok());
+  EXPECT_EQ(claims.programs(), 1u);
+  EXPECT_FALSE(claims.Acquire({q}, {triple}, "A", *dict, &first).ok());
+  claims.Release(&clash);
+  ASSERT_TRUE(claims.Acquire({q}, {triple}, "A", *dict, &first).ok());
+  EXPECT_EQ(claims.programs(), 1u);
+  claims.Release(&first);
+  EXPECT_EQ(claims.programs(), 0u);
+}
+
+TEST(EngineTest, PreparedHandlesShareAnIdentityTheLastOneForgets) {
+  Engine engine;
+  ASSERT_TRUE(engine.LoadTurtle("a edge b .").ok());
+  const std::string text = "triple(?X, edge, ?Y) -> q(?X) .";
+  const std::string conflicting = "triple(?X, edge, ?Y) -> q(?Y) .";
+  EXPECT_EQ(engine.stats().query_programs, 0u);
+  {
+    auto first = engine.Prepare(text, "q");
+    auto second = engine.Prepare(text, "q");
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ(engine.stats().query_programs, 1u);  // one shared identity
+
+    auto clash = engine.Prepare(conflicting, "q");
+    ASSERT_FALSE(clash.ok());
+    EXPECT_EQ(engine.stats().query_programs, 1u);  // rejection records nothing
+
+    { PreparedQuery dropped = std::move(*first); }
+    EXPECT_EQ(engine.stats().query_programs, 1u);  // `second` still holds it
+  }
+  // The last handle is gone: the identity is forgotten and q is free.
+  EXPECT_EQ(engine.stats().query_programs, 0u);
+  auto again = engine.Prepare(conflicting, "q");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(engine.stats().query_programs, 1u);
+  auto answers = again->Evaluate();
+  ASSERT_TRUE(answers.ok());
+  EXPECT_EQ(answers->size(), 1u);
+}
+
+TEST(EngineTest, SparqlFreshNamesSkipPredicatesTheDataProgramUses) {
+  // Translation names its predicates q@N, answer@N, ... from a
+  // process-global counter. Read the counter's next value off a probe
+  // translation, then let the data program name the next 32 of each.
+  auto probe_dict = Dict();
+  auto pattern = triq::sparql::ParsePattern("{ ?x p ?y }", probe_dict.get());
+  ASSERT_TRUE(pattern.ok());
+  auto probe = TranslatePattern(**pattern, probe_dict,
+                                triq::translate::TranslationOptions());
+  ASSERT_TRUE(probe.ok());
+  const std::string& answer_text =
+      probe_dict->Text(probe->answer_predicate);
+  ASSERT_EQ(answer_text.rfind("answer@", 0), 0u) << answer_text;
+  const int k = std::stoi(answer_text.substr(std::string("answer@").size()));
+
+  Engine engine;
+  ASSERT_TRUE(engine.LoadTurtle("a p b .\nc p d .").ok());
+  std::string rules;
+  for (int n = k + 1; n <= k + 32; ++n) {
+    rules += "triple(?X, p, ?Y) -> q@" + std::to_string(n) + "(?X) .\n";
+    rules += "triple(?X, p, ?Y) -> answer@" + std::to_string(n) + "(?Y) .\n";
+  }
+  ASSERT_TRUE(engine.AttachRules(rules).ok());
+  ASSERT_TRUE(engine.Materialize().ok());
+
+  auto result = engine.Query("{ ?x p ?y }");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  triq::sparql::MappingSet expected;
+  for (auto [x, y] : {std::pair{"a", "b"}, std::pair{"c", "d"}}) {
+    triq::sparql::SparqlMapping m;
+    m.Bind(engine.dict().Intern("?x"), engine.dict().Intern(x));
+    m.Bind(engine.dict().Intern("?y"), engine.dict().Intern(y));
+    expected.Insert(m);
+  }
+  EXPECT_EQ(result->ToString(engine.dict()), expected.ToString(engine.dict()));
 }
 
 TEST(EngineTest, FailedLoadsCannotDesyncTheClosure) {

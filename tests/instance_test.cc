@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <memory>
 #include <random>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -373,6 +376,136 @@ TEST(InstanceTest, CloneFactsCopiesRelationsAndNulls) {
   copy.AddFact("p", {"x", "y"});
   EXPECT_EQ(copy.TotalFacts(), 3u);
   EXPECT_EQ(db.TotalFacts(), 2u);
+}
+
+// ---- overlays ------------------------------------------------------------
+
+Term C(Dictionary& dict, std::string_view text) {
+  return Term::Constant(dict.Intern(text));
+}
+
+TEST(InstanceTest, OverlayFindFallsThroughToTheBase) {
+  auto dict = Dict();
+  Instance base(dict);
+  base.AddFact("p", {"a", "b"});
+  base.AddFact("q", {"c"});
+  Instance overlay = Instance::MakeOverlay(&base);
+  const PredicateId p = dict->Intern("p");
+  const PredicateId r = dict->Intern("r");
+  EXPECT_EQ(overlay.overlay_base(), &base);
+  // Base relations are read in place, not copied.
+  EXPECT_EQ(overlay.Find(p), base.Find(p));
+  EXPECT_EQ(overlay.Find("q"), base.Find("q"));
+  EXPECT_EQ(overlay.Find(r), nullptr);
+  EXPECT_EQ(overlay.Find("never_interned"), nullptr);
+
+  // The overlay's own relations are found, and stay invisible to the base.
+  EXPECT_TRUE(overlay.AddFact(r, Tuple{C(*dict, "a")}));
+  const Relation* own = overlay.Find(r);
+  ASSERT_NE(own, nullptr);
+  EXPECT_EQ(own->size(), 1u);
+  EXPECT_EQ(overlay.Find("r"), own);
+  EXPECT_EQ(&overlay.GetOrCreate(r, 1), own);
+  EXPECT_EQ(base.Find(r), nullptr);
+  EXPECT_EQ(overlay.relations().size(), 1u);
+  EXPECT_EQ(base.relations().size(), 2u);
+}
+
+TEST(InstanceTest, OverlayPredicatesFarAboveTheBaseAfterDictionaryGrowth) {
+  // Query overlays hold the newest, hence largest, predicate ids: ids
+  // interned after the dictionary grew far past the base's predicates.
+  auto dict = Dict();
+  Instance base(dict);
+  base.AddFact("edge", {"a", "b"});
+  const size_t before = dict->size();
+  for (int i = 0; i < 100000; ++i) dict->Intern("s" + std::to_string(i));
+  ASSERT_EQ(dict->size(), before + 100000);
+  const PredicateId far = dict->Intern("answer@far");
+  ASSERT_GT(far, dict->Intern("edge") + 100000);
+
+  Instance overlay = Instance::MakeOverlay(&base);
+  Relation& rel = overlay.GetOrCreate(far, 2);
+  EXPECT_EQ(rel.arity(), 2u);
+  EXPECT_TRUE(overlay.AddFact(far, Tuple{C(*dict, "a"), C(*dict, "b")}));
+  EXPECT_FALSE(overlay.AddFact(far, Tuple{C(*dict, "a"), C(*dict, "b")}));
+  EXPECT_EQ(overlay.Find(far), &rel);
+  EXPECT_EQ(rel.size(), 1u);
+  EXPECT_TRUE(overlay.Contains(far, Tuple{C(*dict, "a"), C(*dict, "b")}));
+  EXPECT_EQ(base.Find(far), nullptr);
+  // A second far predicate lands beside the first.
+  const PredicateId farther = dict->Intern("q@farther");
+  EXPECT_TRUE(overlay.AddFact(farther, Tuple{C(*dict, "c")}));
+  EXPECT_EQ(overlay.relations().size(), 2u);
+  EXPECT_EQ(overlay.Find(far), &rel);
+}
+
+TEST(InstanceTest, OverlayContainsSizesTotalsAndNulls) {
+  auto dict = Dict();
+  Instance base(dict);
+  base.AddFact("p", {"a", "b"});
+  base.AddFact("p", {"b", "c"});
+  Term z0 = base.AllocateNull(1);
+  Term z1 = base.AllocateNull(2);
+  const PredicateId p = dict->Intern("p");
+  const PredicateId r = dict->Intern("r");
+
+  Instance overlay = Instance::MakeOverlay(&base);
+  EXPECT_EQ(overlay.TotalFacts(), 2u);
+  EXPECT_EQ(overlay.null_count(), 2u);
+
+  // Nulls the overlay allocates start above the base's range; base nulls
+  // keep their base depths.
+  Term z2 = overlay.AllocateNull(4);
+  EXPECT_EQ(z2, Term::Null(2));
+  EXPECT_NE(z2, z0);
+  EXPECT_NE(z2, z1);
+  EXPECT_EQ(overlay.NullDepth(z0), 1u);
+  EXPECT_EQ(overlay.NullDepth(z1), 2u);
+  EXPECT_EQ(overlay.NullDepth(z2), 4u);
+  EXPECT_EQ(overlay.null_count(), 3u);
+  EXPECT_EQ(base.null_count(), 2u);
+
+  EXPECT_TRUE(overlay.AddFact(r, Tuple{C(*dict, "a"), z2}));
+  EXPECT_TRUE(overlay.Contains(p, Tuple{C(*dict, "a"), C(*dict, "b")}));
+  EXPECT_TRUE(overlay.Contains(r, Tuple{C(*dict, "a"), z2}));
+  EXPECT_FALSE(overlay.Contains(r, Tuple{C(*dict, "a"), z0}));
+  EXPECT_FALSE(overlay.Contains(r, Tuple{C(*dict, "a")}));  // wrong arity
+  EXPECT_FALSE(base.Contains(r, Tuple{C(*dict, "a"), z2}));
+
+  std::unordered_map<PredicateId, size_t> sizes = overlay.RelationSizes();
+  EXPECT_EQ(sizes.size(), 2u);
+  EXPECT_EQ(sizes[p], 2u);
+  EXPECT_EQ(sizes[r], 1u);
+  EXPECT_EQ(overlay.TotalFacts(), 3u);
+  EXPECT_EQ(base.TotalFacts(), 2u);
+}
+
+TEST(InstanceTest, MovedOverlayKeepsItsRelationsAndBase) {
+  auto dict = Dict();
+  Instance base(dict);
+  base.AddFact("p", {"a"});
+  const PredicateId p = dict->Intern("p");
+  const PredicateId r = dict->Intern("r");
+  Instance overlay = Instance::MakeOverlay(&base);
+  ASSERT_TRUE(overlay.AddFact(r, Tuple{C(*dict, "b")}));
+  Term z = overlay.AllocateNull(3);
+  const Relation* own = overlay.Find(r);
+
+  Instance moved(std::move(overlay));
+  EXPECT_EQ(moved.overlay_base(), &base);
+  EXPECT_EQ(moved.Find(r), own);  // the map's nodes moved, not copied
+  EXPECT_EQ(moved.Find(p), base.Find(p));
+  EXPECT_EQ(moved.NullDepth(z), 3u);
+  EXPECT_TRUE(moved.AddFact(r, Tuple{C(*dict, "c")}));
+  EXPECT_EQ(moved.Find(r)->size(), 2u);
+
+  Instance assigned(dict);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.overlay_base(), &base);
+  EXPECT_EQ(assigned.Find(r), own);
+  EXPECT_EQ(assigned.Find(p), base.Find(p));
+  EXPECT_EQ(assigned.TotalFacts(), 3u);
+  EXPECT_EQ(assigned.AllocateNull(0), Term::Null(1));
 }
 
 TEST(InstanceTest, DerivationRecordKeepsFirst) {

@@ -15,6 +15,10 @@ Phase 3: flag parsing. Malformed or over-bound numeric flags must be
 usage errors (exit 2, no LISTENING banner), and `--regime active` is
 accepted as an alias of `active-domain`.
 
+Phase 4: on a fresh server, a user rule deriving `q@0` and `answer@1` —
+the names the first SPARQL translation would otherwise pick — must not
+make an unrelated SPARQL query fail.
+
 Usage: server_smoke_test.py <path-to-triq_server>
 """
 
@@ -140,6 +144,12 @@ def scripted_session(server):
             expect(stats.get("materializations") == "1", f"STATS: {reply}")
             expect(stats.get("sparql_cache_hits") == "1", f"STATS: {reply}")
             expect(stats.get("journal_enabled") == "false", f"STATS: {reply}")
+            # One cached plan holds one program identity; the dictionary
+            # holds at least the loaded and translated symbols.
+            expect(stats.get("query_programs") == "1", f"STATS: {reply}")
+            expect(
+                int(stats.get("dictionary_symbols", "0")) > 0, f"STATS: {reply}"
+            )
 
             # Static analysis of the session's data program: the attached
             # tc rules are pure datalog, so the verdict is a guarantee.
@@ -326,11 +336,42 @@ def flag_parsing(server):
             proc.wait()
 
 
+def fresh_query_names(server):
+    proc, port = start_server(server)
+    try:
+        with connect(port) as s:
+            f = s.makefile("rw")
+            expect(send(f, "ADD a p b") == ["OK added"], "ADD failed")
+            expect(
+                send(
+                    f,
+                    "RULE triple(?X, p, ?Y) -> q@0(?X) . "
+                    "triple(?X, p, ?Y) -> answer@1(?X) .",
+                )
+                == ["OK attached"],
+                "RULE failed",
+            )
+            reply = send(f, "MATERIALIZE")
+            expect(reply[0].startswith("OK materialized"), f"MATERIALIZE: {reply}")
+            reply = send(f, "SPARQL { ?x p ?y }")
+            expect(reply[-1] == "OK 1", f"SPARQL beside q@0/answer@1: {reply}")
+            expect(
+                send(f, "SHUTDOWN") == ["OK shutting-down"], "SHUTDOWN failed"
+            )
+        proc.wait(timeout=15)
+        expect(proc.returncode == 0, f"server exit code {proc.returncode}")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
 def main():
     server = sys.argv[1]
     scripted_session(server)
     misbehaving_clients(server)
     flag_parsing(server)
+    fresh_query_names(server)
     print("server smoke test passed")
 
 

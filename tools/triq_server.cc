@@ -257,6 +257,10 @@ std::string HandleCommand(Engine& engine, const std::string& line,
              std::to_string(stats.sparql_cache_evictions) + "\n";
     reply += "STAT sparql_cache_size " +
              std::to_string(stats.sparql_cache_size) + "\n";
+    reply += "STAT query_programs " + std::to_string(stats.query_programs) +
+             "\n";
+    reply += "STAT dictionary_symbols " +
+             std::to_string(stats.dictionary_symbols) + "\n";
     reply += "STAT active_conns " +
              std::to_string(g_active_conns.load(std::memory_order_relaxed)) +
              "\n";
