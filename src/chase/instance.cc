@@ -4,6 +4,8 @@
 #include <cassert>
 #include <sstream>
 
+#include "rdf/turtle.h"
+
 namespace triq::chase {
 
 bool Instance::AddFact(PredicateId predicate, TupleView tuple,
@@ -205,30 +207,71 @@ bool ParseExportedNull(const std::string& text, uint32_t* id_out) {
 
 Instance Instance::FromGraph(const rdf::Graph& graph,
                              std::string_view predicate) {
-  Instance instance(graph.dict_ptr());
-  PredicateId pred = instance.dict().Intern(predicate);
+  TripleStager stager(graph.dict_ptr());
   // Bulk load: size the columns and dedup table once up front.
-  instance.GetOrCreate(pred, 3).Reserve(static_cast<uint32_t>(graph.size()));
-  // Distinct blank-node symbols map to freshly allocated nulls (depth 0:
-  // they are database-level) in first-occurrence order, so occurrences of
-  // one blank node share one null. Remapping — instead of trusting the
-  // parsed id — keeps a crafted `_:n<huge>` symbol from forcing a huge
-  // null registry.
-  std::unordered_map<SymbolId, Term> blank_nulls;
-  auto to_term = [&](SymbolId s) -> Term {
-    uint32_t null_id = 0;
-    if (!ParseExportedNull(instance.dict().Text(s), &null_id)) {
-      return Term::Constant(s);
-    }
-    auto [it, inserted] = blank_nulls.emplace(s, Term());
-    if (inserted) it->second = instance.AllocateNull(0);
-    return it->second;
-  };
+  stager.Reserve(static_cast<uint32_t>(graph.size()));
   for (const rdf::Triple& t : graph.triples()) {
-    instance.AddFact(pred, Tuple{to_term(t.subject), to_term(t.predicate),
-                                 to_term(t.object)});
+    stager.Add(t.subject, t.predicate, t.object);
   }
-  return instance;
+  return std::move(stager).Finish(predicate);
+}
+
+Result<Instance> Instance::FromTurtle(std::string_view text,
+                                      std::shared_ptr<Dictionary> dict,
+                                      std::string_view predicate) {
+  TripleStager stager(std::move(dict));
+  TRIQ_RETURN_IF_ERROR(rdf::ParseTurtle(
+      text, [&stager](std::string_view s, std::string_view p,
+                      std::string_view o) { stager.Add(s, p, o); }));
+  return std::move(stager).Finish(predicate);
+}
+
+Result<Instance> Instance::FromTurtle(std::istream& in,
+                                      std::shared_ptr<Dictionary> dict,
+                                      std::string_view predicate) {
+  TripleStager stager(std::move(dict));
+  TRIQ_RETURN_IF_ERROR(rdf::ParseTurtleStream(
+      in, [&stager](std::string_view s, std::string_view p,
+                    std::string_view o) { stager.Add(s, p, o); }));
+  return std::move(stager).Finish(predicate);
+}
+
+void TripleStager::Add(std::string_view subject, std::string_view predicate,
+                       std::string_view object) {
+  // Interned in statement order, as Graph::Add does.
+  Dictionary& dict = instance_.dict();
+  const SymbolId s = dict.Intern(subject);
+  const SymbolId p = dict.Intern(predicate);
+  const SymbolId o = dict.Intern(object);
+  Add(s, p, o);
+}
+
+void TripleStager::Add(SymbolId subject, SymbolId predicate, SymbolId object) {
+  // A braced list evaluates left to right: nulls are allocated in
+  // subject, predicate, object order.
+  const Term tuple[3] = {ToTerm(subject), ToTerm(predicate), ToTerm(object)};
+  triples_.Insert(TupleView(tuple, 3));
+}
+
+Term TripleStager::ToTerm(SymbolId symbol) {
+  // Remapping — instead of trusting the parsed id — keeps a crafted
+  // `_:n<huge>` symbol from forcing a huge null registry.
+  uint32_t null_id = 0;
+  if (!ParseExportedNull(instance_.dict().Text(symbol), &null_id)) {
+    return Term::Constant(symbol);
+  }
+  auto [it, inserted] = blank_nulls_.emplace(symbol, Term());
+  if (inserted) it->second = instance_.AllocateNull(0);  // database-level
+  return it->second;
+}
+
+Instance TripleStager::Finish(std::string_view predicate) && {
+  const PredicateId pred = instance_.dict().Intern(predicate);
+  Relation& rel =
+      instance_.relations_.emplace(pred, std::move(triples_)).first->second;
+  instance_.by_predicate_.assign(pred + 1, nullptr);
+  instance_.by_predicate_[pred] = &rel;
+  return std::move(instance_);
 }
 
 }  // namespace triq::chase

@@ -1,8 +1,10 @@
 #ifndef TRIQ_CHASE_INSTANCE_H_
 #define TRIQ_CHASE_INSTANCE_H_
 
+#include <istream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -180,6 +182,20 @@ class Instance {
   static Instance FromGraph(const rdf::Graph& graph,
                             std::string_view predicate = "triple");
 
+  /// τ_db of Turtle text (rdf::ParseTurtle's dialect), staged through a
+  /// TripleStager: the result equals FromGraph over the parsed graph —
+  /// same dictionary ids, tuple order and null ids — but no graph is
+  /// built. A malformed statement fails the whole call; the symbols of
+  /// the statements before it stay interned in `dict`.
+  static Result<Instance> FromTurtle(std::string_view text,
+                                     std::shared_ptr<Dictionary> dict,
+                                     std::string_view predicate = "triple");
+
+  /// Streaming variant (rdf::ParseTurtleStream).
+  static Result<Instance> FromTurtle(std::istream& in,
+                                     std::shared_ptr<Dictionary> dict,
+                                     std::string_view predicate = "triple");
+
   /// The converse: exports a ternary predicate as an RDF graph — the
   /// Section 2 idiom of producing graphs as answers (rule (3)). Labeled
   /// nulls become blank-node URIs `_:n<k>`. Fails if the predicate has
@@ -187,6 +203,8 @@ class Instance {
   Result<rdf::Graph> ToGraph(std::string_view predicate = "triple") const;
 
  private:
+  friend class TripleStager;  // installs its staged relation
+
   std::shared_ptr<Dictionary> dict_;
   std::unordered_map<PredicateId, Relation> relations_;
   // Root instances only (an overlay leaves it empty and searches
@@ -203,6 +221,40 @@ class Instance {
   uint32_t next_null_id_ = 0;
   // Depth of null id `null_base_ + i` at index i.
   std::vector<uint32_t> null_depths_;
+};
+
+/// Stages RDF statements as τ_db(G) straight into one ternary relation,
+/// with no rdf::Graph in between: Add interns the three terms and
+/// inserts the triple, and the relation's dedup table drops a repeated
+/// one. Blank nodes follow FromGraph's rule: each distinct `_:n<k>`
+/// symbol becomes one fresh depth-0 null, in first-occurrence order.
+/// Finish interns the predicate name after every statement term, as
+/// FromGraph does after the graph's terms, so both give the same
+/// dictionary ids, tuple order and null ids for the same statements.
+class TripleStager {
+ public:
+  explicit TripleStager(std::shared_ptr<Dictionary> dict)
+      : instance_(std::move(dict)) {}
+
+  /// Pre-sizes the relation for `n` distinct triples.
+  void Reserve(uint32_t n) { triples_.Reserve(n); }
+
+  /// Stages one statement. The views are copied (interned) before the
+  /// call returns.
+  void Add(std::string_view subject, std::string_view predicate,
+           std::string_view object);
+  void Add(SymbolId subject, SymbolId predicate, SymbolId object);
+
+  /// The staged instance: its `predicate` relation holds every distinct
+  /// staged triple, and exists (empty) even when nothing was staged.
+  Instance Finish(std::string_view predicate = "triple") &&;
+
+ private:
+  Term ToTerm(SymbolId symbol);
+
+  Instance instance_;
+  Relation triples_{3};
+  std::unordered_map<SymbolId, Term> blank_nulls_;
 };
 
 }  // namespace triq::chase

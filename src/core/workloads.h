@@ -65,8 +65,9 @@ chase::Instance ChainDatabase(int n, std::shared_ptr<Dictionary> dict);
 
 /// Turtle text for `chains` disjoint chains of `chain_len` e-labeled
 /// edges each (chains * chain_len triples; nodes c<i>_n<j>). The big
-/// bench-ladder inputs are generated with this and ingested through
-/// rdf::ParseTurtleStream instead of being built fact-by-fact.
+/// bench-ladder inputs are generated with this and ingested as text
+/// (chase::Instance::FromTurtle, Engine::LoadTurtle) instead of being
+/// built fact-by-fact.
 std::string MultiChainTurtle(int chains, int chain_len);
 
 /// Transitive closure over the triple schema: reach(X,Z) through

@@ -10,7 +10,6 @@
 #include "chase/fact_dump.h"
 #include "datalog/parser.h"
 #include "owl/rdf_mapping.h"
-#include "rdf/turtle.h"
 #include "sparql/parser.h"
 #include "translate/owl2ql_program.h"
 
@@ -448,46 +447,41 @@ Status Engine::CheckLoadable(const chase::Instance& src) const {
   return Status::OK();
 }
 
-Status Engine::Ingest(const chase::Instance& src) {
-  TRIQ_RETURN_IF_ERROR(CheckLoadable(src));
-  return IngestValidated(src);
+bool Engine::Adoptable(const chase::Instance& src) const {
+  // Appending `src` to a never-materialized base with no facts and no
+  // nulls reproduces `src` exactly (same predicates, tuple order and
+  // null ids), so the storage can move instead. An empty source is
+  // appended: adopting it would install its empty relations.
+  return src.dict_ptr().get() == dict_.get() && src.TotalFacts() > 0 &&
+         std::atomic_load(&snapshot_) == nullptr && base_.TotalFacts() == 0 &&
+         base_.null_count() == 0;
 }
 
-Status Engine::IngestValidated(const chase::Instance& src) {
-  std::vector<Term> null_map;
-  TRIQ_RETURN_IF_ERROR(AppendFacts(src, {}, &null_map, &base_));
+Status Engine::IngestValidated(chase::Instance src) {
+  if (Adoptable(src)) {
+    base_ = std::move(src);
+  } else {
+    std::vector<Term> null_map;
+    TRIQ_RETURN_IF_ERROR(AppendFacts(src, {}, &null_map, &base_));
+  }
   // Only a successful load dirties the session: a rejected one left the
   // base untouched, so the published closure is still exact.
   needs_materialize_.store(true, std::memory_order_release);
   return Status::OK();
 }
 
-Status Engine::IngestJournaled(const chase::Instance& src) {
+Status Engine::LoadTurtle(std::string_view text) {
+  TRIQ_ASSIGN_OR_RETURN(chase::Instance src,
+                        chase::Instance::FromTurtle(text, dict_));
+  MutexLock lock(writer_mu_);
   // WAL ordering: validate, journal, apply. A record lands in the
   // journal only for a mutation that will succeed, and a mutation
   // applies only once its record is written — so recovery replay is
   // exactly the applied prefix of the op sequence.
   TRIQ_RETURN_IF_ERROR(CheckLoadable(src));
-  if (journal_ != nullptr) {
-    std::string blob;
-    TRIQ_RETURN_IF_ERROR(chase::SaveFactsToString(src, &blob));
-    const bool engine_dict = src.dict_ptr().get() == dict_.get();
-    TRIQ_RETURN_IF_ERROR(
-        JournalOp(Journal::Op::kLoadFactsBlob,
-                  {engine_dict ? "1" : "0", std::move(blob)}));
-  }
-  return IngestValidated(src);
-}
-
-Status Engine::LoadTurtle(std::string_view text) {
-  rdf::Graph graph(dict_);
-  TRIQ_RETURN_IF_ERROR(rdf::ParseTurtle(text, &graph));
-  MutexLock lock(writer_mu_);
-  chase::Instance src = chase::Instance::FromGraph(graph);
-  TRIQ_RETURN_IF_ERROR(CheckLoadable(src));
   TRIQ_RETURN_IF_ERROR(
       JournalOp(Journal::Op::kLoadTurtle, {std::string(text)}));
-  return IngestValidated(src);
+  return IngestValidated(std::move(src));
 }
 
 Status Engine::LoadTurtleFile(const std::string& path) {
@@ -505,10 +499,11 @@ Status Engine::LoadTurtleFile(const std::string& path) {
   if (!in) {
     return Status::InvalidArgument("cannot open " + path);
   }
-  rdf::Graph graph(dict_);
-  TRIQ_RETURN_IF_ERROR(rdf::ParseTurtleStream(in, &graph));
+  TRIQ_ASSIGN_OR_RETURN(chase::Instance src,
+                        chase::Instance::FromTurtle(in, dict_));
   MutexLock lock(writer_mu_);
-  return Ingest(chase::Instance::FromGraph(graph));
+  TRIQ_RETURN_IF_ERROR(CheckLoadable(src));
+  return IngestValidated(std::move(src));
 }
 
 Status Engine::LoadFacts(const std::string& path) {
@@ -539,43 +534,38 @@ Status Engine::LoadDatabase(chase::Instance database) {
 
 Status Engine::LoadDatabaseLocked(chase::Instance database,
                                   const std::string* raw_dump) {
-  if (database.dict_ptr().get() == dict_.get() &&
-      std::atomic_load(&snapshot_) == nullptr && base_.TotalFacts() == 0 &&
-      base_.null_count() == 0) {
-    // Empty session: adopt the storage wholesale (claims still apply —
-    // queries may be prepared before any facts arrive).
-    TRIQ_RETURN_IF_ERROR(CheckLoadable(database));
-    if (journal_ != nullptr) {
-      std::string blob;
-      if (raw_dump == nullptr) {
-        TRIQ_RETURN_IF_ERROR(chase::SaveFactsToString(database, &blob));
-        raw_dump = &blob;
-      }
-      TRIQ_RETURN_IF_ERROR(
-          JournalOp(Journal::Op::kLoadFactsBlob, {"1", *raw_dump}));
+  TRIQ_RETURN_IF_ERROR(CheckLoadable(database));
+  if (journal_ != nullptr) {
+    // An adopted dump is journaled as the caller's bytes; any other
+    // source as its own serialization.
+    std::string blob;
+    if (raw_dump == nullptr || !Adoptable(database)) {
+      TRIQ_RETURN_IF_ERROR(chase::SaveFactsToString(database, &blob));
+      raw_dump = &blob;
     }
-    base_ = std::move(database);
-    return Status::OK();
+    const bool engine_dict = database.dict_ptr().get() == dict_.get();
+    TRIQ_RETURN_IF_ERROR(JournalOp(Journal::Op::kLoadFactsBlob,
+                                   {engine_dict ? "1" : "0", *raw_dump}));
   }
-  return IngestJournaled(database);
+  return IngestValidated(std::move(database));
 }
 
 Status Engine::LoadGraph(const rdf::Graph& graph) {
   MutexLock lock(writer_mu_);
-  return IngestJournaled(chase::Instance::FromGraph(graph));
+  return LoadDatabaseLocked(chase::Instance::FromGraph(graph), nullptr);
 }
 
 Status Engine::AddTriple(std::string_view subject, std::string_view predicate,
                          std::string_view object) {
-  rdf::Graph graph(dict_);
-  graph.Add(subject, predicate, object);
+  chase::TripleStager stager(dict_);
+  stager.Add(subject, predicate, object);
+  chase::Instance src = std::move(stager).Finish();
   MutexLock lock(writer_mu_);
-  chase::Instance src = chase::Instance::FromGraph(graph);
   TRIQ_RETURN_IF_ERROR(CheckLoadable(src));
   TRIQ_RETURN_IF_ERROR(JournalOp(
       Journal::Op::kAddTriple,
       {std::string(subject), std::string(predicate), std::string(object)}));
-  return IngestValidated(src);
+  return IngestValidated(std::move(src));
 }
 
 // ---- Engine: ontologies and rule programs ------------------------------
@@ -584,7 +574,7 @@ Status Engine::AttachOntology(const owl::Ontology& ontology) {
   rdf::Graph graph(dict_);
   owl::OntologyToGraph(ontology, &graph);
   MutexLock lock(writer_mu_);
-  return IngestJournaled(chase::Instance::FromGraph(graph));
+  return LoadDatabaseLocked(chase::Instance::FromGraph(graph), nullptr);
 }
 
 Status Engine::AttachProgram(const datalog::Program& program) {

@@ -419,10 +419,20 @@ class Engine {
 
   /// Parses the Turtle subset of rdf::ParseTurtle into τ_db triples.
   /// Blank nodes `_:n<k>` become labeled nulls, as in Instance::FromGraph.
+  /// The text is staged before the writer lock is taken, straight into a
+  /// `triple` relation (Instance::FromTurtle: one dedup insert per
+  /// statement, no rdf::Graph), and the staged instance is then taken
+  /// wholesale by a never-materialized session with no facts, or
+  /// appended once to any other. A malformed statement fails the call
+  /// with InvalidArgument and leaves the base, the published closure and
+  /// the journal unchanged (its terms may stay in the dictionary).
   Status LoadTurtle(std::string_view text);
 
-  /// Streaming variant: reads `path` line by line (rdf::ParseTurtleStream),
-  /// so large corpora never materialize as one in-memory string.
+  /// Streaming variant: stages `path` line by line
+  /// (rdf::ParseTurtleStream), so large corpora never materialize as one
+  /// in-memory string; otherwise as LoadTurtle. A journaled session
+  /// reads the whole file and calls LoadTurtle, so its content is
+  /// journaled.
   Status LoadTurtleFile(const std::string& path);
 
   /// Loads a binary fact dump written by chase::SaveFacts. Symbols are
@@ -431,17 +441,22 @@ class Engine {
   /// their depths and identity sharing preserved.
   Status LoadFacts(const std::string& path);
 
-  /// Adds an already-built RDF graph (the workload generators). Graphs
-  /// over a foreign dictionary are re-interned by text.
+  /// Adds an already-built RDF graph (the workload generators): its
+  /// Instance::FromGraph conversion loads as LoadDatabase. Graphs over a
+  /// foreign dictionary are re-interned by text.
   Status LoadGraph(const rdf::Graph& graph);
 
   /// Merges an already-built instance (e.g. core::CliqueDatabase). Moves
-  /// the storage wholesale when the session is still empty and the
-  /// dictionary is shared; otherwise facts are appended (foreign-
-  /// dictionary symbols re-interned, nulls re-allocated).
+  /// the storage wholesale when `database` holds facts, the session was
+  /// never materialized, its base holds no facts, and the dictionary is
+  /// shared; otherwise facts are appended (foreign-dictionary symbols
+  /// re-interned, nulls re-allocated).
   Status LoadDatabase(chase::Instance database);
 
-  /// Adds one τ_db triple; interns the three strings as constants.
+  /// Adds one τ_db triple: interns the three strings (a `_:n<k>` term
+  /// becomes a labeled null, as in LoadTurtle) and stages the fact
+  /// through chase::TripleStager before taking the writer lock; then
+  /// adopt-or-append as LoadTurtle.
   Status AddTriple(std::string_view subject, std::string_view predicate,
                    std::string_view object);
 
@@ -613,23 +628,21 @@ class Engine {
   Status CheckLoadable(const chase::Instance& src) const
       TRIQ_REQUIRES(writer_mu_);
 
-  /// Appends freshly loaded facts to the base instance and marks the
-  /// session for re-materialization.
-  Status Ingest(const chase::Instance& src) TRIQ_REQUIRES(writer_mu_);
+  /// Whether IngestValidated takes `src` wholesale: a non-empty source
+  /// on the engine dictionary, into a never-materialized session whose
+  /// base holds no facts and no nulls.
+  bool Adoptable(const chase::Instance& src) const TRIQ_REQUIRES(writer_mu_);
 
-  /// Ingest minus the CheckLoadable gate (already run by the caller,
-  /// who journaled in between).
-  Status IngestValidated(const chase::Instance& src)
-      TRIQ_REQUIRES(writer_mu_);
+  /// The step every load ends in, after the caller ran CheckLoadable and
+  /// journaled: adopts `src` as the base when Adoptable, else appends it
+  /// once (AppendFacts), and marks the session for re-materialization.
+  Status IngestValidated(chase::Instance src) TRIQ_REQUIRES(writer_mu_);
 
-  /// Validates, journals (a kLoadFactsBlob record), and ingests one
-  /// already-built source instance.
-  Status IngestJournaled(const chase::Instance& src)
-      TRIQ_REQUIRES(writer_mu_);
-
-  /// LoadDatabase's body. `raw_dump` — the serialized image of
+  /// Validates, journals (a kLoadFactsBlob record) and ingests one
+  /// already-built source instance: LoadDatabase's body, also serving
+  /// LoadGraph and AttachOntology. `raw_dump` — the serialized image of
   /// `database`, when the caller already has one (Engine::LoadFacts) —
-  /// is journaled as-is instead of re-serializing.
+  /// is journaled as-is for an adopted load instead of re-serializing.
   Status LoadDatabaseLocked(chase::Instance database,
                             const std::string* raw_dump)
       TRIQ_REQUIRES(writer_mu_);

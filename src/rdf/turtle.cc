@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <sstream>
-#include <vector>
 
 #include "common/strings.h"
 
@@ -11,55 +10,64 @@ namespace triq::rdf {
 namespace {
 
 // Tokenizes one statement body into terms, honoring quoted literals.
+// The first three terms land in `terms` as views into `body`; `count`
+// is the number of terms found, so a caller can report a wrong arity.
 Status TokenizeStatement(std::string_view body, size_t line_no,
-                         std::vector<std::string>* tokens) {
+                         std::string_view (&terms)[3], size_t* count) {
+  *count = 0;
   size_t i = 0;
   while (i < body.size()) {
     if (std::isspace(static_cast<unsigned char>(body[i]))) {
       ++i;
       continue;
     }
+    size_t end = i;
     if (body[i] == '"') {
-      size_t end = body.find('"', i + 1);
+      end = body.find('"', i + 1);
       if (end == std::string_view::npos) {
         return Status::InvalidArgument("unterminated string literal at line " +
                                        std::to_string(line_no));
       }
-      tokens->emplace_back(body.substr(i, end - i + 1));
-      i = end + 1;
+      ++end;
     } else {
-      size_t end = i;
       while (end < body.size() &&
              !std::isspace(static_cast<unsigned char>(body[end]))) {
         ++end;
       }
-      tokens->emplace_back(body.substr(i, end - i));
-      i = end;
     }
+    if (*count < 3) terms[*count] = body.substr(i, end - i);
+    ++*count;
+    i = end;
   }
   return Status::OK();
 }
 
 /// Incremental statement splitter shared by ParseTurtle and
 /// ParseTurtleStream: feed raw lines one at a time; statements are
-/// tokenized and added to the graph as soon as their terminating '.'
+/// tokenized and handed to the sink as soon as their terminating '.'
 /// (followed by whitespace) arrives. Only the unterminated statement
 /// tail is buffered, so memory stays proportional to one statement,
 /// not the whole input.
 class StreamingParser {
  public:
-  explicit StreamingParser(Graph* graph) : graph_(graph) {}
+  explicit StreamingParser(const TripleSink& sink) : sink_(sink) {}
 
   /// Feeds one input line (without its trailing newline).
   Status FeedLine(std::string_view raw) {
     // Strip a '#' comment; quote state is tracked per line, matching
     // the historical ParseTurtle behavior.
-    bool in_string = false;
-    for (char c : raw) {
-      if (c == '"') in_string = !in_string;
-      if (c == '#' && !in_string) break;
-      pending_.push_back(c);
+    size_t keep = raw.size();
+    if (raw.find('#') != std::string_view::npos) {
+      bool in_string = false;
+      for (size_t i = 0; i < raw.size(); ++i) {
+        if (raw[i] == '"') in_string = !in_string;
+        if (raw[i] == '#' && !in_string) {
+          keep = i;
+          break;
+        }
+      }
     }
+    pending_.append(raw.data(), keep);
     pending_.push_back('\n');
     return DrainStatements();
   }
@@ -100,31 +108,31 @@ class StreamingParser {
   }
 
   Status EmitStatement(std::string_view body) {
-    tokens_.clear();
-    TRIQ_RETURN_IF_ERROR(TokenizeStatement(body, line_no_, &tokens_));
-    if (tokens_.empty()) return Status::OK();
-    if (tokens_.size() != 3) {
+    std::string_view terms[3];
+    size_t count = 0;
+    TRIQ_RETURN_IF_ERROR(TokenizeStatement(body, line_no_, terms, &count));
+    if (count == 0) return Status::OK();
+    if (count != 3) {
       return Status::InvalidArgument(
           "statement near line " + std::to_string(line_no_) + " has " +
-          std::to_string(tokens_.size()) + " terms; expected 3");
+          std::to_string(count) + " terms; expected 3");
     }
-    graph_->Add(tokens_[0], tokens_[1], tokens_[2]);
+    sink_(terms[0], terms[1], terms[2]);
     return Status::OK();
   }
 
-  Graph* graph_;
+  const TripleSink& sink_;
   std::string pending_;     // cleaned, not-yet-consumed input
   size_t scan_pos_ = 0;     // first unscanned offset in pending_
   size_t stmt_start_ = 0;   // start of the current statement
   bool in_string_ = false;  // quote state of the statement scan
   size_t line_no_ = 1;
-  std::vector<std::string> tokens_;
 };
 
 }  // namespace
 
-Status ParseTurtle(std::string_view text, Graph* graph) {
-  StreamingParser parser(graph);
+Status ParseTurtle(std::string_view text, const TripleSink& sink) {
+  StreamingParser parser(sink);
   size_t line_start = 0;
   while (line_start <= text.size()) {
     size_t eol = text.find('\n', line_start);
@@ -138,8 +146,8 @@ Status ParseTurtle(std::string_view text, Graph* graph) {
   return parser.Finish();
 }
 
-Status ParseTurtleStream(std::istream& in, Graph* graph) {
-  StreamingParser parser(graph);
+Status ParseTurtleStream(std::istream& in, const TripleSink& sink) {
+  StreamingParser parser(sink);
   std::string line;
   while (std::getline(in, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -149,6 +157,18 @@ Status ParseTurtleStream(std::istream& in, Graph* graph) {
     return Status::InvalidArgument("I/O error while reading turtle stream");
   }
   return parser.Finish();
+}
+
+Status ParseTurtle(std::string_view text, Graph* graph) {
+  return ParseTurtle(
+      text, [graph](std::string_view s, std::string_view p,
+                    std::string_view o) { graph->Add(s, p, o); });
+}
+
+Status ParseTurtleStream(std::istream& in, Graph* graph) {
+  return ParseTurtleStream(
+      in, [graph](std::string_view s, std::string_view p,
+                  std::string_view o) { graph->Add(s, p, o); });
 }
 
 std::string WriteTurtle(const Graph& graph) {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "chase/chase.h"
+#include "chase/fact_dump.h"
 #include "engine/engine.h"
 
 namespace {
@@ -502,6 +503,59 @@ TEST(EngineConcurrencyTest, JournaledWritesRaceReadersCleanly) {
   auto recovered_tc = (*reopened)->Answers("tc");
   ASSERT_TRUE(recovered_tc.ok());
   EXPECT_EQ(recovered_tc->size(), expect);
+}
+
+TEST(EngineConcurrencyTest, RacingTurtleLoadsIntoAFreshSessionKeepBoth) {
+  // Two loaders stage disjoint texts and race for the writer lock of a
+  // never-materialized, empty session while a reader materializes
+  // through Answers. Whichever loader gets there first adopts its staged
+  // instance (unless the reader published a snapshot first), and the
+  // other appends; every interleaving must end with the union in the
+  // base, and every snapshot a reader sees is the closure of a prefix.
+  constexpr int kTriples = 2000;
+  auto text = [](const std::string& side) {
+    std::string out;
+    for (int i = 0; i < kTriples; ++i) {
+      out += side + std::to_string(i) + " edge " + side +
+             std::to_string(i + 1) + " .\n";
+    }
+    return out;
+  };
+  const std::string left = text("l");
+  const std::string right = text("r");
+  Engine reference;
+  ASSERT_TRUE(reference.LoadTurtle(left).ok());
+  ASSERT_TRUE(reference.LoadTurtle(right).ok());
+  const uint64_t union_fingerprint =
+      triq::chase::FactFingerprint(reference.base());
+
+  for (int round = 0; round < 4; ++round) {
+    Engine engine;
+    std::atomic<bool> stop{false};
+    std::thread reader([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        auto rows = engine.Answers("triple");
+        ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+        EXPECT_TRUE(rows->empty() || rows->size() == kTriples ||
+                    rows->size() == 2 * kTriples)
+            << rows->size();
+      }
+    });
+    std::thread left_loader(
+        [&] { EXPECT_TRUE(engine.LoadTurtle(left).ok()); });
+    std::thread right_loader(
+        [&] { EXPECT_TRUE(engine.LoadTurtle(right).ok()); });
+    left_loader.join();
+    right_loader.join();
+    stop.store(true, std::memory_order_release);
+    reader.join();
+
+    EXPECT_EQ(engine.base().TotalFacts(), 2u * kTriples);
+    EXPECT_EQ(triq::chase::FactFingerprint(engine.base()), union_fingerprint);
+    auto rows = engine.Answers("triple");
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(rows->size(), 2u * kTriples);
+  }
 }
 
 }  // namespace

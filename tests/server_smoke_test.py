@@ -19,6 +19,11 @@ Phase 4: on a fresh server, a user rule deriving `q@0` and `answer@1` —
 the names the first SPARQL translation would otherwise pick — must not
 make an unrelated SPARQL query fail.
 
+Phase 5: LOAD takes Turtle text inline (the rest of the line), not a
+file name. A multi-statement line loads, materializes and answers; a
+malformed one gets exactly one ERR line, changes no answer, and leaves
+the connection usable.
+
 Usage: server_smoke_test.py <path-to-triq_server>
 """
 
@@ -366,12 +371,68 @@ def fresh_query_names(server):
             proc.wait()
 
 
+def inline_turtle_load(server):
+    proc, port = start_server(server)
+    try:
+        with connect(port) as s:
+            f = s.makefile("rw")
+            reply = send(f, 'LOAD a edge b . b edge c . c label "x. y # z" .')
+            expect(reply == ["OK loaded"], f"LOAD: {reply}")
+            expect(
+                send(
+                    f,
+                    "RULE triple(?X, edge, ?Y) -> tc(?X, ?Y) . "
+                    "tc(?X, ?Y), triple(?Y, edge, ?Z) -> tc(?X, ?Z) .",
+                )
+                == ["OK attached"],
+                "RULE failed",
+            )
+            reply = send(f, "MATERIALIZE")
+            expect(reply[0].startswith("OK materialized"), f"MATERIALIZE: {reply}")
+            tc = send(f, "ANSWERS tc")
+            expect(
+                set(tc[:-1]) == {"ROW a b", "ROW b c", "ROW a c"}
+                and tc[-1] == "OK 3",
+                f"ANSWERS tc: {tc}",
+            )
+            triples = send(f, "ANSWERS triple")
+            expect(
+                'ROW c label "x. y # z"' in triples and triples[-1] == "OK 3",
+                f"ANSWERS triple: {triples}",
+            )
+
+            # Four terms, then an unterminated literal: each is one ERR,
+            # and neither leaves a fact behind.
+            for bad in ("LOAD d edge e f .", 'LOAD d edge "unterminated .'):
+                reply = send(f, bad)
+                expect(
+                    len(reply) == 1 and reply[0].startswith("ERR"),
+                    f"{bad!r}: {reply}",
+                )
+                expect(send(f, "ANSWERS tc") == tc, f"ANSWERS tc after {bad!r}")
+                expect(
+                    send(f, "ANSWERS triple") == triples,
+                    f"ANSWERS triple after {bad!r}",
+                )
+                expect(send(f, "PING") == ["OK pong"], f"PING after {bad!r}")
+            expect(
+                send(f, "SHUTDOWN") == ["OK shutting-down"], "SHUTDOWN failed"
+            )
+        proc.wait(timeout=15)
+        expect(proc.returncode == 0, f"server exit code {proc.returncode}")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
 def main():
     server = sys.argv[1]
     scripted_session(server)
     misbehaving_clients(server)
     flag_parsing(server)
     fresh_query_names(server)
+    inline_turtle_load(server)
     print("server smoke test passed")
 
 

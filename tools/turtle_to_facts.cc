@@ -14,8 +14,6 @@
 #include "chase/fact_dump.h"
 #include "chase/instance.h"
 #include "common/dictionary.h"
-#include "rdf/graph.h"
-#include "rdf/turtle.h"
 
 int main(int argc, char** argv) {
   std::string in_path, out_path, predicate = "triple";
@@ -52,21 +50,18 @@ int main(int argc, char** argv) {
     std::cerr << "turtle_to_facts: cannot open " << in_path << "\n";
     return 1;
   }
-  auto dict = std::make_shared<triq::Dictionary>();
-  triq::rdf::Graph graph(dict);
-  triq::Status status = triq::rdf::ParseTurtleStream(in, &graph);
+  auto staged = triq::chase::Instance::FromTurtle(
+      in, std::make_shared<triq::Dictionary>(), predicate);
+  if (!staged.ok()) {
+    std::cerr << "turtle_to_facts: " << staged.status().ToString() << "\n";
+    return 1;
+  }
+  triq::Status status = triq::chase::SaveFacts(*staged, out_path);
   if (!status.ok()) {
     std::cerr << "turtle_to_facts: " << status.ToString() << "\n";
     return 1;
   }
-  triq::chase::Instance instance =
-      triq::chase::Instance::FromGraph(graph, predicate);
-  status = triq::chase::SaveFacts(instance, out_path);
-  if (!status.ok()) {
-    std::cerr << "turtle_to_facts: " << status.ToString() << "\n";
-    return 1;
-  }
-  std::cerr << "wrote " << graph.size() << " triples ("
-            << instance.dict().size() << " symbols) to " << out_path << "\n";
+  std::cerr << "wrote " << staged->TotalFacts() << " triples ("
+            << staged->dict().size() << " symbols) to " << out_path << "\n";
   return 0;
 }
