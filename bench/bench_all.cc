@@ -99,7 +99,7 @@ void SuiteChase(const Config& config, const HarnessOptions& options) {
     triq::chase::ChaseOptions chase_options;
     chase_options.num_threads = threads;
     harness.Run(name, [&](std::map<std::string, double>* counters) {
-      triq::chase::Instance work = triq::core::CloneInstance(db);
+      triq::chase::Instance work = db.CloneFacts();
       triq::chase::ChaseStats stats;
       triq::Status st =
           triq::chase::RunChase(program, &work, chase_options, &stats);
@@ -233,7 +233,7 @@ void SuiteChase(const Config& config, const HarnessOptions& options) {
       std::string name = "chase/triangle/" + std::to_string(n) +
                          (binary ? "/binary" : "");
       harness.Run(name, [&](std::map<std::string, double>* counters) {
-        triq::chase::Instance work = triq::core::CloneInstance(db);
+        triq::chase::Instance work = db.CloneFacts();
         triq::chase::ChaseStats stats;
         triq::Status st =
             triq::chase::RunChase(program, &work, chase_options, &stats);
@@ -250,7 +250,7 @@ void SuiteChase(const Config& config, const HarnessOptions& options) {
     auto db = triq::core::RandomGraphDatabase(n, 8.0 / n, /*seed=*/11, dict);
     harness.Run("chase/path4/" + std::to_string(n),
                 [&](std::map<std::string, double>* counters) {
-                  triq::chase::Instance work = triq::core::CloneInstance(db);
+                  triq::chase::Instance work = db.CloneFacts();
                   triq::chase::ChaseStats stats;
                   triq::Status st =
                       triq::chase::RunChase(program, &work, {}, &stats);

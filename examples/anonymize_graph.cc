@@ -28,15 +28,15 @@ int main() {
   }
 
   // The answers mix constants and nulls, so read the relation itself
-  // from the materialized instance instead of the all-constant
-  // Answers() view.
-  auto materialized = engine.MaterializedInstance();
-  if (!materialized.ok()) {
-    std::cerr << materialized.status().ToString() << "\n";
+  // from the materialized snapshot instead of the all-constant
+  // Answers() view. The pointer pins the snapshot while we read it.
+  auto snapshot = engine.CurrentSnapshot();
+  if (!snapshot.ok()) {
+    std::cerr << snapshot.status().ToString() << "\n";
     return 1;
   }
   std::cout << "anonymized graph:\n";
-  const triq::chase::Relation* out = (*materialized)->Find("output");
+  const triq::chase::Relation* out = (*snapshot)->instance.Find("output");
   for (triq::chase::TupleView t : out->tuples()) {
     std::cout << "  (" << TermToString(t[0], engine.dict()) << ", "
               << TermToString(t[1], engine.dict()) << ", "

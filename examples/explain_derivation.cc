@@ -51,12 +51,12 @@ int main(int argc, char** argv) {
             << bstats.resolution_steps << " resolution steps)\n\n";
 
   // 2. Forward with provenance: materialize and extract the proof tree.
-  auto materialized = engine.MaterializedInstance();
-  if (!materialized.ok()) {
-    std::cerr << materialized.status().ToString() << "\n";
+  auto snapshot = engine.CurrentSnapshot();
+  if (!snapshot.ok()) {
+    std::cerr << snapshot.status().ToString() << "\n";
     return 1;
   }
-  auto tree = ExtractProofTree(**materialized, goal);
+  auto tree = ExtractProofTree((*snapshot)->instance, goal);
   if (!tree.ok()) {
     std::cerr << tree.status().ToString() << "\n";
     return 1;

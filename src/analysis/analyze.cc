@@ -1,11 +1,44 @@
 #include "analysis/analyze.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
 
-#include "analysis/reliance.h"
+#include "common/graph.h"
+#include "datalog/atom.h"
+#include "datalog/rule.h"
 #include "datalog/stratify.h"
 
 namespace triq::analysis {
+
+namespace {
+
+// Rule a -> rule b for every head predicate of a that occurs positively
+// in b's body; the SCCs of that graph are the groups of mutually
+// recursive rules. Constraints are nodes without out-edges.
+size_t CountRuleGroups(const datalog::Program& program) {
+  const std::vector<datalog::Rule>& rules = program.rules();
+  std::unordered_map<datalog::PredicateId, std::vector<uint32_t>> readers;
+  for (size_t r = 0; r < rules.size(); ++r) {
+    for (const datalog::Atom& atom : rules[r].body) {
+      if (!atom.negated) {
+        readers[atom.predicate].push_back(static_cast<uint32_t>(r));
+      }
+    }
+  }
+  std::vector<std::vector<uint32_t>> edges(rules.size());
+  for (size_t r = 0; r < rules.size(); ++r) {
+    for (const datalog::Atom& head : rules[r].head) {
+      auto it = readers.find(head.predicate);
+      if (it == readers.end()) continue;
+      edges[r].insert(edges[r].end(), it->second.begin(), it->second.end());
+    }
+  }
+  return common::StronglyConnectedComponents(edges).num_components;
+}
+
+}  // namespace
 
 bool ProgramAnalysis::HasErrors() const {
   return std::any_of(lints.begin(), lints.end(), [](const Lint& lint) {
@@ -51,7 +84,7 @@ ProgramAnalysis Analyze(const datalog::Program& program,
   } else {
     analysis.stratified = false;
   }
-  analysis.num_rule_groups = RelianceGraph(program).num_groups();
+  analysis.num_rule_groups = CountRuleGroups(program);
   return analysis;
 }
 

@@ -13,7 +13,7 @@ namespace triq::analysis {
 
 /// Everything the static analyzer can say about one program: the
 /// termination verdict, the lint findings, and the shape numbers
-/// (stratification and reliance-graph condensation).
+/// (stratification and rule-group count).
 struct ProgramAnalysis {
   TerminationVerdict verdict;
   std::vector<Lint> lints;
@@ -22,8 +22,9 @@ struct ProgramAnalysis {
   bool stratified = true;
   /// Strata of the minimal stratification; 0 when not stratified.
   size_t num_strata = 0;
-  /// Groups of the positive-reliance SCC condensation (mutually
-  /// recursive rules share a group).
+  /// Strongly connected components of the rule graph with an edge
+  /// a -> b whenever b's positive body reads a head predicate of a
+  /// (mutually recursive rules share a group).
   size_t num_rule_groups = 0;
 
   bool HasErrors() const;

@@ -557,6 +557,11 @@ Status ValidateChaseOptions(const ChaseOptions& options) {
         "ChaseOptions::num_threads must be >= 1 (the calling thread "
         "always participates)");
   }
+  if (options.num_threads > common::kMaxThreads) {
+    return Status::InvalidArgument(
+        "ChaseOptions::num_threads must be <= " +
+        std::to_string(common::kMaxThreads));
+  }
   if (options.max_facts == 0) {
     return Status::InvalidArgument(
         "ChaseOptions::max_facts must be non-zero");
@@ -591,6 +596,18 @@ Status ResumeChase(const datalog::Program& program, Instance* instance,
                    const ChaseOptions& options, ChaseStats* stats) {
   TRIQ_RETURN_IF_ERROR(ValidateChaseOptions(options));
   return ChaseRun(program, instance, options, stats, &saturated).Run();
+}
+
+std::vector<Tuple> ConstantTuples(const Relation* relation) {
+  std::vector<Tuple> out;
+  if (relation == nullptr) return out;
+  for (TupleView tuple : relation->tuples()) {
+    if (std::all_of(tuple.begin(), tuple.end(),
+                    [](Term t) { return t.IsConstant(); })) {
+      out.push_back(tuple.ToTuple());
+    }
+  }
+  return out;
 }
 
 std::string ExplainProgramPlans(const datalog::Program& program,

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/status.h"
 #include "chase/instance.h"
@@ -56,12 +57,13 @@ struct ChaseOptions {
   /// values are differential references for the join executor's tests.
   JoinStrategy join_strategy = JoinStrategy::kAuto;
 
-  /// Number of threads the chase may use for its match passes. 1 (the
-  /// default) is the unsharded single-threaded executor; N > 1 spawns a
-  /// work-stealing pool of N-1 workers (the calling thread participates)
-  /// and splits every large-enough pass's depth-0 window into
-  /// tuple-index-range shards matched concurrently into thread-local
-  /// staging buffers, then merge-committed in shard order.
+  /// Number of threads the chase may use for its match passes, at most
+  /// common::kMaxThreads. 1 (the default) is the unsharded
+  /// single-threaded executor; N > 1 spawns a work-stealing pool of N-1
+  /// workers (the calling thread participates) and splits every
+  /// large-enough pass's depth-0 window into tuple-index-range shards
+  /// matched concurrently into thread-local staging buffers, then
+  /// merge-committed in shard order.
   ///
   /// Determinism guarantee: the concatenated shard match stream equals
   /// the single-threaded stream (see DriverPlan in match.h), and commits
@@ -100,10 +102,11 @@ struct ChaseStats {
 };
 
 /// Checks that `options` describes a runnable configuration: num_threads
-/// >= 1, non-zero safety caps, and enum fields holding declared
-/// enumerators (not stray casts). Returns InvalidArgument naming the
-/// first offending field. RunChase/ResumeChase call this up front
-/// instead of silently proceeding.
+/// in [1, common::kMaxThreads], non-zero safety caps, and enum fields
+/// holding declared enumerators (not stray casts). Returns
+/// InvalidArgument naming the first offending field. RunChase/ResumeChase
+/// call this up front, before any thread pool exists, instead of
+/// silently proceeding.
 Status ValidateChaseOptions(const ChaseOptions& options);
 
 /// Runs the stratified chase of Section 3.2: computes S_0,...,S_ℓ by
@@ -116,6 +119,11 @@ Status ValidateChaseOptions(const ChaseOptions& options);
 Status RunChase(const datalog::Program& program, Instance* instance,
                 const ChaseOptions& options = {},
                 ChaseStats* stats = nullptr);
+
+/// The all-constant tuples of `relation`, in tuple order: the facts of
+/// Π(D)↓ for one predicate, i.e. the certain answers when it is a
+/// query's answer predicate. Empty when `relation` is null.
+std::vector<Tuple> ConstantTuples(const Relation* relation);
 
 /// Per-predicate tuple counts recording the prefix of each relation that
 /// a prior RunChase/ResumeChase with the same program already saturated.

@@ -27,9 +27,9 @@ struct SccResult {
 /// a topological order of the condensation, so schedulers can process
 /// components by id and every dependency is already done.
 ///
-/// Shared by datalog::Stratify (predicate graph), analysis::RelianceGraph
-/// (rule graph) and the acyclicity checks (position graph), so the three
-/// agree on one implementation.
+/// Shared by datalog::Stratify (predicate graph), analysis::Analyze's
+/// rule-group count (rule graph) and the acyclicity checks (position
+/// graph), so the three agree on one implementation.
 SccResult StronglyConnectedComponents(
     const std::vector<std::vector<uint32_t>>& adj);
 

@@ -47,45 +47,23 @@ Language TriqQuery::Classify() const {
 Result<std::vector<chase::Tuple>> TriqQuery::Evaluate(
     const chase::Instance& database, const chase::ChaseOptions& options,
     chase::ChaseStats* stats) const {
-  chase::Instance working = CloneInstance(database);
-  return EvaluateInPlace(&working, options, stats);
-}
-
-Result<std::vector<chase::Tuple>> TriqQuery::EvaluateInPlace(
-    chase::Instance* database, const chase::ChaseOptions& options,
-    chase::ChaseStats* stats) const {
-  TRIQ_RETURN_IF_ERROR(chase::RunChase(program_, database, options, stats));
-  std::vector<chase::Tuple> answers;
-  const chase::Relation* rel = database->Find(answer_predicate_);
-  if (rel != nullptr) {
-    for (chase::TupleView tuple : rel->tuples()) {
-      bool all_constants =
-          std::all_of(tuple.begin(), tuple.end(),
-                      [](chase::Term t) { return t.IsConstant(); });
-      if (all_constants) answers.push_back(tuple.ToTuple());
-    }
-  }
-  return answers;
+  chase::Instance working = database.CloneFacts();
+  TRIQ_RETURN_IF_ERROR(chase::RunChase(program_, &working, options, stats));
+  return chase::ConstantTuples(working.Find(answer_predicate_));
 }
 
 Result<bool> TriqQuery::Holds(const chase::Instance& database,
                               const std::vector<std::string>& tuple,
                               const chase::ChaseOptions& options) const {
-  chase::Tuple target;
-  Dictionary& dict = const_cast<Dictionary&>(database.dict());
-  for (const std::string& text : tuple) {
-    target.push_back(chase::Term::Constant(dict.Intern(text)));
-  }
   TRIQ_ASSIGN_OR_RETURN(std::vector<chase::Tuple> answers,
                         Evaluate(database, options));
+  chase::Tuple target;
+  for (const std::string& text : tuple) {
+    SymbolId id = database.dict().Find(text);
+    if (id == kInvalidSymbol) return false;
+    target.push_back(chase::Term::Constant(id));
+  }
   return std::find(answers.begin(), answers.end(), target) != answers.end();
-}
-
-chase::Instance CloneInstance(const chase::Instance& src) {
-  // Flat relation storage makes the member-wise copy a handful of
-  // memcpys per predicate; null ids/depths are preserved so cloned
-  // facts keep their identity.
-  return src.CloneFacts();
 }
 
 }  // namespace triq::core

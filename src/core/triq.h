@@ -50,13 +50,9 @@ class TriqQuery {
       const chase::ChaseOptions& options = {},
       chase::ChaseStats* stats = nullptr) const;
 
-  /// As Evaluate, but chases `database` in place (callers that want the
-  /// full Π(D), e.g. for provenance, use this).
-  Result<std::vector<chase::Tuple>> EvaluateInPlace(
-      chase::Instance* database, const chase::ChaseOptions& options = {},
-      chase::ChaseStats* stats = nullptr) const;
-
-  /// Membership check: is `tuple` (constants) among the answers?
+  /// Membership check: is `tuple` (constants) among the answers? Reads
+  /// the database's dictionary without writing it: a string it never
+  /// interned is in no answer.
   Result<bool> Holds(const chase::Instance& database,
                      const std::vector<std::string>& tuple,
                      const chase::ChaseOptions& options = {}) const;
@@ -68,10 +64,6 @@ class TriqQuery {
   datalog::Program program_;
   datalog::PredicateId answer_predicate_;
 };
-
-/// Copies all facts (and the null bookkeeping) of `src` into a fresh
-/// instance sharing the same dictionary.
-chase::Instance CloneInstance(const chase::Instance& src);
 
 }  // namespace triq::core
 

@@ -44,18 +44,6 @@ chase::SaturatedSizes SnapshotSizes(const chase::Instance& instance) {
   return sizes;
 }
 
-std::vector<chase::Tuple> ConstantTuples(const chase::Relation* rel) {
-  std::vector<chase::Tuple> out;
-  if (rel == nullptr) return out;
-  for (chase::TupleView tuple : rel->tuples()) {
-    bool all_constants =
-        std::all_of(tuple.begin(), tuple.end(),
-                    [](Term t) { return t.IsConstant(); });
-    if (all_constants) out.push_back(tuple.ToTuple());
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string_view EntailmentRegimeName(EntailmentRegime regime) {
@@ -236,17 +224,8 @@ Result<PreparedQuery::Pinned> PreparedQuery::EvaluatePinned(
 Result<std::vector<chase::Tuple>> PreparedQuery::Evaluate(
     chase::ChaseStats* stats) {
   TRIQ_ASSIGN_OR_RETURN(Pinned pinned, EvaluatePinned(stats));
-  return ConstantTuples(pinned.answers().Find(query_.answer_predicate()));
-}
-
-Result<bool> PreparedQuery::Holds(const std::vector<std::string>& tuple) {
-  chase::Tuple target;
-  target.reserve(tuple.size());
-  for (const std::string& text : tuple) {
-    target.push_back(Term::Constant(engine_->dict().Intern(text)));
-  }
-  TRIQ_ASSIGN_OR_RETURN(std::vector<chase::Tuple> answers, Evaluate());
-  return std::find(answers.begin(), answers.end(), target) != answers.end();
+  return chase::ConstantTuples(
+      pinned.answers().Find(query_.answer_predicate()));
 }
 
 // ---- Engine: construction and loading ---------------------------------
@@ -682,11 +661,10 @@ Status Engine::MaterializeLocked(chase::ChaseStats* stats) {
   // failing session retried N times must not drift rebuilds() ahead of
   // materializations().
   if (!incremental) rebuild_count_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t generation =
-      materialize_count_.fetch_add(1, std::memory_order_relaxed) + 1;
+  materialize_count_.fetch_add(1, std::memory_order_relaxed);
   chase::SaturatedSizes saturated = SnapshotSizes(next);
-  auto snap = std::make_shared<const EngineSnapshot>(
-      std::move(next), std::move(saturated), generation);
+  auto snap = std::make_shared<const EngineSnapshot>(std::move(next),
+                                                     std::move(saturated));
   base_consumed_ = SnapshotSizes(base_);
   base_null_map_ = std::move(null_map);
   rules_dirty_ = false;
@@ -738,17 +716,10 @@ Result<EngineSnapshotPtr> Engine::CurrentSnapshot() {
   return std::atomic_load(&snapshot_);
 }
 
-Result<const chase::Instance*> Engine::MaterializedInstance() {
-  TRIQ_ASSIGN_OR_RETURN(EngineSnapshotPtr snap, CurrentSnapshot());
-  // The engine's own snapshot_ reference keeps the instance alive until
-  // the next publication.
-  return &snap->instance;
-}
-
 Result<std::vector<chase::Tuple>> Engine::Answers(
     std::string_view predicate) {
   TRIQ_ASSIGN_OR_RETURN(EngineSnapshotPtr snap, CurrentSnapshot());
-  return ConstantTuples(snap->instance.Find(predicate));
+  return chase::ConstantTuples(snap->instance.Find(predicate));
 }
 
 EngineStats Engine::stats() const {
@@ -804,8 +775,8 @@ analysis::ProgramAnalysis Engine::AnalyzeProgram(
 
 // ---- Engine: queries ---------------------------------------------------
 
-Result<PreparedQuery> Engine::PrepareInternal(
-    datalog::Program program, std::string_view answer_predicate) {
+Result<PreparedQuery> Engine::Prepare(datalog::Program program,
+                                      std::string_view answer_predicate) {
   if (program.dict_ptr().get() != dict_.get()) {
     return Status::InvalidArgument(
         "prepared programs must be built over the engine dictionary "
@@ -851,21 +822,16 @@ Result<PreparedQuery> Engine::PrepareInternal(
   return PreparedQuery(this, std::move(query), claims_, std::move(token));
 }
 
-Result<PreparedQuery> Engine::Prepare(datalog::Program program,
-                                      std::string_view answer_predicate) {
-  return PrepareInternal(std::move(program), answer_predicate);
-}
-
 Result<PreparedQuery> Engine::Prepare(std::string_view rule_text,
                                       std::string_view answer_predicate) {
   if (rule_text.find_first_not_of(" \t\r\n") == std::string_view::npos) {
     // The empty program: evaluation reads the answer relation the data
     // program derives.
-    return PrepareInternal(datalog::Program(dict_), answer_predicate);
+    return Prepare(datalog::Program(dict_), answer_predicate);
   }
   TRIQ_ASSIGN_OR_RETURN(datalog::Program program,
                         datalog::ParseProgram(rule_text, dict_));
-  return PrepareInternal(std::move(program), answer_predicate);
+  return Prepare(std::move(program), answer_predicate);
 }
 
 // ---- Engine: SPARQL ----------------------------------------------------
@@ -913,8 +879,8 @@ Result<sparql::MappingSet> Engine::Query(const std::string& sparql_text) {
     translated.program = datalog::Program(dict_);
     TRIQ_ASSIGN_OR_RETURN(
         PreparedQuery prepared,
-        PrepareInternal(std::move(query_program),
-                        dict_->Text(translated.answer_predicate)));
+        Prepare(std::move(query_program),
+                dict_->Text(translated.answer_predicate)));
     auto built = std::make_shared<SparqlEntry>(std::move(translated),
                                                std::move(prepared));
 

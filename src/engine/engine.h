@@ -163,18 +163,13 @@ struct EngineOptions {
 /// snapshot superseded by the next publication stays alive until its
 /// last reader drops it (epoch/RCU reclamation for free).
 struct EngineSnapshot {
-  EngineSnapshot(chase::Instance inst, chase::SaturatedSizes sat,
-                 uint64_t gen)
-      : instance(std::move(inst)),
-        saturated(std::move(sat)),
-        generation(gen) {}
+  EngineSnapshot(chase::Instance inst, chase::SaturatedSizes sat)
+      : instance(std::move(inst)), saturated(std::move(sat)) {}
 
   chase::Instance instance;
   /// Per-predicate sizes at publication (the resume point for the next
   /// incremental materialization).
   chase::SaturatedSizes saturated;
-  /// Materialization count at publication (1 = first closure).
-  uint64_t generation;
 };
 
 using EngineSnapshotPtr = std::shared_ptr<const EngineSnapshot>;
@@ -245,12 +240,12 @@ class QueryClaims {
 
 class Engine;
 
-/// A query parsed, validated, and classified once, then evaluated many
-/// times against the engine's published snapshots. Obtained from
-/// Engine::Prepare; holds a pointer to its engine, which must outlive
-/// it. Move-only: the handle owns its predicate claims and releases
-/// them on destruction, so dropping a PreparedQuery frees its head
-/// predicates for later Prepares.
+/// A query parsed and validated once, then evaluated many times against
+/// the engine's published snapshots. Obtained from Engine::Prepare;
+/// holds a pointer to its engine, which must outlive it. Move-only: the
+/// handle owns its predicate claims and releases them on destruction, so
+/// dropping a PreparedQuery frees its head predicates for later
+/// Prepares.
 ///
 /// Evaluation model: the first Evaluate against a given snapshot runs
 /// the chase of the *query program only* over a private overlay of that
@@ -274,9 +269,9 @@ class PreparedQuery {
   datalog::PredicateId answer_predicate() const {
     return query_.answer_predicate();
   }
-  /// Strongest language class of the query program (classified once at
-  /// Prepare time).
-  core::Language language() const { return language_; }
+  /// Strongest language class of the query program (classified on each
+  /// call; evaluation never needs it).
+  core::Language language() const { return query_.Classify(); }
 
   /// Certain answers of (Π_data ∪ Π_query, answer) over the loaded
   /// database: all-constant tuples of the answer predicate, identical to
@@ -284,9 +279,6 @@ class PreparedQuery {
   /// engine first if needed. StatusCode::kInconsistent is the paper's ⊤.
   Result<std::vector<chase::Tuple>> Evaluate(
       chase::ChaseStats* stats = nullptr);
-
-  /// Membership check: is `tuple` (constants) among the answers?
-  Result<bool> Holds(const std::vector<std::string>& tuple);
 
  private:
   friend class Engine;
@@ -316,7 +308,6 @@ class PreparedQuery {
                 QueryClaims::Token token)
       : engine_(engine),
         query_(std::move(query)),
-        language_(query_.Classify()),
         claims_(std::move(claims)),
         token_(std::move(token)),
         eval_(std::make_unique<EvalState>()) {}
@@ -327,7 +318,6 @@ class PreparedQuery {
 
   Engine* engine_;
   core::TriqQuery query_;
-  core::Language language_;
   // Claim ownership; claims_ is null after a move-from, and the
   // destructor only releases while it is set.
   std::shared_ptr<QueryClaims> claims_;
@@ -505,11 +495,6 @@ class Engine {
   /// writes (which publish NEW snapshots instead of mutating this one).
   Result<EngineSnapshotPtr> CurrentSnapshot();
 
-  /// The materialized instance (materializing first if needed). The
-  /// pointer stays valid until the next publication; prefer
-  /// CurrentSnapshot() when other threads may write concurrently.
-  Result<const chase::Instance*> MaterializedInstance();
-
   /// The pristine loaded facts (never chased). Writer-side state: not
   /// synchronized against concurrent loads — a documented escape hatch,
   /// hence exempt from the analysis.
@@ -540,8 +525,8 @@ class Engine {
 
   /// Runs the static analyzer (analysis::Analyze) over the session's
   /// data program without chasing anything: termination verdict,
-  /// stratification, reliance-graph group count, and the lint pass. The
-  /// loaded base relations are treated as the EDB (so reads of loaded
+  /// stratification, rule-group count, and the lint pass. The loaded
+  /// base relations are treated as the EDB (so reads of loaded
   /// predicates are not flagged underivable) and `output_predicates`
   /// names predicates consumed externally (query heads, answer
   /// relations) that must not be flagged unused. Under a reasoning
@@ -556,10 +541,10 @@ class Engine {
 
   /// Validates (program, answer_predicate) as a TriqQuery whose head
   /// predicates are disjoint from the data program and the loaded facts,
-  /// classifies it, and returns a PreparedQuery bound to this session.
-  /// The program may be empty: evaluation then just reads the answer
-  /// relation the data program derives. The handle owns its predicate
-  /// claims; dropping it releases them.
+  /// and returns a PreparedQuery bound to this session. The program may
+  /// be empty: evaluation then just reads the answer relation the data
+  /// program derives. The handle owns its predicate claims; dropping it
+  /// releases them.
   Result<PreparedQuery> Prepare(datalog::Program program,
                                 std::string_view answer_predicate);
 
@@ -654,9 +639,6 @@ class Engine {
 
   /// Applies one recovered journal record through the public mutators.
   Status ReplayRecord(const Journal::Record& record);
-
-  Result<PreparedQuery> PrepareInternal(datalog::Program program,
-                                        std::string_view answer_predicate);
 
   EngineOptions options_;
   std::shared_ptr<Dictionary> dict_;

@@ -6,11 +6,7 @@ namespace triq::rdf {
 
 bool Graph::Add(const Triple& t) {
   if (!set_.insert(t).second) return false;
-  uint32_t idx = static_cast<uint32_t>(triples_.size());
   triples_.push_back(t);
-  by_subject_[t.subject].push_back(idx);
-  by_predicate_[t.predicate].push_back(idx);
-  by_object_[t.object].push_back(idx);
   return true;
 }
 
@@ -21,37 +17,10 @@ bool Graph::Add(std::string_view s, std::string_view p, std::string_view o) {
 void Graph::Match(std::optional<SymbolId> s, std::optional<SymbolId> p,
                   std::optional<SymbolId> o,
                   const std::function<void(const Triple&)>& fn) const {
-  auto matches = [&](const Triple& t) {
-    return (!s || t.subject == *s) && (!p || t.predicate == *p) &&
-           (!o || t.object == *o);
-  };
-  // Choose the most selective index among the bound positions.
-  const std::vector<uint32_t>* postings = nullptr;
-  auto consider = [&](const std::unordered_map<SymbolId,
-                                               std::vector<uint32_t>>& index,
-                      std::optional<SymbolId> key) {
-    if (!key) return true;  // unbound: no constraint from this position
-    auto it = index.find(*key);
-    if (it == index.end()) {
-      postings = nullptr;
-      return false;  // bound but empty: no matches at all
-    }
-    if (postings == nullptr || it->second.size() < postings->size()) {
-      postings = &it->second;
-    }
-    return true;
-  };
-  if (!consider(by_subject_, s)) return;
-  if (!consider(by_predicate_, p)) return;
-  if (!consider(by_object_, o)) return;
-
-  if (postings != nullptr) {
-    for (uint32_t idx : *postings) {
-      if (matches(triples_[idx])) fn(triples_[idx]);
-    }
-  } else {
-    for (const Triple& t : triples_) {
-      if (matches(t)) fn(t);
+  for (const Triple& t : triples_) {
+    if ((!s || t.subject == *s) && (!p || t.predicate == *p) &&
+        (!o || t.object == *o)) {
+      fn(t);
     }
   }
 }

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -14,10 +13,9 @@
 
 namespace triq::rdf {
 
-/// An in-memory RDF graph: a finite set of triples with hash indexes on
-/// each of the three positions (SPO-style access paths). All terms are
-/// interned in a Dictionary shared with the query engine, so joins over
-/// URIs are integer joins.
+/// An in-memory RDF graph: a finite set of triples in insertion order.
+/// All terms are interned in a Dictionary shared with the query engine,
+/// so joins over URIs are integer joins.
 class Graph {
  public:
   explicit Graph(std::shared_ptr<Dictionary> dict)
@@ -38,8 +36,9 @@ class Graph {
   const Dictionary& dict() const { return *dict_; }
   const std::shared_ptr<Dictionary>& dict_ptr() const { return dict_; }
 
-  /// Enumerates all triples matching the pattern; std::nullopt positions
-  /// are wildcards. Uses the most selective available index.
+  /// Enumerates all triples matching the pattern, in insertion order;
+  /// std::nullopt positions are wildcards. A full scan; its one reader is
+  /// the direct SPARQL evaluator that tests use as a reference.
   void Match(std::optional<SymbolId> s, std::optional<SymbolId> p,
              std::optional<SymbolId> o,
              const std::function<void(const Triple&)>& fn) const;
@@ -51,10 +50,6 @@ class Graph {
   std::shared_ptr<Dictionary> dict_;
   std::vector<Triple> triples_;
   std::unordered_set<Triple, TripleHash> set_;
-  // Position indexes: symbol -> indices into triples_.
-  std::unordered_map<SymbolId, std::vector<uint32_t>> by_subject_;
-  std::unordered_map<SymbolId, std::vector<uint32_t>> by_predicate_;
-  std::unordered_map<SymbolId, std::vector<uint32_t>> by_object_;
 };
 
 }  // namespace triq::rdf

@@ -12,15 +12,6 @@ void AddUnique(std::vector<SymbolId>* vec, SymbolId v) {
   }
 }
 
-std::vector<SymbolId> Intersect(const std::vector<SymbolId>& a,
-                                const std::vector<SymbolId>& b) {
-  std::vector<SymbolId> out;
-  for (SymbolId v : a) {
-    if (std::find(b.begin(), b.end(), v) != b.end()) out.push_back(v);
-  }
-  return out;
-}
-
 }  // namespace
 
 std::unique_ptr<Condition> Condition::Bound(SymbolId var) {
@@ -69,17 +60,6 @@ std::unique_ptr<Condition> Condition::And(std::unique_ptr<Condition> a,
   c->kind = Kind::kAnd;
   c->left = std::move(a);
   c->right = std::move(b);
-  return c;
-}
-
-std::unique_ptr<Condition> Condition::Clone() const {
-  auto c = std::make_unique<Condition>();
-  c->kind = kind;
-  c->var1 = var1;
-  c->var2 = var2;
-  c->constant = constant;
-  if (left != nullptr) c->left = left->Clone();
-  if (right != nullptr) c->right = right->Clone();
   return c;
 }
 
@@ -157,17 +137,6 @@ std::unique_ptr<GraphPattern> GraphPattern::Select(
   return p;
 }
 
-std::unique_ptr<GraphPattern> GraphPattern::Clone() const {
-  auto p = std::make_unique<GraphPattern>();
-  p->kind = kind;
-  p->triples = triples;
-  p->projection = projection;
-  if (left != nullptr) p->left = left->Clone();
-  if (right != nullptr) p->right = right->Clone();
-  if (condition != nullptr) p->condition = condition->Clone();
-  return p;
-}
-
 std::vector<SymbolId> GraphPattern::Variables() const {
   std::vector<SymbolId> out;
   switch (kind) {
@@ -193,27 +162,6 @@ std::vector<SymbolId> GraphPattern::Variables() const {
       break;
   }
   return out;
-}
-
-std::vector<SymbolId> GraphPattern::CertainVariables() const {
-  switch (kind) {
-    case Kind::kBasic:
-      return Variables();
-    case Kind::kAnd: {
-      std::vector<SymbolId> out = left->CertainVariables();
-      for (SymbolId v : right->CertainVariables()) AddUnique(&out, v);
-      return out;
-    }
-    case Kind::kUnion:
-      return Intersect(left->CertainVariables(), right->CertainVariables());
-    case Kind::kOpt:
-      return left->CertainVariables();
-    case Kind::kFilter:
-      return left->CertainVariables();
-    case Kind::kSelect:
-      return Intersect(projection, left->CertainVariables());
-  }
-  return {};
 }
 
 namespace {

@@ -60,7 +60,6 @@ struct Condition {
   static std::unique_ptr<Condition> And(std::unique_ptr<Condition> a,
                                         std::unique_ptr<Condition> b);
 
-  std::unique_ptr<Condition> Clone() const;
   /// var(R), first-seen order.
   void CollectVariables(std::vector<SymbolId>* out) const;
 };
@@ -89,16 +88,9 @@ struct GraphPattern {
   static std::unique_ptr<GraphPattern> Select(std::vector<SymbolId> vars,
                                               std::unique_ptr<GraphPattern> p);
 
-  std::unique_ptr<GraphPattern> Clone() const;
-
   /// var(P): every variable occurring in the pattern, first-seen order.
   /// For SELECT nodes this is the projection list (the answer schema).
   std::vector<SymbolId> Variables() const;
-
-  /// Variables bound in *every* solution mapping (used by the
-  /// translation to decide where ⋆-padding is needed): all variables for
-  /// basic patterns, intersection under UNION, left side only under OPT.
-  std::vector<SymbolId> CertainVariables() const;
 
   std::string ToString(const Dictionary& dict) const;
 };

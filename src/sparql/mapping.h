@@ -2,6 +2,7 @@
 #define TRIQ_SPARQL_MAPPING_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/dictionary.h"
@@ -64,7 +65,14 @@ struct SparqlMappingHash {
 /// A set of mappings Ω. Stored as a deduplicated vector.
 class MappingSet {
  public:
-  /// Inserts `m` if not present; returns true if new.
+  MappingSet() = default;
+  /// Takes `distinct` as the set as it stands, with no membership test:
+  /// the caller guarantees its mappings are pairwise distinct (as the
+  /// decode of a deduplicated answer relation's tuples is).
+  explicit MappingSet(std::vector<SparqlMapping> distinct)
+      : mappings_(std::move(distinct)) {}
+
+  /// Inserts `m` if not present (a linear scan); returns true if new.
   bool Insert(const SparqlMapping& m);
 
   size_t size() const { return mappings_.size(); }

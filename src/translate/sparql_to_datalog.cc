@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "translate/owl2ql_program.h"
 
@@ -478,9 +480,14 @@ Result<TranslatedQuery> TranslatePattern(const sparql::GraphPattern& pattern,
 
 sparql::MappingSet AnswersToMappings(const TranslatedQuery& query,
                                      const chase::Instance& instance) {
-  sparql::MappingSet out;
   const chase::Relation* rel = instance.Find(query.answer_predicate);
-  if (rel == nullptr) return out;
+  if (rel == nullptr) return {};
+  // The relation holds each tuple once, and two distinct tuples decode to
+  // distinct mappings: where they differ, one binds the position's
+  // variable and the other binds it to another value or leaves it at ⋆.
+  // So every row is appended without a membership test.
+  std::vector<sparql::SparqlMapping> rows;
+  rows.reserve(rel->size());
   for (chase::TupleView tuple : rel->tuples()) {
     sparql::SparqlMapping m;
     bool valid = true;
@@ -493,9 +500,9 @@ sparql::MappingSet AnswersToMappings(const TranslatedQuery& query,
         m.Bind(query.answer_variables[i], tuple[i].symbol());
       }
     }
-    if (valid) out.Insert(m);
+    if (valid) rows.push_back(std::move(m));
   }
-  return out;
+  return sparql::MappingSet(std::move(rows));
 }
 
 Result<sparql::MappingSet> EvaluateTranslated(

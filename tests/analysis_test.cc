@@ -1,6 +1,6 @@
 // The static analyzer: the termination-verdict lattice (datalog ⊂
 // weakly acyclic ⊂ jointly acyclic, kUnknown above), witness cycles,
-// the rule reliance graph, the lint pass, and the end-to-end wiring —
+// the rule-group count, the lint pass, and the end-to-end wiring —
 // EngineOptions::require_termination_guarantee blocking a divergent
 // program before any chase round.
 #include "analysis/analyze.h"
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "analysis/lint.h"
-#include "analysis/reliance.h"
 #include "analysis/termination.h"
 #include "engine/engine.h"
 #include "test_util.h"
@@ -35,7 +34,6 @@ using triq::analysis::LintRules;
 using triq::analysis::LintSeverity;
 using triq::analysis::PositionGraph;
 using triq::analysis::ProgramAnalysis;
-using triq::analysis::RelianceGraph;
 using triq::analysis::Termination;
 using triq::analysis::TerminationVerdict;
 using triq::test::Dict;
@@ -146,32 +144,9 @@ TEST(TerminationTest, RestrictedChaseOnlyProgramsAreHonestlyUnknown) {
   EXPECT_EQ(restriction.termination, Termination::kUnknown);
 }
 
-// ---- Reliance graph ---------------------------------------------------
+// ---- Rule groups ------------------------------------------------------
 
-TEST(RelianceGraphTest, EdgesAndCondensationOrder) {
-  auto dict = Dict();
-  auto program = Parse(R"(
-    edge(?X, ?Y) -> tc(?X, ?Y) .
-    tc(?X, ?Y), edge(?Y, ?Z) -> tc(?X, ?Z) .
-    tc(?X, ?Y) -> reach(?X) .
-  )",
-                       dict);
-  RelianceGraph reliance(program);
-  ASSERT_EQ(reliance.num_rules(), 3u);
-  // Rule 0 derives tc, read positively by rules 1 and 2.
-  EXPECT_EQ(reliance.PositiveReliers(0), (std::vector<uint32_t>{1, 2}));
-  // Rule 1 is recursive (relies on itself) and feeds rule 2.
-  EXPECT_EQ(reliance.PositiveReliers(1), (std::vector<uint32_t>{1, 2}));
-  // Nothing reads `reach`.
-  EXPECT_TRUE(reliance.PositiveReliers(2).empty());
-  EXPECT_TRUE(reliance.NegativeReliers(0).empty());
-  // Three singleton groups in topological (producer-first) order.
-  EXPECT_EQ(reliance.num_groups(), 3u);
-  EXPECT_LT(reliance.GroupOf(0), reliance.GroupOf(2));
-  EXPECT_LT(reliance.GroupOf(1), reliance.GroupOf(2));
-}
-
-TEST(RelianceGraphTest, MutualRecursionLandsInOneGroup) {
+TEST(RuleGroupsTest, MutualRecursionSharesOneGroup) {
   auto dict = Dict();
   auto program = Parse(R"(
     base(?X, ?Y) -> p(?X, ?Y) .
@@ -179,21 +154,22 @@ TEST(RelianceGraphTest, MutualRecursionLandsInOneGroup) {
     q(?X, ?Y) -> p(?X, ?Y) .
   )",
                        dict);
-  RelianceGraph reliance(program);
-  EXPECT_EQ(reliance.GroupOf(1), reliance.GroupOf(2));
-  EXPECT_LT(reliance.GroupOf(0), reliance.GroupOf(1));
+  // {rule 0} and {rules 1, 2}: p and q feed each other.
+  EXPECT_EQ(Analyze(program).num_rule_groups, 2u);
 }
 
-TEST(RelianceGraphTest, NegativeRelianceIsTrackedSeparately) {
+TEST(RuleGroupsTest, NegatedReadMergesNothing) {
   auto dict = Dict();
   auto program = Parse(R"(
-    src(?X) -> reached(?X) .
-    node(?X), not reached(?X) -> isolated(?X) .
+    node(?X), not c(?X) -> b(?X) .
+    b(?X) -> c(?X) .
   )",
                        dict);
-  RelianceGraph reliance(program);
-  EXPECT_EQ(reliance.NegativeReliers(0), (std::vector<uint32_t>{1}));
-  EXPECT_TRUE(reliance.PositiveReliers(0).empty());
+  // Rule 0 feeds rule 1 positively; rule 1 feeds rule 0 only through a
+  // negated atom, which closes no group.
+  ProgramAnalysis analysis = Analyze(program);
+  EXPECT_FALSE(analysis.stratified);
+  EXPECT_EQ(analysis.num_rule_groups, 2u);
 }
 
 // ---- Lint pass --------------------------------------------------------

@@ -130,11 +130,11 @@ void VerifyChild(const std::string& wal, size_t prefix) {
       chase::FactFingerprint(reference.base())) {
     std::_Exit(82);
   }
-  auto recovered_closure = (*recovered)->MaterializedInstance();
-  auto reference_closure = reference.MaterializedInstance();
+  auto recovered_closure = (*recovered)->CurrentSnapshot();
+  auto reference_closure = reference.CurrentSnapshot();
   if (!recovered_closure.ok() || !reference_closure.ok()) std::_Exit(83);
-  if (chase::FactFingerprint(**recovered_closure) !=
-      chase::FactFingerprint(**reference_closure)) {
+  if (chase::FactFingerprint((*recovered_closure)->instance) !=
+      chase::FactFingerprint((*reference_closure)->instance)) {
     std::_Exit(84);
   }
   std::_Exit(0);
@@ -200,9 +200,9 @@ TEST(DurabilityTest, CleanCloseReopensIdenticalAndUsable) {
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     for (const OpFn& op : Workload()) ASSERT_TRUE(op(**engine).ok());
     base_fp = chase::FactFingerprint((*engine)->base());
-    auto closure = (*engine)->MaterializedInstance();
+    auto closure = (*engine)->CurrentSnapshot();
     ASSERT_TRUE(closure.ok());
-    closure_fp = chase::FactFingerprint(**closure);
+    closure_fp = chase::FactFingerprint((*closure)->instance);
     auto tc = (*engine)->Answers("tc");
     ASSERT_TRUE(tc.ok());
     tc_count = tc->size();
@@ -210,9 +210,9 @@ TEST(DurabilityTest, CleanCloseReopensIdenticalAndUsable) {
   auto reopened = Engine::Open(JournaledOptions(wal));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(chase::FactFingerprint((*reopened)->base()), base_fp);
-  auto closure = (*reopened)->MaterializedInstance();
+  auto closure = (*reopened)->CurrentSnapshot();
   ASSERT_TRUE(closure.ok());
-  EXPECT_EQ(chase::FactFingerprint(**closure), closure_fp);
+  EXPECT_EQ(chase::FactFingerprint((*closure)->instance), closure_fp);
   // The reopened session is live, not a read-only restore.
   auto tc = (*reopened)->Answers("tc");
   ASSERT_TRUE(tc.ok());
@@ -223,9 +223,9 @@ TEST(DurabilityTest, CleanCloseReopensIdenticalAndUsable) {
   EXPECT_GT(grown->size(), tc_count);
   EngineStats stats = (*reopened)->stats();
   EXPECT_TRUE(stats.journal_enabled);
-  // The closing MaterializedInstance() above checkpointed, so recovery
-  // came from the checkpoint with an empty tail; the AddTriple journals
-  // into the new epoch.
+  // The first session's CurrentSnapshot() materialized and checkpointed,
+  // so recovery came from the checkpoint with an empty tail; the
+  // AddTriple journals into the new epoch.
   EXPECT_GE(stats.journal_records, 1u);
 }
 

@@ -2,7 +2,8 @@
 // session-hygiene regressions the concurrent server surfaced:
 //  * N reader threads evaluating during writer re-materializations must
 //    each see a consistent snapshot — the full closure of some chain
-//    prefix, never a mix of two closures — with monotone generations.
+//    prefix, never a mix of two closures, and never an older closure
+//    than one it already saw.
 //  * Dropping a PreparedQuery releases its head-predicate claims.
 //  * The SPARQL plan cache is bounded (LRU) with hit/miss/eviction
 //    counters, and an evicted plan's program identity is forgotten.

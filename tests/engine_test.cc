@@ -18,6 +18,7 @@
 #include "chase/chase.h"
 #include "chase/fact_dump.h"
 #include "chase/instance.h"
+#include "common/thread_pool.h"
 #include "core/triq.h"
 #include "core/workloads.h"
 #include "owl/ontology.h"
@@ -383,6 +384,19 @@ TEST(EngineTest, InvalidOptionsSurfaceFromMaterialize) {
     EXPECT_EQ(stats.status().code(), triq::StatusCode::kInvalidArgument);
   }
   {
+    // Validation runs before the chase builds its pool, so this starts
+    // no thread.
+    Engine engine(
+        EngineOptions().SetNumThreads(triq::common::kMaxThreads + 1));
+    ASSERT_TRUE(engine.LoadTurtle("a b c .").ok());
+    auto stats = engine.Materialize();
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status().code(), triq::StatusCode::kInvalidArgument);
+    EXPECT_NE(stats.status().message().find("num_threads"),
+              std::string::npos)
+        << stats.status().ToString();
+  }
+  {
     Engine engine(EngineOptions().SetMaxFacts(0));
     auto stats = engine.Materialize();
     ASSERT_FALSE(stats.ok());
@@ -649,6 +663,29 @@ TEST(EngineTest, OptionalPatternsStayCorrectAcrossDeltas) {
   ASSERT_EQ(second->size(), 1u);
   // Now the optional side binds ?A for bob.
   EXPECT_NE(second->ToString(engine.dict()), first->ToString(engine.dict()));
+}
+
+TEST(EngineTest, QueryMissDecodesEveryAnswerRow) {
+  // A miss decodes each stored answer tuple once, with no per-row
+  // membership scan; 100k rows must neither drop nor repeat a mapping.
+  constexpr size_t kRows = 100'000;
+  std::string turtle;
+  for (size_t i = 0; i < kRows; ++i) {
+    turtle += "s" + std::to_string(i) + " p o" + std::to_string(i % 7) +
+              " .\n";
+  }
+  Engine engine;
+  ASSERT_TRUE(engine.LoadTurtle(turtle).ok());
+  auto miss = engine.Query("{ ?s p ?o }");
+  ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+  ASSERT_EQ(miss->size(), kRows);
+  std::vector<triq::sparql::SparqlMapping> rows = miss->mappings();
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(std::adjacent_find(rows.begin(), rows.end()), rows.end());
+  auto hit = engine.Query("{ ?s p ?o }");
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(*hit, *miss);
+  EXPECT_EQ(engine.stats().sparql_cache_hits, 1u);
 }
 
 }  // namespace

@@ -186,7 +186,7 @@ TEST(IntegrationTest, CliqueViaNegationEliminationPipeline) {
   }
   auto rewritten = core::EliminateNegation(*aux, db);
   ASSERT_TRUE(rewritten.ok());
-  chase::Instance direct = core::CloneInstance(db);
+  chase::Instance direct = db.CloneFacts();
   ASSERT_TRUE(RunChase(*aux, &direct).ok());
   chase::Instance via = std::move(rewritten->second);
   ASSERT_TRUE(RunChase(rewritten->first, &via).ok());

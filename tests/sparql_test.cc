@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "rdf/graph.h"
 #include "sparql/eval.h"
@@ -216,26 +217,19 @@ TEST(SparqlMappingTest, AlgebraOnSmallSets) {
   o2.Insert(m2);
   m3.Bind(x, c);
   o1.Insert(m3);
+  EXPECT_FALSE(o1.Insert(m1));  // already present
+  EXPECT_EQ(o1.size(), 2u);
   EXPECT_EQ(Join(o1, o2).size(), 1u);        // only x=a joins
   EXPECT_EQ(Union(o1, o2).size(), 3u);
+  EXPECT_EQ(Union(o1, MappingSet({m3})).size(), 2u);  // x=c once
   EXPECT_EQ(Difference(o1, o2).size(), 1u);  // x=c has no partner
   EXPECT_EQ(LeftOuterJoin(o1, o2).size(), 2u);
 }
 
-TEST(SparqlParserTest, VariablesAndCertainVariables) {
+TEST(SparqlParserTest, VariablesCoverBothSidesOfOpt) {
   auto dict = Dict();
   auto p = Parse("OPT({ ?X name ?Y }, { ?X phone ?Z })", dict.get());
   EXPECT_EQ(p->Variables().size(), 3u);
-  std::vector<SymbolId> certain = p->CertainVariables();
-  EXPECT_EQ(certain.size(), 2u);  // ?X, ?Y; not ?Z
-}
-
-TEST(SparqlParserTest, UnionCertainIsIntersection) {
-  auto dict = Dict();
-  auto p = Parse("UNION({ ?X p ?Y }, { ?X q ?Z })", dict.get());
-  std::vector<SymbolId> certain = p->CertainVariables();
-  ASSERT_EQ(certain.size(), 1u);
-  EXPECT_EQ(dict->Text(certain[0]), "?X");
 }
 
 TEST(SparqlParserTest, RejectsMalformed) {

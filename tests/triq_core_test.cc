@@ -87,6 +87,13 @@ TEST(TriqQueryTest, HoldsChecksMembership) {
   db.AddFact("e", {"b", "c"});
   EXPECT_TRUE(*query->Holds(db, {"a", "c"}));
   EXPECT_FALSE(*query->Holds(db, {"c", "a"}));
+  // A constant the dictionary never saw is in no answer, and the probe
+  // leaves the dictionary as it was.
+  const size_t symbols = dict->size();
+  auto unknown = query->Holds(db, {"a", "never_interned"});
+  ASSERT_TRUE(unknown.ok());
+  EXPECT_FALSE(*unknown);
+  EXPECT_EQ(dict->size(), symbols);
 }
 
 TEST(TriqQueryTest, ClassifyPlainDatalog) {
@@ -137,17 +144,6 @@ TEST(TriqQueryTest, ClassifyUnrestricted) {
 TEST(TriqQueryTest, LanguageNames) {
   EXPECT_EQ(LanguageName(Language::kTriqLite10), "TriQ-Lite 1.0");
   EXPECT_EQ(LanguageName(Language::kTriq10), "TriQ 1.0");
-}
-
-TEST(CloneInstanceTest, PreservesNullsAndFacts) {
-  auto dict = Dict();
-  chase::Instance db(dict);
-  chase::Term z = db.AllocateNull(3);
-  db.AddFact(dict->Intern("p"), {z, chase::Term::Constant(dict->Intern("a"))});
-  chase::Instance copy = CloneInstance(db);
-  EXPECT_EQ(copy.TotalFacts(), 1u);
-  EXPECT_EQ(copy.null_count(), 1u);
-  EXPECT_EQ(copy.NullDepth(z), 3u);
 }
 
 }  // namespace

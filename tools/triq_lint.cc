@@ -3,8 +3,8 @@
 //   triq_lint [--answer PRED]... [--require-termination] FILE...
 //
 // For every file: parses it, runs the full static analysis
-// (analysis::Analyze — termination verdict, stratification, reliance
-// graph, lint pass), and prints the report prefixed with the file name.
+// (analysis::Analyze — termination verdict, stratification, rule
+// groups, lint pass), and prints the report prefixed with the file name.
 //
 // Flags:
 //   --answer PRED           predicate read from outside the program

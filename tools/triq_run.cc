@@ -133,9 +133,9 @@ int RunRuleProgram(const Args& args, triq::Engine* engine) {
       goal.args.push_back(
           triq::datalog::Term::Constant(engine->dict().Intern(part)));
     }
-    auto materialized = engine->MaterializedInstance();
-    if (!materialized.ok()) return Fail(materialized.status().ToString());
-    auto tree = ExtractProofTree(**materialized, goal);
+    auto snapshot = engine->CurrentSnapshot();
+    if (!snapshot.ok()) return Fail(snapshot.status().ToString());
+    auto tree = ExtractProofTree((*snapshot)->instance, goal);
     if (!tree.ok()) return Fail(tree.status().ToString());
     std::cout << "\nproof of " << AtomToString(goal, engine->dict())
               << ":\n" << ProofTreeToString(**tree, engine->dict());
