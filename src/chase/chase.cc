@@ -1,7 +1,6 @@
 #include "chase/chase.h"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -38,6 +37,17 @@ struct TriggerKeyHash {
   }
 };
 
+/// The MatchOptions every pass of a chase under `options` starts from
+/// (the chase adds each pass's windows): the join knobs, and the
+/// deadline, which only the matcher polls.
+MatchOptions PassOptions(const ChaseOptions& options) {
+  MatchOptions mo;
+  mo.greedy_atom_order = options.greedy_atom_order;
+  mo.join_strategy = options.join_strategy;
+  mo.deadline = options.deadline;
+  return mo;
+}
+
 class ChaseRun {
  public:
   ChaseRun(const Program& program, Instance* instance,
@@ -51,8 +61,6 @@ class ChaseRun {
 
   Status Run() {
     total_facts_ = instance_->TotalFacts();
-    deadline_set_ =
-        options_.deadline != std::chrono::steady_clock::time_point{};
     if (options_.num_threads > 1) {
       pool_ = std::make_unique<common::ThreadPool>(options_.num_threads - 1);
     }
@@ -124,7 +132,7 @@ class ChaseRun {
       prev_start = Snapshot();
       size_t before = instance_->TotalFacts();
       for (size_t r : rule_indices) {
-        MatchOptions mo;
+        MatchOptions mo = PassOptions(options_);
         if (options_.seminaive) {
           FillAtomEnds(program_.rules()[r], /*delta=*/-1, prev_start,
                        prev_start, &mo);
@@ -155,7 +163,7 @@ class ChaseRun {
             size_t begin = ValueOr(prev_start, atom.predicate, 0);
             size_t end = ValueOr(cur_start, atom.predicate, 0);
             if (begin >= end) continue;  // no new facts for this atom
-            MatchOptions mo;
+            MatchOptions mo = PassOptions(options_);
             mo.delta_body_index = static_cast<int>(b);
             mo.delta_begin = begin;
             mo.delta_end = end;
@@ -164,7 +172,7 @@ class ChaseRun {
             TRIQ_RETURN_IF_ERROR(ApplyRule(r, mo));
           }
         } else {
-          TRIQ_RETURN_IF_ERROR(ApplyRule(r, MatchOptions{}));
+          TRIQ_RETURN_IF_ERROR(ApplyRule(r, PassOptions(options_)));
         }
       }
       if (stats_ != nullptr) ++stats_->rounds;
@@ -178,53 +186,37 @@ class ChaseRun {
   // windows must cover the base facts, not cap them at zero.
   SizeSnapshot Snapshot() const { return instance_->RelationSizes(); }
 
-  bool DeadlineExpired() const {
-    return std::chrono::steady_clock::now() >= options_.deadline;
-  }
-
-  static Status DeadlineError() {
-    return Status::ResourceExhausted("chase exceeded the deadline");
-  }
-
   static size_t ValueOr(const SizeSnapshot& map, PredicateId key,
                         size_t fallback) {
     auto it = map.find(key);
     return it == map.end() ? fallback : it->second;
   }
 
-  /// One rule pass: picks the shard count, stages every shard's matches
-  /// (see StageMatch), then commits them in shard order. With a pool, a
-  /// pass whose depth-0 visit order has at least two shards' worth of
-  /// tuples is split into contiguous slices of that order matched
-  /// concurrently; every other pass is one unsharded stage matched on
-  /// this thread. Because the concatenated shard streams equal the
-  /// unsharded match stream (the DriverPlan contract) and commits replay
-  /// on this thread, the result is bit-identical at every thread count.
+  /// One rule pass: plans the join once (JoinPass), picks the shard
+  /// count, stages every shard's matches (see StageMatch), then commits
+  /// them in shard order. With a pool, a pass whose depth-0 visit order
+  /// has at least two shards' worth of tuples runs as contiguous slices
+  /// of that order, concurrently over the one plan; any other pass runs
+  /// whole on this thread. The slice streams concatenate to the whole
+  /// pass's (the JoinPass sharding contract) and commits replay on this
+  /// thread, so the result is bit-identical at every thread count.
   Status ApplyRule(size_t rule_index, const MatchOptions& match_options) {
     const Rule& rule = program_.rules()[rule_index];
     if (rule.IsConstraint()) return Status::OK();
-    if (deadline_set_ && DeadlineExpired()) return DeadlineError();
     std::vector<Term> existentials = rule.ExistentialVariables();
 
     // Materialize the matches before firing: a rule may write into a
     // relation its own body reads (e.g. the triple -> triple rules of
     // Section 2), and inserting during the index scan would invalidate
     // the matcher's column and permutation views.
-    MatchOptions effective = match_options;
-    effective.greedy_atom_order = options_.greedy_atom_order;
-    effective.join_strategy = options_.join_strategy;
-    // Let the matcher's inner loops (notably the leapfrog gallop, which
-    // can run long without emitting a single match) trip the deadline
-    // themselves instead of relying on the every-1024-matches callback.
-    if (deadline_set_) effective.deadline = options_.deadline;
-
-    DriverPlan plan;
+    JoinPass pass(rule, *instance_, match_options);
+    std::vector<uint32_t> order;
     size_t num_shards = 1;
     if (pool_ != nullptr) {
-      plan = PlanMatchDriver(rule, *instance_, effective);
+      order = pass.DriverOrder();
       size_t max_shards = (pool_->num_workers() + 1) * kShardsPerThread;
       num_shards = std::max<size_t>(
-          1, std::min(max_shards, plan.order.size() / kMinDriverPerShard));
+          1, std::min(max_shards, order.size() / kMinDriverPerShard));
     }
     const bool sharded = num_shards > 1;
 
@@ -241,31 +233,15 @@ class ChaseRun {
     auto stage_shard = [&](size_t s) {
       ShardStage& stage = stages_[s];
       ResetStage(&stage);
-      MatchOptions slice;
-      if (sharded) {
-        size_t begin = plan.order.size() * s / num_shards;
-        size_t end = plan.order.size() * (s + 1) / num_shards;
-        slice = effective;
-        slice.driver_order = plan.order.data() + begin;
-        slice.driver_order_size = end - begin;
-        slice.driver_body_index = plan.body_index;
-      }
-      Status deadline_status = Status::OK();
-      size_t since_check = 0;
-      stage.status = MatchBody(
-          rule, *instance_, sharded ? slice : effective,
-          [&](const Match& match) {
-            if (deadline_set_ && (++since_check & 1023u) == 0 &&
-                DeadlineExpired()) {
-              deadline_status = DeadlineError();
-              return false;
-            }
-            StageMatch(rule, match, fast, hash_arity, &stage);
-            return true;
-          });
-      // An early callback stop makes MatchBody return OK; keep the
-      // deadline error instead.
-      if (stage.status.ok()) stage.status = deadline_status;
+      auto stage_match = [&](const Match& match) {
+        StageMatch(rule, match, fast, hash_arity, &stage);
+        return true;
+      };
+      size_t begin = order.size() * s / num_shards;
+      size_t end = order.size() * (s + 1) / num_shards;
+      stage.status = sharded ? pass.RunSlice(order.data() + begin,
+                                             end - begin, stage_match)
+                             : pass.Run(stage_match);
     };
     if (sharded) {
       pool_->ParallelFor(num_shards, stage_shard);
@@ -537,7 +513,6 @@ class ChaseRun {
   // Saturated-prefix sizes for ResumeChase; null for a from-scratch run.
   const SaturatedSizes* resume_;
   size_t total_facts_ = 0;  // running TotalFacts(), kept by Fire
-  bool deadline_set_ = false;  // cached options_.deadline != epoch
   // Workers for the sharded executor; null when num_threads <= 1.
   std::unique_ptr<common::ThreadPool> pool_;
   std::unordered_set<TriggerKey, TriggerKeyHash> fired_;
@@ -613,9 +588,7 @@ std::vector<Tuple> ConstantTuples(const Relation* relation) {
 std::string ExplainProgramPlans(const datalog::Program& program,
                                 const Instance& instance,
                                 const ChaseOptions& options) {
-  MatchOptions mo;
-  mo.greedy_atom_order = options.greedy_atom_order;
-  mo.join_strategy = options.join_strategy;
+  MatchOptions mo = PassOptions(options);
   std::string out;
   size_t i = 0;
   for (const Rule& rule : program.rules()) {

@@ -58,19 +58,19 @@ struct ChaseOptions {
   JoinStrategy join_strategy = JoinStrategy::kAuto;
 
   /// Number of threads the chase may use for its match passes, at most
-  /// common::kMaxThreads. 1 (the default) is the unsharded
-  /// single-threaded executor; N > 1 spawns a work-stealing pool of N-1
-  /// workers (the calling thread participates) and splits every
-  /// large-enough pass's depth-0 window into tuple-index-range shards
-  /// matched concurrently into thread-local staging buffers, then
-  /// merge-committed in shard order.
+  /// common::kMaxThreads. Every pass is planned once (a JoinPass). 1
+  /// (the default) runs it whole on the calling thread; N > 1 spawns a
+  /// work-stealing pool of N-1 workers (the calling thread participates)
+  /// and splits every large-enough pass's depth-0 visit order into
+  /// contiguous slices, run concurrently over that plan into
+  /// thread-local staging buffers, then merge-committed in slice order.
   ///
-  /// Determinism guarantee: the concatenated shard match stream equals
-  /// the single-threaded stream (see DriverPlan in match.h), and commits
-  /// replay it in that order on the scheduling thread — so the resulting
-  /// instance (tuple order, null identities) and every ChaseStats
-  /// counter except the diagnostic `sharded_passes` are bit-identical
-  /// for every value of num_threads.
+  /// Determinism guarantee: the concatenated slice match streams equal
+  /// the whole pass's stream (the JoinPass sharding contract), and
+  /// commits replay it in that order on the scheduling thread — so the
+  /// resulting instance (tuple order, null identities) and every
+  /// ChaseStats counter except the diagnostic `sharded_passes` are
+  /// bit-identical for every value of num_threads.
   size_t num_threads = 1;
 
   /// Safety caps. Exceeding max_facts aborts with ResourceExhausted;
@@ -81,10 +81,11 @@ struct ChaseOptions {
   uint32_t max_null_depth = 128;
 
   /// Optional wall-clock deadline: the chase aborts with
-  /// ResourceExhausted once steady_clock passes it. Checked at every
-  /// rule pass and every ~1k matches inside a pass, so long joins
-  /// cannot overshoot unboundedly. The default (epoch time_point)
-  /// disables the check entirely — no clock reads on the hot path.
+  /// ResourceExhausted once steady_clock passes it. Forwarded to every
+  /// pass's MatchOptions: the matcher polls it when a pass (or slice)
+  /// starts and every ~1k candidate visits or leapfrog rounds after, so
+  /// long joins cannot overshoot unboundedly. The default (epoch
+  /// time_point) disables the check — no clock reads on the hot path.
   std::chrono::steady_clock::time_point deadline{};
 };
 

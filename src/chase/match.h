@@ -3,7 +3,10 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -120,58 +123,55 @@ struct MatchOptions {
   /// Composes freely with the window contract above: merge-joined atoms
   /// still respect their delta / atom_end windows.
   JoinStrategy join_strategy = JoinStrategy::kAuto;
-  /// Deadline for the whole pass (epoch = disabled). Checked inside the
-  /// matcher's own inner loops — in particular the leapfrog gallop,
-  /// which can align cursors for a long time without emitting a match,
-  /// so a callback-side check alone would never fire. Trips as
-  /// ResourceExhausted.
+  /// Deadline for the whole pass (epoch = disabled), the chase's only
+  /// deadline check: the matcher polls the clock when a run starts and
+  /// then once per ~1k candidate visits and leapfrog alignment rounds
+  /// (a gallop can align cursors for a long time without visiting a
+  /// candidate). Trips as ResourceExhausted.
   std::chrono::steady_clock::time_point deadline{};
-
-  /// Depth-0 shard injection (the parallel chase scheduler, chase.cc).
-  /// When `driver_order` is non-null, the join's first atom enumerates
-  /// exactly driver_order[0 .. driver_order_size) — tuple indices of its
-  /// relation, typically one contiguous slice of PlanMatchDriver's
-  /// `order` — instead of choosing its own depth-0 access path. The
-  /// shard re-derives from its own plan and window whether that order
-  /// is the merge-join driver's value order, so the depth-1 merge
-  /// cursor engages exactly as in an unsharded run. `driver_body_index`
-  /// pins the body atom the shard was planned for; MatchBody returns
-  /// Internal on a plan mismatch instead of enumerating the wrong atom.
-  /// Any number of shard matchers may run concurrently over one instance
-  /// while nothing inserts into it: the permutation indexes they probe
-  /// are built on first use under each relation's own lock.
-  const uint32_t* driver_order = nullptr;
-  size_t driver_order_size = 0;
-  int driver_body_index = -1;
 };
 
-/// The depth-0 enumeration of a MatchBody pass, exposed so the parallel
-/// chase can split it into shards: which body atom the join plan
-/// enumerates first, and the exact tuple visit order a single-threaded
-/// MatchBody with the same options would use.
-///
-/// Sharding contract: running MatchBody once per contiguous slice of
-/// `order` (MatchOptions::driver_* pointing at the slice) and
-/// concatenating the match streams in slice order reproduces the
-/// unsharded match stream exactly — same matches, same order.
-struct DriverPlan {
-  /// Body index of the depth-0 atom; -1 when the body has no positive
-  /// atoms (fall back to an unsharded MatchBody).
-  int body_index = -1;
-  /// Depth-0 tuple visit order, already window-clamped: the window in
-  /// value order of the driver column when the merge join engages, else
-  /// ascending tuple index. May be a superset of the matching tuples (a
-  /// bound driver visits its shortest posting range; shards re-check
-  /// every bound position by unification); empty when the pass can have
-  /// no matches.
-  std::vector<uint32_t> order;
-};
+/// Per-match callback of a matching pass; returning false stops it.
+using MatchFn = std::function<bool(const Match&)>;
 
-/// Plans the depth-0 enumeration for (rule, instance, options). May
-/// build the permutation indexes the plan reads, on first use.
-DriverPlan PlanMatchDriver(const datalog::Rule& rule,
-                           const Instance& instance,
-                           const MatchOptions& options);
+/// One planned body-matching pass over (rule, instance, options): join
+/// order, access paths and leapfrog tries are worked out once, at
+/// construction (which may build the permutation indexes they read),
+/// and read by every run. The rule, instance and options must outlive
+/// the pass; nothing may insert into the instance while it is in use.
+/// Each run keeps its scratch state to itself, so any number may run
+/// concurrently. Sharding contract: the match streams of RunSlice over
+/// contiguous slices of DriverOrder(), concatenated in slice order,
+/// reproduce Run's stream exactly — same matches, same order.
+class JoinPass {
+ public:
+  JoinPass(const datalog::Rule& rule, const Instance& instance,
+           const MatchOptions& options);
+  ~JoinPass();
+
+  /// The depth-0 tuple visit order, window-clamped: in value order of
+  /// the driver column when the merge join engages, else ascending. May
+  /// be a superset of the matching tuples (a bound driver visits its
+  /// shortest posting range; runs re-check bound positions by
+  /// unification); empty without a positive atom or a driver candidate.
+  std::vector<uint32_t> DriverOrder() const;
+
+  /// Enumerates every match, invoking `fn` per match (see MatchBody).
+  Status Run(const MatchFn& fn) const;
+
+  /// Enumerates the matches whose depth-0 tuple is one of
+  /// order[0, size), visiting them in that order.
+  Status RunSlice(const uint32_t* order, size_t size,
+                  const MatchFn& fn) const;
+
+  /// The plan as ExplainMatchPlan renders it.
+  std::string Explain() const;
+
+ private:
+  struct Plan;
+  class Matcher;
+  std::unique_ptr<const Plan> plan_;
+};
 
 /// Enumerates all homomorphisms h with h(body+) ⊆ instance and
 /// h(body−) ∩ instance = ∅, invoking `fn` per match. `fn` returning
@@ -181,8 +181,7 @@ DriverPlan PlanMatchDriver(const datalog::Rule& rule,
 /// matched (an unsafe rule that bypassed Program validation) instead of
 /// silently dropping answers.
 Status MatchBody(const datalog::Rule& rule, const Instance& instance,
-                 const MatchOptions& options,
-                 const std::function<bool(const Match&)>& fn);
+                 const MatchOptions& options, const MatchFn& fn);
 
 /// Convenience: true iff the conjunction of (positive) `atoms` has at
 /// least one homomorphism into `instance` extending `seed`.

@@ -398,10 +398,12 @@ Status Engine::CheckLoadable(const chase::Instance& src) const {
   // midway would strand the earlier predicates' facts in the base).
   EngineSnapshotPtr snap = std::atomic_load(&snapshot_);
   for (const auto& [pred, rel] : src.relations()) {
-    PredicateId engine_pred =
-        src.dict_ptr().get() == dict_.get()
-            ? pred
-            : dict_->Intern(src.dict().Text(pred));
+    // Looked up, not interned, so a rejected load leaves the dictionary
+    // as it was: a name never interned has no claim and no relation.
+    PredicateId engine_pred = src.dict_ptr().get() == dict_.get()
+                                  ? pred
+                                  : dict_->Find(src.dict().Text(pred));
+    if (engine_pred == kInvalidSymbol) continue;
     // Facts may not land in a relation a prepared query derives — its
     // cached evaluation would silently coexist with them.
     if (claims_->HeadClaimed(engine_pred)) {
@@ -486,19 +488,6 @@ Status Engine::LoadTurtleFile(const std::string& path) {
 }
 
 Status Engine::LoadFacts(const std::string& path) {
-  if (journal_ != nullptr) {
-    // Journal the dump image itself: replay decodes the same bytes over
-    // the engine dictionary, reproducing this load exactly.
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Status::InvalidArgument("cannot open " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string bytes = buf.str();
-    TRIQ_ASSIGN_OR_RETURN(chase::Instance loaded,
-                          chase::LoadFactsFromString(bytes, dict_, path));
-    MutexLock lock(writer_mu_);
-    return LoadDatabaseLocked(std::move(loaded), &bytes);
-  }
   // LoadFacts interns straight into the engine dictionary, so the merge
   // below sees no foreign symbols — only nulls need re-allocation.
   TRIQ_ASSIGN_OR_RETURN(chase::Instance loaded,
@@ -508,30 +497,26 @@ Status Engine::LoadFacts(const std::string& path) {
 
 Status Engine::LoadDatabase(chase::Instance database) {
   MutexLock lock(writer_mu_);
-  return LoadDatabaseLocked(std::move(database), nullptr);
+  return LoadDatabaseLocked(std::move(database));
 }
 
-Status Engine::LoadDatabaseLocked(chase::Instance database,
-                                  const std::string* raw_dump) {
+Status Engine::LoadDatabaseLocked(chase::Instance database) {
   TRIQ_RETURN_IF_ERROR(CheckLoadable(database));
   if (journal_ != nullptr) {
-    // An adopted dump is journaled as the caller's bytes; any other
-    // source as its own serialization.
+    // Every source is journaled as its own serialization; replay decodes
+    // it over the same dictionary state, reproducing this load.
     std::string blob;
-    if (raw_dump == nullptr || !Adoptable(database)) {
-      TRIQ_RETURN_IF_ERROR(chase::SaveFactsToString(database, &blob));
-      raw_dump = &blob;
-    }
+    TRIQ_RETURN_IF_ERROR(chase::SaveFactsToString(database, &blob));
     const bool engine_dict = database.dict_ptr().get() == dict_.get();
     TRIQ_RETURN_IF_ERROR(JournalOp(Journal::Op::kLoadFactsBlob,
-                                   {engine_dict ? "1" : "0", *raw_dump}));
+                                   {engine_dict ? "1" : "0", blob}));
   }
   return IngestValidated(std::move(database));
 }
 
 Status Engine::LoadGraph(const rdf::Graph& graph) {
   MutexLock lock(writer_mu_);
-  return LoadDatabaseLocked(chase::Instance::FromGraph(graph), nullptr);
+  return LoadDatabaseLocked(chase::Instance::FromGraph(graph));
 }
 
 Status Engine::AddTriple(std::string_view subject, std::string_view predicate,
@@ -553,7 +538,7 @@ Status Engine::AttachOntology(const owl::Ontology& ontology) {
   rdf::Graph graph(dict_);
   owl::OntologyToGraph(ontology, &graph);
   MutexLock lock(writer_mu_);
-  return LoadDatabaseLocked(chase::Instance::FromGraph(graph), nullptr);
+  return LoadDatabaseLocked(chase::Instance::FromGraph(graph));
 }
 
 Status Engine::AttachProgram(const datalog::Program& program) {
@@ -758,8 +743,11 @@ analysis::ProgramAnalysis Engine::AnalyzeProgram(
   for (const auto& [pred, rel] : base_.relations()) {
     lint.edb_predicates.insert(pred);
   }
+  // Looked up, not interned (this method is const): a name the session
+  // never interned names no predicate the lint could report.
   for (const std::string& name : output_predicates) {
-    lint.output_predicates.insert(dict_->Intern(name));
+    SymbolId id = dict_->Find(name);
+    if (id != kInvalidSymbol) lint.output_predicates.insert(id);
   }
   lint.exempt_prefix = core_rule_prefix_;
   // The shadow program is built over a private dictionary —

@@ -623,13 +623,11 @@ class Engine {
   /// once (AppendFacts), and marks the session for re-materialization.
   Status IngestValidated(chase::Instance src) TRIQ_REQUIRES(writer_mu_);
 
-  /// Validates, journals (a kLoadFactsBlob record) and ingests one
-  /// already-built source instance: LoadDatabase's body, also serving
-  /// LoadGraph and AttachOntology. `raw_dump` — the serialized image of
-  /// `database`, when the caller already has one (Engine::LoadFacts) —
-  /// is journaled as-is for an adopted load instead of re-serializing.
-  Status LoadDatabaseLocked(chase::Instance database,
-                            const std::string* raw_dump)
+  /// Validates, journals (a kLoadFactsBlob record holding the source's
+  /// own serialization) and ingests one already-built source instance:
+  /// LoadDatabase's body, also serving LoadFacts, LoadGraph and
+  /// AttachOntology.
+  Status LoadDatabaseLocked(chase::Instance database)
       TRIQ_REQUIRES(writer_mu_);
 
   /// Appends one record to the journal; a no-op without one. A failed

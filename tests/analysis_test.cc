@@ -442,6 +442,24 @@ TEST(EngineAnalysisTest, AnalyzeProgramUsesSessionEdbAndOutputs) {
   EXPECT_EQ(engine.materializations(), 0u);
 }
 
+TEST(EngineAnalysisTest, AnalyzeProgramInternsNoOutputName) {
+  triq::Engine engine;
+  ASSERT_TRUE(engine.AddTriple("a", "e", "b").ok());
+  ASSERT_TRUE(engine.AttachRules("triple(?X, e, ?Y) -> tc(?X, ?Y) .").ok());
+  // `tc` is derived and never read: flagged unless named an output.
+  EXPECT_TRUE(HasLint(engine.AnalyzeProgram().lints,
+                      LintCheck::kUnusedPredicate, 0));
+  EXPECT_FALSE(HasLint(engine.AnalyzeProgram({"tc"}).lints,
+                       LintCheck::kUnusedPredicate, 0));
+  // A name the session never interned is looked up, not interned: the
+  // analysis leaves the dictionary as it found it.
+  const size_t symbols = engine.stats().dictionary_symbols;
+  ProgramAnalysis analysis = engine.AnalyzeProgram({"never_seen_output"});
+  EXPECT_TRUE(HasLint(analysis.lints, LintCheck::kUnusedPredicate, 0));
+  EXPECT_EQ(engine.stats().dictionary_symbols, symbols);
+  EXPECT_EQ(engine.dict().Find("never_seen_output"), triq::kInvalidSymbol);
+}
+
 TEST(EngineAnalysisTest, CoreRulesAreExemptUnderReasoningRegimes) {
   triq::Engine engine(
       triq::EngineOptions().SetRegime(triq::EntailmentRegime::kActiveDomain));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 
 #include "chase/chase.h"
@@ -291,6 +292,53 @@ TEST(ChaseTest, MaxFactsCapAborts) {
   options.max_facts = 200;
   EXPECT_EQ(RunChase(program, &db, options).code(),
             StatusCode::kResourceExhausted);
+}
+
+TEST(ChaseTest, PassedDeadlineDerivesNothing) {
+  auto dict = Dict();
+  Program program = Parse(R"(
+    e(?X, ?Y) -> tc(?X, ?Y) .
+    e(?X, ?Y), tc(?Y, ?Z) -> tc(?X, ?Z) .
+  )",
+                          dict);
+  Instance db(dict);
+  for (int i = 0; i < 10; ++i) {
+    db.AddFact("e", {"v" + std::to_string(i), "v" + std::to_string(i + 1)});
+  }
+  ChaseOptions options;
+  // One tick past the epoch: long passed, yet not the epoch value that
+  // disables the deadline.
+  options.deadline =
+      std::chrono::steady_clock::time_point(std::chrono::nanoseconds(1));
+  ChaseStats stats;
+  EXPECT_EQ(RunChase(program, &db, options, &stats).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(stats.rule_firings, 0u);
+  EXPECT_EQ(stats.facts_derived, 0u);
+  EXPECT_EQ(db.TotalFacts(), 10u);
+  EXPECT_EQ(CountFacts(db, "tc"), 0u);
+}
+
+TEST(ChaseTest, DeadlineTripsMidPassAtEveryThreadCount) {
+  // A three-way cross product of 2,000 facts visits 8e9 candidates. The
+  // negated atom rejects every match, so nothing is staged and only the
+  // matcher's own deadline poll can end the pass early.
+  auto dict = Dict();
+  Program program =
+      Parse("a(?X), a(?Y), a(?Z), not a(?X) -> big(?X, ?Y, ?Z) .", dict);
+  Instance db(dict);
+  for (int i = 0; i < 2000; ++i) db.AddFact("a", {"c" + std::to_string(i)});
+  for (size_t threads : {1, 4}) {
+    ChaseOptions options;
+    options.num_threads = threads;
+    options.deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+    Instance work = db.CloneFacts();
+    EXPECT_EQ(RunChase(program, &work, options).code(),
+              StatusCode::kResourceExhausted)
+        << threads << " threads";
+    EXPECT_EQ(CountFacts(work, "big"), 0u);
+  }
 }
 
 TEST(ChaseTest, GroundFactsExcludeNulls) {

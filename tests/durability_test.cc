@@ -229,6 +229,44 @@ TEST(DurabilityTest, CleanCloseReopensIdenticalAndUsable) {
   EXPECT_GE(stats.journal_records, 1u);
 }
 
+TEST(DurabilityTest, JournaledLoadFactsReopensIdentical) {
+  // A fact dump carrying nulls, written on its own dictionary. The
+  // first pass loads it into an empty session (the engine adopts the
+  // loaded instance), the second after a Turtle load (it is appended).
+  for (bool after_prior_load : {false, true}) {
+    const std::string dump = ::testing::TempDir() + "/journaled.facts";
+    {
+      auto dict = std::make_shared<Dictionary>();
+      chase::Instance db(dict);
+      db.AddFact("p", {"m1"});
+      db.AddFact("p", {"m2"});
+      auto program =
+          datalog::ParseProgram("p(?X) -> exists ?Y anon(?X, ?Y) .\n", dict);
+      ASSERT_TRUE(program.ok()) << program.status().ToString();
+      ASSERT_TRUE(RunChase(*program, &db).ok());
+      ASSERT_TRUE(chase::SaveFacts(db, dump).ok());
+    }
+    const std::string wal = FreshWal("load_facts.wal");
+    uint64_t base_fp = 0;
+    {
+      auto engine = Engine::Open(JournaledOptions(wal));
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      if (after_prior_load) {
+        ASSERT_TRUE((*engine)->LoadTurtle("a edge b .\n").ok());
+      }
+      ASSERT_TRUE((*engine)->LoadFacts(dump).ok());
+      EXPECT_EQ((*engine)->base().TotalFacts(), after_prior_load ? 5u : 4u);
+      base_fp = chase::FactFingerprint((*engine)->base());
+    }
+    // The journal holds the load's content, not a reference to the file.
+    std::remove(dump.c_str());
+    auto reopened = Engine::Open(JournaledOptions(wal));
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ(chase::FactFingerprint((*reopened)->base()), base_fp)
+        << (after_prior_load ? "appended" : "adopted") << " load";
+  }
+}
+
 TEST(DurabilityTest, MidChaseAbortPublishesNothing) {
   Engine engine;
   ASSERT_TRUE(engine.LoadTurtle("a edge b .\nb edge c .\n").ok());

@@ -312,7 +312,7 @@ TEST(EngineConcurrencyTest, QueryDeadlineTripsAndLeavesSessionUsable) {
   ASSERT_TRUE(engine.Materialize().ok());  // materialization: no deadline
 
   // A four-way cross product over the full closure derives far more
-  // than 5ms worth of tuples; the per-match deadline check stops it.
+  // than 5ms worth of tuples; the matcher's deadline poll stops it.
   auto heavy = engine.Prepare(
       "tc(?A, ?B), tc(?C, ?D), tc(?E, ?F), tc(?G, ?H) "
       "-> big(?A, ?C, ?E, ?G) .",
@@ -340,7 +340,7 @@ TEST(EngineConcurrencyTest, QueryDeadlineTripsInsideLeapfrogJoin) {
   // triejoin: the deadline must be polled inside the leapfrog
   // alignment/gallop loop itself, because a single match pass over a
   // chained self-join of the closure can run far past the budget
-  // without ever returning to the per-pass check.
+  // between two candidate visits.
   Engine engine(
       EngineOptions().SetQueryDeadline(std::chrono::milliseconds(5)));
   LoadChain(&engine, 120);
@@ -351,7 +351,7 @@ TEST(EngineConcurrencyTest, QueryDeadlineTripsInsideLeapfrogJoin) {
   ASSERT_TRUE(heavy.ok());
   // The premise: the planner picks leapfrog for this join on its own.
   // Should it stop doing so, this test would silently fall back to the
-  // per-pass deadline check.
+  // candidate-visit deadline poll.
   auto snapshot = engine.CurrentSnapshot();
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   const std::string plans = triq::chase::ExplainProgramPlans(

@@ -600,6 +600,42 @@ TEST(EngineTest, FailedLoadsCannotDesyncTheClosure) {
   EXPECT_EQ(after->size(), 1u);
 }
 
+TEST(EngineTest, RejectedForeignLoadInternsNothing) {
+  Engine engine;
+  triq::chase::Instance seed(engine.dict_ptr());
+  seed.AddFact("r", {"a", "b"});
+  ASSERT_TRUE(engine.LoadDatabase(std::move(seed)).ok());
+
+  // A foreign source whose `r` has the wrong arity, next to 20
+  // predicates the session has never seen: rejected as a whole, and
+  // none of those names may stay behind in the session dictionary.
+  auto foreign_dict = std::make_shared<Dictionary>();
+  triq::chase::Instance foreign(foreign_dict);
+  foreign.AddFact("r", {"a"});
+  for (int i = 0; i < 20; ++i) {
+    foreign.AddFact("fresh" + std::to_string(i), {"a"});
+  }
+  const size_t symbols = engine.stats().dictionary_symbols;
+  auto rejected = engine.LoadDatabase(std::move(foreign));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.code(), triq::StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.stats().dictionary_symbols, symbols);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(engine.dict().Find("fresh" + std::to_string(i)),
+              triq::kInvalidSymbol)
+        << i;
+  }
+
+  // An accepted foreign load still re-interns its names and appends.
+  triq::chase::Instance ok_source(foreign_dict);
+  ok_source.AddFact("r", {"c", "d"});
+  ok_source.AddFact("fresh0", {"e"});
+  ASSERT_TRUE(engine.LoadDatabase(std::move(ok_source)).ok());
+  EXPECT_EQ(engine.base().Find("r")->size(), 2u);
+  ASSERT_NE(engine.base().Find("fresh0"), nullptr);
+  EXPECT_EQ(engine.base().Find("fresh0")->size(), 1u);
+}
+
 TEST(EngineTest, DataProgramMayExtendLoadedPredicates) {
   // The rule-library idiom (triq_run --program): attached data rules may
   // write into loaded relations like triple.

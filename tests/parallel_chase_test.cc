@@ -4,10 +4,12 @@
 // produces a bit-identical instance — same tuples at the same tuple
 // indexes, same null identities — and identical stats. These tests pin
 // that down with storage-order fingerprints across an equivalence sweep
-// (naive vs. seminaive × threads ∈ {1, 2, 4, 8}), at
-// the MatchBody level via the DriverPlan sharding contract, on the
-// degenerate shard shapes (empty delta, single tuple, too small to
-// shard), and for the work-stealing pool itself.
+// (naive vs. seminaive × threads ∈ {1, 2, 4, 8}); at the matcher level
+// through the JoinPass sharding contract (slices of one planned pass's
+// depth-0 order, run one after another or concurrently on a pool,
+// concatenate to the whole pass's match stream, for merge, posting and
+// leapfrog plans); on the degenerate shard shapes (empty delta, single
+// tuple, too small to shard); and for the work-stealing pool itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -326,52 +328,88 @@ TEST(ParallelChaseTest, WindowSmallerThanTwoShardsStaysSequential) {
   EXPECT_EQ(work.Find("seen")->size(), 7u);
 }
 
-// ---- the DriverPlan sharding contract at the MatchBody level ----------
+// ---- the JoinPass sharding contract at the matcher level -------------
 
-/// Collects the match stream (order-sensitive!) of one MatchBody pass.
+/// Renders one match's homomorphism; streams of these are compared
+/// order-sensitively.
+std::string MatchLine(const chase::Match& match, const Instance& db) {
+  std::string line;
+  for (const auto& [var, val] : match.binding->entries()) {
+    line += datalog::TermToString(var, db.dict()) + "=" +
+            datalog::TermToString(val, db.dict()) + " ";
+  }
+  return line;
+}
+
+/// Collects the match stream of one whole MatchBody pass.
 std::vector<std::string> MatchStream(const datalog::Rule& rule,
                                      const Instance& db,
                                      const chase::MatchOptions& options) {
   std::vector<std::string> out;
   Status status =
       MatchBody(rule, db, options, [&](const chase::Match& match) {
-        std::string line;
-        for (const auto& [var, val] : match.binding->entries()) {
-          line += datalog::TermToString(var, db.dict()) + "=" +
-                  datalog::TermToString(val, db.dict()) + " ";
-        }
-        out.push_back(line);
+        out.push_back(MatchLine(match, db));
         return true;
       });
   EXPECT_TRUE(status.ok()) << status.ToString();
   return out;
 }
 
-/// Asserts the sharding contract for `plan`: the match streams of 1, 2,
-/// 3 and 7 contiguous shards of its order concatenate to `unsharded`.
-void ExpectShardsConcatenate(const datalog::Rule& rule, const Instance& db,
-                             const chase::MatchOptions& options,
-                             const chase::DriverPlan& plan,
-                             const std::vector<std::string>& unsharded) {
-  for (size_t num_shards : {1, 2, 3, 7}) {
+/// Collects the match stream of slice `s` of `num_slices` contiguous
+/// slices of `order`, the pass's depth-0 order.
+std::vector<std::string> SliceStream(const chase::JoinPass& pass,
+                                     const std::vector<uint32_t>& order,
+                                     size_t s, size_t num_slices,
+                                     const Instance& db) {
+  size_t begin = order.size() * s / num_slices;
+  size_t end = order.size() * (s + 1) / num_slices;
+  std::vector<std::string> out;
+  Status status = pass.RunSlice(order.data() + begin, end - begin,
+                                [&](const chase::Match& match) {
+                                  out.push_back(MatchLine(match, db));
+                                  return true;
+                                });
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return out;
+}
+
+/// Asserts the sharding contract for one planned pass: the slice
+/// streams of 1, 2, 3 and 7 contiguous slices of its depth-0 order
+/// concatenate to the whole pass's stream.
+void ExpectSlicesConcatenate(const datalog::Rule& rule, const Instance& db,
+                             const chase::MatchOptions& options) {
+  std::vector<std::string> unsharded = MatchStream(rule, db, options);
+  ASSERT_FALSE(unsharded.empty());
+  chase::JoinPass pass(rule, db, options);
+  const std::vector<uint32_t> order = pass.DriverOrder();
+  ASSERT_FALSE(order.empty());
+  for (size_t num_slices : {1, 2, 3, 7}) {
     std::vector<std::string> concatenated;
-    for (size_t s = 0; s < num_shards; ++s) {
-      size_t begin = plan.order.size() * s / num_shards;
-      size_t end = plan.order.size() * (s + 1) / num_shards;
-      chase::MatchOptions shard = options;
-      shard.driver_order = plan.order.data() + begin;
-      shard.driver_order_size = end - begin;
-      shard.driver_body_index = plan.body_index;
-      std::vector<std::string> piece = MatchStream(rule, db, shard);
+    for (size_t s = 0; s < num_slices; ++s) {
+      std::vector<std::string> piece =
+          SliceStream(pass, order, s, num_slices, db);
       concatenated.insert(concatenated.end(), piece.begin(), piece.end());
     }
     EXPECT_EQ(concatenated, unsharded)
         << "strategy " << static_cast<int>(options.join_strategy) << ", "
-        << num_shards << " shards";
+        << num_slices << " slices";
   }
 }
 
-TEST(DriverPlanTest, ConcatenatedShardsEqualUnshardedStream) {
+/// A 60-node random digraph holding triangles: the leapfrog residual's
+/// workload.
+Instance TriangleGraph(const std::shared_ptr<Dictionary>& dict) {
+  Instance db(dict);
+  uint64_t x = 7;
+  for (int i = 0; i < 600; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    db.AddFact("e", {"n" + std::to_string(x % 60),
+                     "n" + std::to_string((x >> 17) % 60)});
+  }
+  return db;
+}
+
+TEST(JoinPassTest, ConcatenatedSlicesEqualUnshardedStream) {
   auto dict = std::make_shared<Dictionary>();
   Instance db(dict);
   for (int i = 0; i < 150; ++i) {
@@ -385,18 +423,63 @@ TEST(DriverPlanTest, ConcatenatedShardsEqualUnshardedStream) {
                         chase::JoinStrategy::kMerge}) {
     chase::MatchOptions options;
     options.join_strategy = strategy;
-    std::vector<std::string> unsharded = MatchStream(*rule, db, options);
-    ASSERT_FALSE(unsharded.empty());
-
-    chase::DriverPlan plan = chase::PlanMatchDriver(*rule, db, options);
-    ASSERT_GE(plan.body_index, 0);
-    ExpectShardsConcatenate(*rule, db, options, plan, unsharded);
+    ExpectSlicesConcatenate(*rule, db, options);
   }
 }
 
-TEST(DriverPlanTest, BoundPositionPlansAscendingSupersets) {
-  // Constants in the depth-0 atom: the plan's order is the shortest
-  // bound posting range (ascending); shards re-check by unification.
+TEST(JoinPassTest, LeapfrogResidualSlicesConcatenate) {
+  // A triangle leaves a two-atom residual sharing ?Z, which the driver
+  // does not bind: kAuto plans it as a leapfrog triejoin, as kLeapfrog
+  // forces. Every slice walks the plan's one set of lex permutations.
+  auto dict = std::make_shared<Dictionary>();
+  Instance db = TriangleGraph(dict);
+  auto rule = datalog::ParseRule(
+      "e(?X, ?Y), e(?Y, ?Z), e(?Z, ?X) -> tri(?X, ?Y, ?Z)", dict.get());
+  ASSERT_TRUE(rule.ok());
+  for (auto strategy :
+       {chase::JoinStrategy::kAuto, chase::JoinStrategy::kLeapfrog}) {
+    chase::MatchOptions options;
+    options.join_strategy = strategy;
+    ASSERT_NE(chase::ExplainMatchPlan(*rule, db, options).find("leapfrog"),
+              std::string::npos);
+    ExpectSlicesConcatenate(*rule, db, options);
+  }
+}
+
+TEST(JoinPassTest, SlicesOfOnePlanRunConcurrently) {
+  // The chase's fan-out: one plan, its slices run at once on a pool,
+  // each into its own buffer. Slice streams concatenated in slice order
+  // equal the whole pass (ThreadSanitizer builds check the sharing).
+  auto dict = std::make_shared<Dictionary>();
+  Instance db = TriangleGraph(dict);
+  for (const char* text :
+       {"e(?X, ?Y), e(?Y, ?Z), e(?Z, ?X) -> tri(?X, ?Y, ?Z)",
+        "e(?X, ?Y), e(?Y, ?Z) -> two(?X, ?Z)"}) {
+    auto rule = datalog::ParseRule(text, dict.get());
+    ASSERT_TRUE(rule.ok());
+    chase::MatchOptions options;
+    chase::JoinPass pass(*rule, db, options);
+    const std::vector<uint32_t> order = pass.DriverOrder();
+    constexpr size_t kSlices = 16;
+    std::vector<std::vector<std::string>> pieces(kSlices);
+    common::ThreadPool pool(3);
+    pool.ParallelFor(kSlices, [&](size_t s) {
+      pieces[s] = SliceStream(pass, order, s, kSlices, db);
+    });
+    std::vector<std::string> concatenated;
+    for (const auto& piece : pieces) {
+      concatenated.insert(concatenated.end(), piece.begin(), piece.end());
+    }
+    std::vector<std::string> unsharded = MatchStream(*rule, db, options);
+    ASSERT_FALSE(unsharded.empty()) << text;
+    EXPECT_EQ(concatenated, unsharded) << text;
+  }
+}
+
+TEST(JoinPassTest, BoundPositionPlansAscendingSupersets) {
+  // Constants in the depth-0 atom: the pass's depth-0 order is the
+  // shortest bound posting range (ascending); slices re-check by
+  // unification.
   auto dict = std::make_shared<Dictionary>();
   Instance db(dict);
   for (int i = 0; i < 80; ++i) {
@@ -406,43 +489,24 @@ TEST(DriverPlanTest, BoundPositionPlansAscendingSupersets) {
   chase::MatchOptions options;
   auto rule = datalog::ParseRule("t(?X, e, ?Y) -> hop(?X, ?Y)", dict.get());
   ASSERT_TRUE(rule.ok());
-  chase::DriverPlan plan = chase::PlanMatchDriver(*rule, db, options);
-  ASSERT_GE(plan.body_index, 0);
-  EXPECT_EQ(plan.order.size(), 40u);  // the 'e' posting list, not all 80
-  EXPECT_TRUE(std::is_sorted(plan.order.begin(), plan.order.end()));
-  ExpectShardsConcatenate(*rule, db, options, plan,
-                          MatchStream(*rule, db, options));
+  std::vector<uint32_t> order =
+      chase::JoinPass(*rule, db, options).DriverOrder();
+  EXPECT_EQ(order.size(), 40u);  // the 'e' posting list, not all 80
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  ExpectSlicesConcatenate(*rule, db, options);
 
   // Bound at two positions: the order is the shorter 'o1' range (27
   // tuples), not its intersection with the 'e' range (13 tuples).
   auto two_bound = datalog::ParseRule("t(?X, e, o1) -> hop(?X)", dict.get());
   ASSERT_TRUE(two_bound.ok());
-  plan = chase::PlanMatchDriver(*two_bound, db, options);
-  ASSERT_GE(plan.body_index, 0);
+  order = chase::JoinPass(*two_bound, db, options).DriverOrder();
   std::vector<uint32_t> o1_range;
   for (uint32_t i = 0; i < 80; ++i) {
     if (i % 3 == 1) o1_range.push_back(i);
   }
-  EXPECT_EQ(plan.order, o1_range);
-  std::vector<std::string> unsharded = MatchStream(*two_bound, db, options);
-  EXPECT_EQ(unsharded.size(), 13u);
-  ExpectShardsConcatenate(*two_bound, db, options, plan, unsharded);
-}
-
-TEST(DriverPlanTest, MismatchedBodyIndexFailsLoudly) {
-  auto dict = std::make_shared<Dictionary>();
-  Instance db(dict);
-  db.AddFact("e", {"a", "b"});
-  auto rule = datalog::ParseRule("e(?X, ?Y) -> r(?X, ?Y)", dict.get());
-  ASSERT_TRUE(rule.ok());
-  uint32_t order[] = {0};
-  chase::MatchOptions options;
-  options.driver_order = order;
-  options.driver_order_size = 1;
-  options.driver_body_index = 5;  // not the planned depth-0 atom
-  Status status = MatchBody(*rule, db, options,
-                            [](const chase::Match&) { return true; });
-  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(order, o1_range);
+  EXPECT_EQ(MatchStream(*two_bound, db, options).size(), 13u);
+  ExpectSlicesConcatenate(*two_bound, db, options);
 }
 
 // ---- the work-stealing pool ------------------------------------------
