@@ -20,9 +20,6 @@
 ///  * Every member a mutex guards carries TRIQ_GUARDED_BY(mu_).
 ///  * Private helpers that expect the caller to hold a lock carry
 ///    TRIQ_REQUIRES(mu_) instead of a "Requires mu_ held" comment.
-///  * Documented-unsynchronized escape hatches (e.g. single-threaded
-///    accessors) carry TRIQ_NO_THREAD_SAFETY_ANALYSIS plus a comment
-///    saying why the access is safe.
 
 #if defined(__clang__)
 #define TRIQ_TSA_ATTRIBUTE_(x) __attribute__((x))
@@ -76,11 +73,6 @@
 
 /// The function returns a reference to the given capability.
 #define TRIQ_RETURN_CAPABILITY(x) TRIQ_TSA_ATTRIBUTE_(lock_returned(x))
-
-/// Opt a function out of the analysis entirely. Every use must carry a
-/// comment explaining why the unchecked access is safe.
-#define TRIQ_NO_THREAD_SAFETY_ANALYSIS \
-  TRIQ_TSA_ATTRIBUTE_(no_thread_safety_analysis)
 
 namespace triq {
 

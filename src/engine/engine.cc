@@ -188,44 +188,42 @@ PreparedQuery::~PreparedQuery() {
   if (claims_ != nullptr) claims_->Release(&token_);
 }
 
-Result<PreparedQuery::Pinned> PreparedQuery::EvaluatePinned(
+Result<std::unique_ptr<chase::Instance>> PreparedQuery::ChaseOverlay(
+    const EngineSnapshot& snap, chase::ChaseStats* stats) const {
+  // The empty program: the answers are whatever the data program
+  // derived — read the snapshot directly.
+  if (query_.program().rules().empty()) {
+    return std::unique_ptr<chase::Instance>();
+  }
+  // The data closure is reused as the base — never re-derived, never
+  // mutated — so a failed query chase (caps, deadline, inconsistency)
+  // only discards this overlay.
+  auto overlay = std::make_unique<chase::Instance>(
+      chase::Instance::MakeOverlay(&snap.instance));
+  TRIQ_RETURN_IF_ERROR(chase::RunChase(query_.program(), overlay.get(),
+                                       engine_->QueryChaseOptions(), stats));
+  return overlay;
+}
+
+Result<std::vector<chase::Tuple>> PreparedQuery::Evaluate(
     chase::ChaseStats* stats) {
   if (stats != nullptr) *stats = chase::ChaseStats{};
   TRIQ_ASSIGN_OR_RETURN(EngineSnapshotPtr snap, engine_->CurrentSnapshot());
 
   MutexLock lock(eval_->mu);
-  if (eval_->snapshot == snap) {
-    // Session unchanged since this query last ran: its answers are
-    // already derived. Zero chase rounds.
-    return Pinned{std::move(snap), eval_->overlay};
+  if (eval_->snapshot != snap) {
+    // First evaluation against this snapshot. A failure returns before
+    // anything is replaced, so the last good evaluation stays cached.
+    TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<chase::Instance> overlay,
+                          ChaseOverlay(*snap, stats));
+    // The old overlay reads the old snapshot: drop it first.
+    eval_->overlay = std::move(overlay);
+    eval_->snapshot = std::move(snap);
   }
-  if (query_.program().rules().empty()) {
-    // The empty program: the answers are whatever the data program
-    // derived — read the snapshot directly.
-    eval_->snapshot = snap;
-    eval_->overlay = nullptr;
-    return Pinned{std::move(snap), nullptr};
-  }
-
-  // Chase the query program over a private overlay of the snapshot. The
-  // data closure is reused as the base — never re-derived, never
-  // mutated — so a failed query chase (caps, deadline, inconsistency)
-  // only discards this overlay: the session, and this handle's last good
-  // evaluation, stay untouched.
-  auto overlay = std::make_shared<chase::Instance>(
-      chase::Instance::MakeOverlay(&snap->instance));
-  TRIQ_RETURN_IF_ERROR(chase::RunChase(query_.program(), overlay.get(),
-                                       engine_->QueryChaseOptions(), stats));
-  eval_->snapshot = snap;
-  eval_->overlay = overlay;
-  return Pinned{std::move(snap), std::move(overlay)};
-}
-
-Result<std::vector<chase::Tuple>> PreparedQuery::Evaluate(
-    chase::ChaseStats* stats) {
-  TRIQ_ASSIGN_OR_RETURN(Pinned pinned, EvaluatePinned(stats));
-  return chase::ConstantTuples(
-      pinned.answers().Find(query_.answer_predicate()));
+  const chase::Instance& answers = eval_->overlay != nullptr
+                                       ? *eval_->overlay
+                                       : eval_->snapshot->instance;
+  return chase::ConstantTuples(answers.Find(query_.answer_predicate()));
 }
 
 // ---- Engine: construction and loading ---------------------------------
@@ -244,7 +242,6 @@ Engine::Engine(EngineOptions options)
     TRIQ_IGNORE_STATUS(program_.Append(translate::BuildOwl2QlCoreProgram(dict_)));
     core_rule_prefix_ = program_.rules().size();
   }
-  program_monotone_ = IsMonotone(program_);
 }
 
 Engine::~Engine() {
@@ -488,10 +485,11 @@ Status Engine::LoadTurtleFile(const std::string& path) {
 }
 
 Status Engine::LoadFacts(const std::string& path) {
-  // LoadFacts interns straight into the engine dictionary, so the merge
-  // below sees no foreign symbols — only nulls need re-allocation.
-  TRIQ_ASSIGN_OR_RETURN(chase::Instance loaded,
-                        chase::LoadFacts(path, dict_));
+  // A private dictionary: AppendFacts interns the dump's names only
+  // once CheckLoadable (which looks them up) has accepted the load.
+  TRIQ_ASSIGN_OR_RETURN(
+      chase::Instance loaded,
+      chase::LoadFacts(path, std::make_shared<Dictionary>()));
   return LoadDatabase(std::move(loaded));
 }
 
@@ -560,15 +558,13 @@ Status Engine::AttachProgram(const datalog::Program& program) {
           "program)");
     }
   }
-  if (journal_ != nullptr || !options_.journal_path.empty()) {
+  if (journal_ != nullptr) {
     // ToString() emits parseable datalog syntax, so replaying the
     // record through AttachRules reattaches exactly these rules.
-    std::string text = program.ToString();
-    TRIQ_RETURN_IF_ERROR(JournalOp(Journal::Op::kAttachRules, {text}));
-    journal_rules_text_ += text;
+    TRIQ_RETURN_IF_ERROR(
+        JournalOp(Journal::Op::kAttachRules, {program.ToString()}));
   }
   TRIQ_RETURN_IF_ERROR(program_.Append(program));
-  program_monotone_ = IsMonotone(program_);
   // New rules invalidate the published closure, and the next
   // materialization must restart from the pristine base: the appended
   // rules may derive through facts the old program already consumed.
@@ -611,7 +607,7 @@ Status Engine::MaterializeLocked(chase::ChaseStats* stats) {
   // sessions always rebuild, because CloneFacts drops the derivation
   // records proof extraction needs.
   const bool incremental = prev != nullptr && !rules_dirty_ &&
-                           program_monotone_ && !options.track_provenance;
+                           !options.track_provenance && IsMonotone(program_);
   chase::Instance next(dict_);
   std::vector<Term> null_map;
   Status status;
@@ -663,12 +659,16 @@ Status Engine::MaterializeLocked(chase::ChaseStats* stats) {
     // replays the materialization from the old journal. A checkpoint
     // failure is surfaced but the closure above stays published — the
     // session is consistent, merely un-compacted (or, on _Exit
-    // failpoints, recomputable from the previous checkpoint).
+    // failpoints, recomputable from the previous checkpoint). The rules
+    // half is the user rules, in the syntax AttachRules parses back.
     TRIQ_RETURN_IF_ERROR(JournalOp(Journal::Op::kMaterialize, {}));
+    std::string rules;
+    for (size_t i = core_rule_prefix_; i < program_.size(); ++i) {
+      rules += datalog::RuleToString(program_.rules()[i], *dict_) + " .\n";
+    }
     std::string blob;
     TRIQ_RETURN_IF_ERROR(chase::SaveFactsToString(base_, &blob));
-    TRIQ_RETURN_IF_ERROR(
-        journal_->Checkpoint(journal_rules_text_, blob, true));
+    TRIQ_RETURN_IF_ERROR(journal_->Checkpoint(rules, blob, true));
   }
   return Status::OK();
 }
@@ -825,10 +825,10 @@ Result<PreparedQuery> Engine::Prepare(std::string_view rule_text,
 // ---- Engine: SPARQL ----------------------------------------------------
 
 /// One cached SPARQL plan: the translation (for answer decoding), the
-/// prepared query (whose own eval state caches the per-snapshot
-/// overlay), and the decoded mappings of the snapshot they were last
-/// decoded against. Shared (not owned) by the LRU so in-flight
-/// evaluations survive eviction.
+/// prepared query (whose claims it holds; its own eval state is never
+/// filled), and the mappings last decoded with the snapshot they came
+/// from — the plan's only cached evaluation. Shared (not owned) by the
+/// LRU so in-flight evaluations survive eviction.
 struct Engine::SparqlEntry {
   SparqlEntry(translate::TranslatedQuery t, PreparedQuery p)
       : translated(std::move(t)), prepared(std::move(p)) {}
@@ -895,14 +895,18 @@ Result<sparql::MappingSet> Engine::Query(const std::string& sparql_text) {
     }
   }
 
-  TRIQ_ASSIGN_OR_RETURN(PreparedQuery::Pinned pinned,
-                        entry->prepared.EvaluatePinned(nullptr));
+  TRIQ_ASSIGN_OR_RETURN(EngineSnapshotPtr snap, CurrentSnapshot());
   MutexLock lock(entry->mu);
-  if (entry->snapshot != pinned.snapshot) {
-    // First decode against this snapshot; later hits on an unchanged
-    // session return the cached mappings without touching the overlay.
-    entry->mappings = AnswersToMappings(entry->translated, pinned.answers());
-    entry->snapshot = pinned.snapshot;
+  if (entry->snapshot != snap) {
+    // First query of this text against this snapshot: chase, decode, and
+    // keep only the rows — the overlay dies here. Later hits on an
+    // unchanged session return the cached mappings. A failure returns
+    // before anything is replaced, so it caches nothing.
+    TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<chase::Instance> overlay,
+                          entry->prepared.ChaseOverlay(*snap, nullptr));
+    entry->mappings = AnswersToMappings(
+        entry->translated, overlay != nullptr ? *overlay : snap->instance);
+    entry->snapshot = std::move(snap);
   }
   return entry->mappings;
 }

@@ -250,11 +250,12 @@ class Engine;
 /// Evaluation model: the first Evaluate against a given snapshot runs
 /// the chase of the *query program only* over a private overlay of that
 /// snapshot — the data closure is reused, never re-derived and never
-/// mutated — and later Evaluates against the same snapshot are pure
-/// relation reads (zero chase rounds; `stats` reports the query-side
-/// chase, so a cache hit leaves it all-zero). A failed query chase
-/// (caps, deadline) discards the overlay and leaves both the session
-/// and this handle's last good evaluation untouched.
+/// mutated — and the handle keeps that (snapshot, overlay) pair, so
+/// later Evaluates against the same snapshot are pure relation reads
+/// (zero chase rounds; `stats` reports the query-side chase, so a cache
+/// hit leaves it all-zero). A failed query chase (caps, deadline)
+/// discards its overlay and leaves both the session and this handle's
+/// last good evaluation untouched.
 ///
 /// Thread safety: one PreparedQuery may be evaluated from many threads
 /// (evaluations of one handle serialize on an internal mutex; distinct
@@ -283,24 +284,13 @@ class PreparedQuery {
  private:
   friend class Engine;
 
-  /// A pinned evaluation: the snapshot it ran against plus the overlay
-  /// holding the query-derived facts (null for the empty program — the
-  /// answers then live in the snapshot itself). Holding this keeps both
-  /// alive regardless of later publications or cache replacement.
-  struct Pinned {
-    EngineSnapshotPtr snapshot;
-    std::shared_ptr<chase::Instance> overlay;
-    const chase::Instance& answers() const {
-      return overlay != nullptr ? *overlay : snapshot->instance;
-    }
-  };
-
-  /// The per-handle evaluation cache. Boxed so the handle stays movable
-  /// (the mutex is not).
+  /// The per-handle evaluation cache: the snapshot last evaluated and
+  /// the overlay holding its query-derived facts (null for the empty
+  /// program). Boxed so the handle stays movable (the mutex is not).
   struct EvalState {
     Mutex mu;
     EngineSnapshotPtr snapshot TRIQ_GUARDED_BY(mu);
-    std::shared_ptr<chase::Instance> overlay TRIQ_GUARDED_BY(mu);
+    std::unique_ptr<chase::Instance> overlay TRIQ_GUARDED_BY(mu);
   };
 
   PreparedQuery(Engine* engine, core::TriqQuery query,
@@ -312,9 +302,12 @@ class PreparedQuery {
         token_(std::move(token)),
         eval_(std::make_unique<EvalState>()) {}
 
-  /// Evaluates (or reuses) the query chase against the engine's current
-  /// snapshot and returns the pinned result.
-  Result<Pinned> EvaluatePinned(chase::ChaseStats* stats);
+  /// Chases the query program over a fresh overlay of `snap`, which must
+  /// outlive the returned overlay; null for the empty program, whose
+  /// answers live in the snapshot itself. A failed chase returns its
+  /// status and keeps nothing.
+  Result<std::unique_ptr<chase::Instance>> ChaseOverlay(
+      const EngineSnapshot& snap, chase::ChaseStats* stats) const;
 
   Engine* engine_;
   core::TriqQuery query_;
@@ -425,10 +418,12 @@ class Engine {
   /// journaled.
   Status LoadTurtleFile(const std::string& path);
 
-  /// Loads a binary fact dump written by chase::SaveFacts. Symbols are
-  /// re-interned into the engine dictionary (a dump loads correctly next
-  /// to already-interned vocabulary) and nulls are re-allocated with
-  /// their depths and identity sharing preserved.
+  /// Loads a binary fact dump written by chase::SaveFacts. The dump
+  /// decodes over a private dictionary and loads as a foreign
+  /// LoadDatabase: its symbols are re-interned into the engine
+  /// dictionary only once the load is accepted (so a rejected dump
+  /// interns nothing), and nulls are re-allocated with their depths and
+  /// identity sharing preserved.
   Status LoadFacts(const std::string& path);
 
   /// Adds an already-built RDF graph (the workload generators): its
@@ -467,10 +462,10 @@ class Engine {
   /// attaches it.
   Status AttachRules(std::string_view rule_text);
 
-  /// The data program (attached rules, plus τ_owl2ql_core under a
-  /// reasoning regime). Not synchronized against a concurrent AttachX —
-  /// a documented escape hatch, hence exempt from the analysis.
-  const datalog::Program& program() const TRIQ_NO_THREAD_SAFETY_ANALYSIS {
+  /// A copy of the data program (attached rules, plus τ_owl2ql_core
+  /// under a reasoning regime), taken under the writer lock.
+  datalog::Program program() const {
+    MutexLock lock(writer_mu_);
     return program_;
   }
 
@@ -495,11 +490,11 @@ class Engine {
   /// writes (which publish NEW snapshots instead of mutating this one).
   Result<EngineSnapshotPtr> CurrentSnapshot();
 
-  /// The pristine loaded facts (never chased). Writer-side state: not
-  /// synchronized against concurrent loads — a documented escape hatch,
-  /// hence exempt from the analysis.
-  const chase::Instance& base() const TRIQ_NO_THREAD_SAFETY_ANALYSIS {
-    return base_;
+  /// A copy (Instance::CloneFacts) of the pristine loaded facts, never
+  /// chased, taken under the writer lock.
+  chase::Instance base() const {
+    MutexLock lock(writer_mu_);
+    return base_.CloneFacts();
   }
 
   /// All-constant tuples of `predicate` in the materialized instance —
@@ -557,9 +552,10 @@ class Engine {
   /// regime: parses, translates (τ_bgp / τ^U_bgp / τ^All_bgp), prepares,
   /// and decodes the answers as solution mappings. Translation and
   /// preparation are cached per query text in an LRU of
-  /// options().sparql_cache_capacity plans, so repeated calls reuse both
-  /// the plan and (on an unchanged session) the evaluated answers.
-  /// Thread-safe.
+  /// options().sparql_cache_capacity plans, and each plan keeps the
+  /// mappings it last decoded with the snapshot they came from (the
+  /// overlay chased for them is dropped once decoded), so repeated
+  /// calls on an unchanged session reuse both. Thread-safe.
   Result<sparql::MappingSet> Query(const std::string& sparql_text);
 
   /// Renders the join plan of every data-program rule against the
@@ -645,10 +641,10 @@ class Engine {
   mutable Mutex writer_mu_;
   chase::Instance base_ TRIQ_GUARDED_BY(writer_mu_);
   datalog::Program program_ TRIQ_GUARDED_BY(writer_mu_);
-  bool program_monotone_ TRIQ_GUARDED_BY(writer_mu_) = true;
   // Rules 0..core_rule_prefix_ of program_ are the τ_owl2ql_core rules
   // attached at construction (0 under EntailmentRegime::kNone); the lint
-  // pass exempts them from per-rule diagnostics.
+  // pass exempts them from per-rule diagnostics, and a checkpoint
+  // records only the rules after them.
   size_t core_rule_prefix_ TRIQ_GUARDED_BY(writer_mu_) = 0;
   // Rules attached since the last snapshot.
   bool rules_dirty_ TRIQ_GUARDED_BY(writer_mu_) = false;
@@ -663,9 +659,6 @@ class Engine {
   // engine is shared and never reassigned, and stats() reads it
   // lock-free; the journal's own mutex guards its file state.
   std::unique_ptr<Journal> journal_;
-  // Accumulated user-attached rule text (datalog syntax) — the rules
-  // half of the next checkpoint image. Maintained only when journaling.
-  std::string journal_rules_text_ TRIQ_GUARDED_BY(writer_mu_);
   // What recovery found at Open (surfaced through stats()). Set once by
   // Open before the engine is shared, hence not guarded.
   uint64_t journal_recovered_records_ = 0;

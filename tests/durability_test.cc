@@ -195,11 +195,13 @@ TEST(DurabilityTest, CleanCloseReopensIdenticalAndUsable) {
   uint64_t base_fp = 0;
   uint64_t closure_fp = 0;
   size_t tc_count = 0;
+  std::string rules;
   {
     auto engine = Engine::Open(JournaledOptions(wal));
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     for (const OpFn& op : Workload()) ASSERT_TRUE(op(**engine).ok());
     base_fp = chase::FactFingerprint((*engine)->base());
+    rules = (*engine)->program().ToString();
     auto closure = (*engine)->CurrentSnapshot();
     ASSERT_TRUE(closure.ok());
     closure_fp = chase::FactFingerprint((*closure)->instance);
@@ -210,6 +212,9 @@ TEST(DurabilityTest, CleanCloseReopensIdenticalAndUsable) {
   auto reopened = Engine::Open(JournaledOptions(wal));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(chase::FactFingerprint((*reopened)->base()), base_fp);
+  // The checkpoint's rules text, rendered from the program, reattaches
+  // the same rules in the same order.
+  EXPECT_EQ((*reopened)->program().ToString(), rules);
   auto closure = (*reopened)->CurrentSnapshot();
   ASSERT_TRUE(closure.ok());
   EXPECT_EQ(chase::FactFingerprint((*closure)->instance), closure_fp);
@@ -231,8 +236,9 @@ TEST(DurabilityTest, CleanCloseReopensIdenticalAndUsable) {
 
 TEST(DurabilityTest, JournaledLoadFactsReopensIdentical) {
   // A fact dump carrying nulls, written on its own dictionary. The
-  // first pass loads it into an empty session (the engine adopts the
-  // loaded instance), the second after a Turtle load (it is appended).
+  // first pass loads it into an empty session, the second after a
+  // Turtle load. Either way the dump decodes over a private dictionary,
+  // so it is appended and journaled as a foreign blob (flag "0").
   for (bool after_prior_load : {false, true}) {
     const std::string dump = ::testing::TempDir() + "/journaled.facts";
     {
@@ -263,7 +269,7 @@ TEST(DurabilityTest, JournaledLoadFactsReopensIdentical) {
     auto reopened = Engine::Open(JournaledOptions(wal));
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     EXPECT_EQ(chase::FactFingerprint((*reopened)->base()), base_fp)
-        << (after_prior_load ? "appended" : "adopted") << " load";
+        << (after_prior_load ? "after a Turtle load" : "into an empty session");
   }
 }
 

@@ -8,7 +8,9 @@
 //  * The SPARQL plan cache is bounded (LRU) with hit/miss/eviction
 //    counters, and an evicted plan's program identity is forgotten.
 //  * A query-side chase tripping max_facts or the per-query deadline
-//    fails with ResourceExhausted and leaves the session usable.
+//    fails with ResourceExhausted and leaves the session usable; a
+//    failed SPARQL evaluation caches nothing in its plan.
+//  * program() and base() may be read while writers run.
 //  * Readers planning cyclic SPARQL patterns on a published snapshot
 //    and the writer cloning it do not race on lazily built indexes.
 #include <gtest/gtest.h>
@@ -305,6 +307,35 @@ TEST(EngineConcurrencyTest, QueryTrippingMaxFactsLeavesSessionUsable) {
   EXPECT_EQ(modest_answers->size(), 15u);
 }
 
+TEST(EngineConcurrencyTest, SparqlQueryTrippingMaxFactsDoesNotPoisonItsPlan) {
+  // The closure (15 edges, 120 tc facts) fits the cap; the three-way
+  // cross product of the edges (3,375 rows) does not.
+  Engine engine(EngineOptions().SetMaxFacts(2000));
+  LoadChain(&engine, 15);
+  ASSERT_TRUE(engine.Materialize().ok());
+
+  const std::string runaway =
+      "AND(AND({ ?A edge ?B }, { ?C edge ?D }), { ?E edge ?F })";
+  // A miss, then a hit on the plan the miss cached: the failure cached
+  // no rows, so the hit chases again and fails the same way instead of
+  // returning stale or empty mappings.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto blown = engine.Query(runaway);
+    ASSERT_FALSE(blown.ok()) << "attempt " << attempt << " returned "
+                             << blown->size() << " rows";
+    EXPECT_EQ(blown.status().code(), StatusCode::kResourceExhausted);
+  }
+  EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.sparql_cache_misses, 1u);
+  EXPECT_EQ(stats.sparql_cache_hits, 1u);
+  EXPECT_EQ(stats.sparql_cache_size, 1u);
+
+  EXPECT_TRUE(engine.IsMaterialized());
+  auto modest = engine.Query("{ ?X edge ?Y }");
+  ASSERT_TRUE(modest.ok()) << modest.status().ToString();
+  EXPECT_EQ(modest->size(), 15u);
+}
+
 TEST(EngineConcurrencyTest, QueryDeadlineTripsAndLeavesSessionUsable) {
   Engine engine(EngineOptions().SetQueryDeadline(
       std::chrono::milliseconds(5)));
@@ -504,6 +535,43 @@ TEST(EngineConcurrencyTest, JournaledWritesRaceReadersCleanly) {
   auto recovered_tc = (*reopened)->Answers("tc");
   ASSERT_TRUE(recovered_tc.ok());
   EXPECT_EQ(recovered_tc->size(), expect);
+}
+
+TEST(EngineConcurrencyTest, WriterStateAccessorsRaceWritesCleanly) {
+  // program() and base() copy writer state under the writer lock, so a
+  // reader may call them while another thread adds facts, attaches
+  // rules and materializes (ThreadSanitizer checks this in CI).
+  constexpr int kWrites = 40;
+  Engine engine;
+  std::atomic<bool> stop{false};
+  std::atomic<int> regressions{0};
+  std::thread reader([&] {
+    size_t last_facts = 0;
+    size_t last_rules = 0;
+    while (!stop.load(std::memory_order_acquire)) {
+      const size_t facts = engine.base().TotalFacts();
+      const size_t rules = engine.program().size();
+      // Writers only add, so neither copy may ever shrink.
+      if (facts < last_facts || rules < last_rules) ++regressions;
+      last_facts = facts;
+      last_rules = rules;
+    }
+  });
+  for (int i = 0; i < kWrites; ++i) {
+    const std::string rule =
+        "triple(?X, edge, ?Y) -> hop" + std::to_string(i) + "(?X) .";
+    const bool written = engine.AddTriple(Node(i), "edge", Node(i + 1)).ok() &&
+                         engine.AttachRules(rule).ok() &&
+                         engine.Materialize().ok();
+    EXPECT_TRUE(written) << "write " << i;
+    if (!written) break;
+  }
+  stop.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(regressions.load(), 0);
+  EXPECT_EQ(engine.base().TotalFacts(), static_cast<size_t>(kWrites));
+  EXPECT_EQ(engine.program().size(), static_cast<size_t>(kWrites));
 }
 
 TEST(EngineConcurrencyTest, RacingTurtleLoadsIntoAFreshSessionKeepBoth) {

@@ -636,6 +636,35 @@ TEST(EngineTest, RejectedForeignLoadInternsNothing) {
   EXPECT_EQ(engine.base().Find("fresh0")->size(), 1u);
 }
 
+TEST(EngineTest, RejectedLoadFactsInternsNothing) {
+  // A dump whose `triple` has the wrong arity, next to 20 predicates the
+  // session has never seen: the load is rejected as a whole, and none of
+  // the dump's names may stay behind in the session dictionary.
+  const std::string path = ::testing::TempDir() + "/rejected_dump.facts";
+  {
+    triq::chase::Instance out(Dict());
+    out.AddFact("triple", {"only", "two"});
+    for (int i = 0; i < 20; ++i) {
+      out.AddFact("dumped" + std::to_string(i), {"a"});
+    }
+    ASSERT_TRUE(SaveFacts(out, path).ok());
+  }
+  Engine engine;
+  ASSERT_TRUE(engine.LoadTurtle("a edge b .").ok());
+  const size_t symbols = engine.stats().dictionary_symbols;
+  auto rejected = engine.LoadFacts(path);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.code(), triq::StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.stats().dictionary_symbols, symbols);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(engine.dict().Find("dumped" + std::to_string(i)),
+              triq::kInvalidSymbol)
+        << i;
+  }
+  EXPECT_EQ(engine.base().TotalFacts(), 1u);
+  std::remove(path.c_str());
+}
+
 TEST(EngineTest, DataProgramMayExtendLoadedPredicates) {
   // The rule-library idiom (triq_run --program): attached data rules may
   // write into loaded relations like triple.
@@ -680,8 +709,9 @@ TEST(EngineTest, InconsistentOntologyIsTop) {
 // ---- non-monotone prepared queries (SPARQL OPT) ------------------------
 
 TEST(EngineTest, OptionalPatternsStayCorrectAcrossDeltas) {
-  // OPT translates to negation, so the prepared query evaluates on a
-  // throwaway clone each time — results must track the session state.
+  // OPT translates to negation. The plan's cached rows belong to one
+  // snapshot, so after a load the query chases again over a fresh
+  // overlay of the next one — results must track the session state.
   Engine engine;
   ASSERT_TRUE(engine.LoadTurtle(R"(
     alice knows bob .
