@@ -87,8 +87,8 @@ class ChaseRun {
 
   /// Sharding thresholds: a pass fans out only when its depth-0 visit
   /// order has at least two shards of kMinDriverPerShard tuples;
-  /// kShardsPerThread-fold oversubscription lets the work-stealing pool
-  /// rebalance shards whose join fan-out is skewed.
+  /// kShardsPerThread-fold oversubscription lets the pool's shared
+  /// counter rebalance shards whose join fan-out is skewed.
   static constexpr size_t kMinDriverPerShard = 64;
   static constexpr size_t kShardsPerThread = 4;
 
@@ -337,8 +337,9 @@ class ChaseRun {
   /// Parallel merge-commit of a single-head pass's staged tuples: the
   /// hash-partitioned dedup probes fan out over the pool; the ordered
   /// append (which fixes the tuple indexes to exactly the sequential
-  /// ones) stays on this thread. Only called when even an all-new batch
-  /// cannot exceed max_facts, so the cap needs no per-tuple check.
+  /// ones, and the claimed slots with them) stays on this thread. Only
+  /// called when even an all-new batch cannot exceed max_facts, so the
+  /// cap needs no per-tuple check.
   Status CommitBatch(const Atom& head, uint32_t head_arity,
                      size_t num_shards) {
     Relation& rel = instance_->GetOrCreate(head.predicate, head_arity);
@@ -361,8 +362,6 @@ class ChaseRun {
     pool_->ParallelFor(Relation::kDedupPartitions,
                        [&](size_t p) { batch.ScanPartition(p); });
     uint32_t winners = batch.CommitWinners();
-    pool_->ParallelFor(Relation::kDedupPartitions,
-                       [&](size_t p) { batch.FinalizeSlots(p); });
     total_facts_ += winners;
     if (stats_ != nullptr) stats_->facts_derived += winners;
     return Status::OK();

@@ -60,7 +60,7 @@ struct ChaseOptions {
   /// Number of threads the chase may use for its match passes, at most
   /// common::kMaxThreads. Every pass is planned once (a JoinPass). 1
   /// (the default) runs it whole on the calling thread; N > 1 spawns a
-  /// work-stealing pool of N-1 workers (the calling thread participates)
+  /// pool of N-1 workers (the calling thread participates)
   /// and splits every large-enough pass's depth-0 visit order into
   /// contiguous slices, run concurrently over that plan into
   /// thread-local staging buffers, then merge-committed in slice order.

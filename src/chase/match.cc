@@ -257,9 +257,15 @@ struct JoinPass::Plan {
         }
         bind_depth.push_back(at);
       }
+      // A fully bound atom is one dedup lookup; a partly bound one
+      // probes postings, except at depth 0 when its window starts past
+      // tuple 0 (a delta window). The probe would extend the relation's
+      // whole permutation every round to read its newest tuples; the
+      // scan visits the same candidates in the same ascending order and
+      // lets unification drop the rest.
       if (FullyBound(depth)) {
         plan.access = Access::kFindIndex;
-      } else if (plan.num_bound > 0) {
+      } else if (plan.num_bound > 0 && (depth > 0 || plan.begin == 0)) {
         plan.access = Access::kPostings;
       }
     }

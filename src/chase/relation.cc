@@ -344,6 +344,7 @@ void BatchInserter::Prepare(common::ThreadPool* pool) {
     return false;
   };
   while (needs_grow()) rel.GrowSlots(pool);
+  claimed_.assign(total_, kNoSlot);
 }
 
 void BatchInserter::ScanPartition(uint32_t partition) {
@@ -352,7 +353,6 @@ void BatchInserter::ScanPartition(uint32_t partition) {
   const uint32_t mask = sub - 1;
   const size_t base = static_cast<size_t>(partition) * sub;
   const uint32_t arity = rel.arity_;
-  std::vector<Winner>& winners = winners_[partition];
   for (const Shard& shard : shards_) {
     for (uint32_t j = 0; j < shard.n; ++j) {
       uint32_t h = shard.hashes[j];
@@ -367,7 +367,7 @@ void BatchInserter::ScanPartition(uint32_t partition) {
           // tagged stream position; CommitWinners assigns the index.
           rel.slots_[i] = kStagedTag | pos;
           ++rel.part_counts_[partition];
-          winners.push_back(Winner{pos, static_cast<uint32_t>(i), h, 0});
+          claimed_[pos] = static_cast<uint32_t>(i);
           break;
         }
         if (slot & kStagedTag) {
@@ -397,55 +397,26 @@ void BatchInserter::ScanPartition(uint32_t partition) {
 
 uint32_t BatchInserter::CommitWinners() {
   Relation& rel = *rel_;
-  merged_.clear();
-  size_t num_winners = 0;
-  for (const auto& w : winners_) num_winners += w.size();
-  merged_.reserve(num_winners);
-  for (const auto& w : winners_) {
-    merged_.insert(merged_.end(), w.begin(), w.end());
-  }
-  // Stream order = the order a sequential drain would have inserted in;
-  // per-partition lists are already ascending, so this is a P-way merge
-  // done the simple way.
-  std::sort(merged_.begin(), merged_.end(),
-            [](const Winner& a, const Winner& b) { return a.pos < b.pos; });
   const uint32_t arity = rel.arity_;
-  // merged_ ascends by stream position and shards_ by pos_base, so one
-  // monotone cursor resolves every winner's tuple without the per-call
-  // shard scan of TupleAt.
-  size_t shard = 0;
-  for (Winner& w : merged_) {
-    while (shard + 1 < shards_.size() &&
-           w.pos - shards_[shard].pos_base >= shards_[shard].n) {
-      ++shard;
+  const uint32_t before = rel.count_;
+  // Stream order is the order a sequential drain would have inserted
+  // in, so walking the shards in order assigns exactly its indexes.
+  for (const Shard& s : shards_) {
+    const uint32_t* claimed = claimed_.data() + s.pos_base;
+    for (uint32_t j = 0; j < s.n; ++j) {
+      if (claimed[j] == kNoSlot) continue;
+      const Term* tuple = s.tuples + static_cast<size_t>(j) * arity;
+      uint32_t idx = rel.count_;
+      for (uint32_t pos = 0; pos < arity; ++pos) {
+        rel.MutableColumnData(pos)[idx] = tuple[pos];
+      }
+      rel.hashes_.push_back(s.hashes[j]);
+      ++rel.count_;
+      rel.NoteAppend(TupleView(tuple, arity));
+      rel.slots_[claimed[j]] = idx + 1;
     }
-    const Shard& s = shards_[shard];
-    const Term* tuple =
-        s.tuples + static_cast<size_t>(w.pos - s.pos_base) * arity;
-    uint32_t idx = rel.count_;
-    for (uint32_t pos = 0; pos < arity; ++pos) {
-      rel.MutableColumnData(pos)[idx] = tuple[pos];
-    }
-    rel.hashes_.push_back(w.hash);
-    ++rel.count_;
-    rel.NoteAppend(TupleView(tuple, arity));
-    w.index = idx;
   }
-  // Rebucket by SLOT partition so FinalizeSlots(p) touches only its own
-  // winners instead of filtering the full list kDedupPartitions times.
-  for (auto& w : winners_) w.clear();
-  const uint32_t sub = rel.sub_size();
-  for (const Winner& w : merged_) {
-    winners_[w.slot / sub].push_back(w);
-  }
-  return static_cast<uint32_t>(merged_.size());
-}
-
-void BatchInserter::FinalizeSlots(uint32_t partition) {
-  Relation& rel = *rel_;
-  for (const Winner& w : winners_[partition]) {
-    rel.slots_[w.slot] = w.index + 1;
-  }
+  return rel.count_ - before;
 }
 
 }  // namespace triq::chase

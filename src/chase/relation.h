@@ -438,8 +438,8 @@ class Relation {
 /// tuple indexes — but the dedup probes, the only memory-latency-bound
 /// part, run concurrently across the relation's hash partitions.
 ///
-/// Protocol (phases must not overlap; scan/finalize calls of distinct
-/// partitions may run concurrently):
+/// Protocol (phases must not overlap; scans of distinct partitions may
+/// run concurrently):
 ///
 ///   BatchInserter batch(&rel);
 ///   batch.AddShard(tuples, hashes, n);        // once per shard, in order
@@ -447,13 +447,17 @@ class Relation {
 ///   for p in [0, Relation::kDedupPartitions): // parallel
 ///     batch.ScanPartition(p);
 ///   size_t winners = batch.CommitWinners();   // serial: ordered append
-///   for p in [0, Relation::kDedupPartitions): // parallel
-///     batch.FinalizeSlots(p);
 ///
-/// A tuple's partition is a pure function of its content, so the winner
-/// set and their order never depend on how partitions map to threads.
-/// The relation must not be read or written by others between Prepare()
-/// and the last FinalizeSlots() (the table holds tagged entries).
+/// ScanPartition(p) walks the stream in order and probes only the
+/// tuples of partition p, so the first occurrence of each new tuple
+/// claims an empty slot and records that slot against its stream
+/// position. A tuple's partition is a pure function of its content, so
+/// which positions claim never depends on how partitions map to
+/// threads. CommitWinners then walks the stream once more: each
+/// claiming position appends its tuple and writes the new index into
+/// its slot. The relation must not be read or written by others
+/// between Prepare() and CommitWinners() (the table holds tagged
+/// entries until then).
 class BatchInserter {
  public:
   explicit BatchInserter(Relation* rel) : rel_(rel) {}
@@ -462,21 +466,20 @@ class BatchInserter {
   /// to back) with their Hash32 values. Must precede Prepare().
   void AddShard(const Term* tuples, const uint32_t* hashes, uint32_t n);
 
-  /// Staged tuples so far across shards.
-  size_t total() const { return total_; }
-
   /// With a pool, a dedup-table doubling triggered by the staged volume
   /// rebuilds partition-parallel (same layout as the serial rebuild).
   void Prepare(common::ThreadPool* pool = nullptr);
   void ScanPartition(uint32_t partition);
-  /// Appends the winners in stream order; returns how many were new.
+  /// Appends the winners in stream order and fixes their slots; returns
+  /// how many were new.
   uint32_t CommitWinners();
-  void FinalizeSlots(uint32_t partition);
 
  private:
   // Tags a slot whose entry is a staged stream position (winner whose
   // final tuple index is not assigned yet) rather than idx + 1.
   static constexpr uint32_t kStagedTag = 0x80000000u;
+  // claimed_ entry of a position that claimed no slot.
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
 
   struct Shard {
     const Term* tuples;
@@ -484,17 +487,10 @@ class BatchInserter {
     uint32_t n;
     uint32_t pos_base;  // stream position of the shard's first tuple
   };
-  struct Winner {
-    uint32_t pos;    // stream position
-    uint32_t slot;   // index into rel_->slots_
-    uint32_t hash;   // Hash32 of the tuple (copied from the shard)
-    uint32_t index;  // final tuple index (assigned by CommitWinners)
-  };
 
   const Term* TupleAt(uint32_t pos) const {
     // Shard counts are small (a few dozen); linear scan beats a binary
-    // search on branch-predictability. CommitWinners' hot loop uses a
-    // monotone cursor instead of this.
+    // search on branch-predictability.
     for (const Shard& s : shards_) {
       if (pos - s.pos_base < s.n) {
         return s.tuples + static_cast<size_t>(pos - s.pos_base) * rel_->arity();
@@ -506,11 +502,9 @@ class BatchInserter {
   Relation* rel_;
   std::vector<Shard> shards_;
   uint32_t total_ = 0;
-  // Per-partition winners (ascending stream position). CommitWinners
-  // merges them into stream order, assigns indexes, and rebuckets them
-  // by SLOT partition so each FinalizeSlots call walks only its own.
-  std::vector<std::vector<Winner>> winners_{Relation::kDedupPartitions};
-  std::vector<Winner> merged_;
+  // Per stream position: the slot its scan claimed, or kNoSlot. Scans of
+  // distinct partitions write disjoint positions.
+  std::vector<uint32_t> claimed_;
 };
 
 inline size_t TupleHash::operator()(const Tuple& t) const {

@@ -1,14 +1,11 @@
 #include "common/thread_pool.h"
 
-#include <algorithm>
-
 namespace triq::common {
 
 ThreadPool::ThreadPool(size_t num_workers) {
-  ranges_ = std::vector<Range>(num_workers + 1);  // + the calling thread
   threads_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
-    threads_.emplace_back([this, i] { WorkerMain(i); });
+    threads_.emplace_back([this] { WorkerMain(); });
   }
 }
 
@@ -23,34 +20,32 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  size_t participants = threads_.size() + 1;
   if (threads_.empty()) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // Deal contiguous slices; the mutex handoff below publishes them.
-  for (size_t p = 0; p < participants; ++p) {
-    uint32_t begin = static_cast<uint32_t>(n * p / participants);
-    uint32_t end = static_cast<uint32_t>(n * (p + 1) / participants);
-    ranges_[p].bits.store(Pack(begin, end), std::memory_order_relaxed);
-  }
   {
+    // Every worker finished the previous loop before it returned, so no
+    // one draws from the counter while it is reset.
     MutexLock lock(mu_);
+    next_.store(0);
     job_ = &fn;
+    job_size_ = n;
     ++generation_;
     active_workers_ = threads_.size();
   }
   start_cv_.NotifyAll();
-  RunShare(participants - 1, fn);
+  RunShare(n, fn);
   MutexLock lock(mu_);
   while (active_workers_ != 0) done_cv_.Wait(mu_);
   job_ = nullptr;
 }
 
-void ThreadPool::WorkerMain(size_t self) {
+void ThreadPool::WorkerMain() {
   uint64_t seen_generation = 0;
   for (;;) {
     const std::function<void(size_t)>* job = nullptr;
+    size_t n = 0;
     {
       MutexLock lock(mu_);
       while (!shutdown_ && generation_ == seen_generation) {
@@ -59,8 +54,9 @@ void ThreadPool::WorkerMain(size_t self) {
       if (shutdown_) return;
       seen_generation = generation_;
       job = job_;
+      n = job_size_;
     }
-    RunShare(self, *job);
+    RunShare(n, *job);
     {
       MutexLock lock(mu_);
       --active_workers_;
@@ -69,53 +65,8 @@ void ThreadPool::WorkerMain(size_t self) {
   }
 }
 
-void ThreadPool::RunShare(size_t self, const std::function<void(size_t)>& fn) {
-  for (;;) {
-    // Pop from the front of our own range.
-    uint64_t cur = ranges_[self].bits.load(std::memory_order_acquire);
-    for (;;) {
-      uint32_t begin = static_cast<uint32_t>(cur >> 32);
-      uint32_t end = static_cast<uint32_t>(cur);
-      if (begin >= end) break;
-      if (ranges_[self].bits.compare_exchange_weak(
-              cur, Pack(begin + 1, end), std::memory_order_acq_rel)) {
-        fn(begin);
-        cur = ranges_[self].bits.load(std::memory_order_acquire);
-      }
-    }
-    // Empty: steal the back half of the largest remaining range.
-    bool stole = false;
-    for (;;) {
-      size_t victim = ranges_.size();
-      uint32_t most = 0;
-      for (size_t p = 0; p < ranges_.size(); ++p) {
-        if (p == self) continue;
-        uint64_t bits = ranges_[p].bits.load(std::memory_order_acquire);
-        uint32_t remaining =
-            static_cast<uint32_t>(bits) - static_cast<uint32_t>(bits >> 32);
-        if (static_cast<uint32_t>(bits >> 32) < static_cast<uint32_t>(bits) &&
-            remaining > most) {
-          most = remaining;
-          victim = p;
-        }
-      }
-      if (victim == ranges_.size()) return;  // nothing left anywhere
-      uint64_t bits = ranges_[victim].bits.load(std::memory_order_acquire);
-      uint32_t begin = static_cast<uint32_t>(bits >> 32);
-      uint32_t end = static_cast<uint32_t>(bits);
-      if (begin >= end) continue;  // drained since the scan; rescan
-      uint32_t take = (end - begin + 1) / 2;
-      if (ranges_[victim].bits.compare_exchange_strong(
-              bits, Pack(begin, end - take), std::memory_order_acq_rel)) {
-        ranges_[self].bits.store(Pack(end - take, end),
-                                 std::memory_order_release);
-        stole = true;
-        break;
-      }
-      // Lost the race; rescan.
-    }
-    if (!stole) return;
-  }
+void ThreadPool::RunShare(size_t n, const std::function<void(size_t)>& fn) {
+  for (size_t i = next_.fetch_add(1); i < n; i = next_.fetch_add(1)) fn(i);
 }
 
 }  // namespace triq::common

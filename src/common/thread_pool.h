@@ -22,12 +22,11 @@ inline constexpr uint64_t kMaxThreads = 1024;
 ///
 /// ParallelFor(n, fn) runs fn(i) for every i in [0, n) across the
 /// workers plus the calling thread, and returns once every index has
-/// finished. Load balancing is work-stealing over index ranges: each
-/// participant starts with a contiguous slice of the iteration space,
-/// pops indices from its front, and when it runs dry steals the back
-/// half of the largest remaining slice. A slice lives in one 64-bit
-/// atomic (begin | end), so owner pops and thief splits never hand out
-/// an index twice.
+/// finished. Participants take indices one at a time from a shared
+/// atomic counter, so a participant that drew cheap indices simply
+/// draws more. The pool's loops have coarse items (chase shards, the
+/// dedup partitions, the server's accept loops), so one fetch_add per
+/// item balances them without any per-participant state.
 ///
 /// `fn` must be safe to call concurrently for distinct indices. Calls
 /// to ParallelFor are serialized by the caller (one loop at a time);
@@ -50,28 +49,21 @@ class ThreadPool {
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:
-  // One participant's remaining index range, packed begin<<32 | end so
-  // pops and steals race on a single atomic. Padded to its own cache
-  // line: ranges are the only cross-thread hot state in a loop.
-  struct alignas(64) Range {
-    std::atomic<uint64_t> bits{0};
-  };
-  static uint64_t Pack(uint32_t begin, uint32_t end) {
-    return (static_cast<uint64_t>(begin) << 32) | end;
-  }
-
-  void WorkerMain(size_t self);
-  /// Drains participant `self`'s range, then steals until no range has
-  /// work left.
-  void RunShare(size_t self, const std::function<void(size_t)>& fn);
+  void WorkerMain();
+  /// Runs fn on indices drawn from next_ until the loop's n are spent.
+  void RunShare(size_t n, const std::function<void(size_t)>& fn);
 
   std::vector<std::thread> threads_;
-  std::vector<Range> ranges_;  // one per participant; caller is last
+  // The running loop's next undrawn index. Reset under mu_ before the
+  // loop is published; every participant then fetch_adds it, so each
+  // index is handed out exactly once.
+  std::atomic<size_t> next_{0};
 
   Mutex mu_;
   CondVar start_cv_;
   CondVar done_cv_;
   const std::function<void(size_t)>* job_ TRIQ_GUARDED_BY(mu_) = nullptr;
+  size_t job_size_ TRIQ_GUARDED_BY(mu_) = 0;
   uint64_t generation_ TRIQ_GUARDED_BY(mu_) = 0;
   size_t active_workers_ TRIQ_GUARDED_BY(mu_) = 0;
   bool shutdown_ TRIQ_GUARDED_BY(mu_) = false;

@@ -268,7 +268,19 @@ Status Journal::WriteAll(const char* data, size_t size) {
   return Status::OK();
 }
 
+Status Journal::CheckLength(uint64_t size, const char* what) {
+  if (size <= UINT32_MAX) return Status::OK();
+  return Status::InvalidArgument(std::string("journal ") + what + " of " +
+                                 std::to_string(size) +
+                                 " bytes exceeds the 4 GiB format limit");
+}
+
 Status Journal::Append(Op op, const std::vector<std::string>& fields) {
+  // The payload's length bounds every field's, so one check covers the
+  // frame and its fields.
+  uint64_t payload_size = 1;
+  for (const std::string& field : fields) payload_size += 4 + field.size();
+  TRIQ_RETURN_IF_ERROR(CheckLength(payload_size, "record"));
   std::string payload(1, static_cast<char>(op));
   for (const std::string& field : fields) {
     PutU32(&payload, static_cast<uint32_t>(field.size()));
@@ -344,6 +356,8 @@ Status Journal::SyncLocked() {
 
 Status Journal::Checkpoint(const std::string& rules, const std::string& blob,
                            bool materialized) {
+  TRIQ_RETURN_IF_ERROR(CheckLength(rules.size(), "checkpoint rules"));
+  TRIQ_RETURN_IF_ERROR(CheckLength(blob.size(), "checkpoint blob"));
   MutexLock lock(mu_);
   // The caller journals the triggering record before calling this, so a
   // crash anywhere in here recovers to a correct state: before the

@@ -111,7 +111,9 @@ class Journal {
   Journal& operator=(const Journal&) = delete;
 
   /// Appends one record (unbuffered write) and applies the fsync
-  /// policy. A failed or torn append returns DataLoss; the caller must
+  /// policy. A record whose payload would not fit its u32 length field
+  /// is refused with InvalidArgument before anything is written. A
+  /// failed or torn append returns DataLoss. Either way the caller must
   /// not apply the mutation it was journaling. The torn tail is rewound
   /// (truncated back to the last good record) so later appends stay
   /// replayable; if even the rewind fails the journal declares itself
@@ -123,9 +125,16 @@ class Journal {
 
   /// Atomically installs `<path>.ckpt` = {rules, blob, materialized}
   /// and resets the journal to an empty next-epoch file (see class
-  /// comment). The reset is always fsynced.
+  /// comment). The reset is always fsynced. Rules or a blob too long
+  /// for their u32 length fields are refused with InvalidArgument, and
+  /// the old checkpoint and journal stay as they were.
   Status Checkpoint(const std::string& rules, const std::string& blob,
                     bool materialized);
+
+  /// The one length check of both formats: OK when `size` bytes fit a
+  /// u32 length field, else InvalidArgument naming `what`. Append and
+  /// Checkpoint run it on every length before they write anything.
+  static Status CheckLength(uint64_t size, const char* what);
 
   JournalStats stats() const;
   const std::string& path() const { return path_; }

@@ -1,8 +1,8 @@
 // The write-ahead journal's on-disk contract: append/recover round
 // trips, torn-tail truncation, bit-rot detection, failed-append rewind,
-// checkpoint compaction, and the epoch stitching that makes the
-// checkpoint+reset pair crash-atomic (crashes simulated with real
-// fork + _Exit through failpoints).
+// the u32 length limit, checkpoint compaction, and the epoch stitching
+// that makes the checkpoint+reset pair crash-atomic (crashes simulated
+// with real fork + _Exit through failpoints).
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -182,6 +182,24 @@ TEST(JournalTest, FailedAppendRewindsSoLaterAppendsSurvive) {
   EXPECT_EQ(recovery.records[0].fields[0], "a");
   EXPECT_EQ(recovery.records[1].fields[0], "d");
   EXPECT_EQ(recovery.truncated_bytes, 0u);
+}
+
+TEST(JournalTest, LengthsPastTheirU32FieldsAreRefused) {
+  // Append and Checkpoint run this one check on every length they frame
+  // in a u32 (a record's payload, a checkpoint's rules and blob) before
+  // writing anything: a wrapped length would make recovery read the
+  // record as torn and drop it with every record after it. Tested on
+  // the check itself: a real 4 GiB field is too large to allocate in
+  // the sanitizer jobs.
+  EXPECT_TRUE(Journal::CheckLength(0, "record").ok());
+  EXPECT_TRUE(Journal::CheckLength(UINT32_MAX, "record").ok());
+  Status over = Journal::CheckLength(uint64_t{UINT32_MAX} + 1, "record");
+  EXPECT_EQ(over.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(over.message().find("record of 4294967296 bytes"),
+            std::string::npos)
+      << over.message();
+  EXPECT_EQ(Journal::CheckLength(uint64_t{1} << 40, "checkpoint blob").code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(JournalTest, CheckpointCompactsAndKeepsTheTail) {

@@ -248,6 +248,17 @@ TEST(MatchTest, ExplainMatchPlanGolden) {
             "  0: e(?Y, ?Z)  delta-scan  rows~20 (window 20)\n"
             "  1: e(?X, ?Y)  postings  rows~0.902 (window 40)\n");
 
+  // A depth-0 delta atom that binds a constant scans its window: a
+  // posting probe would sync the whole relation's permutation to read
+  // it.
+  MatchOptions bound_delta;
+  bound_delta.delta_body_index = 0;
+  bound_delta.delta_begin = 40;
+  bound_delta.delta_end = 64;
+  EXPECT_EQ(explain("e(?X, n3) -> q(?X)", bound_delta),
+            "  strategy: hash (auto)\n"
+            "  0: e(?X, n3)  delta-scan  rows~0.541 (window 24)\n");
+
   EXPECT_EQ(explain("e(?X, ?Y) -> q(?X)", {}),
             "  strategy: hash (auto)\n"
             "  0: e(?X, ?Y)  scan  rows~64 (window 64)\n");

@@ -9,7 +9,7 @@
 // depth-0 order, run one after another or concurrently on a pool,
 // concatenate to the whole pass's match stream, for merge, posting and
 // leapfrog plans); on the degenerate shard shapes (empty delta, single
-// tuple, too small to shard); and for the work-stealing pool itself.
+// tuple, too small to shard); and for the thread pool itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -114,6 +114,20 @@ TEST(ParallelChaseTest, TransitiveClosureSweep) {
   auto program = core::TransitiveClosureProgram(dict);
   Instance db = core::ChainDatabase(96, dict);
   CheckEquivalenceSweep(program, db);
+
+  // Depth-0 delta atoms that bind a constant scan their delta window
+  // instead of probing postings. The doubling tc rule's rounds are large
+  // enough to shard the `tc(?X, v32)` pass, and the recursive `upto`
+  // rule's delta atom binds v16 itself.
+  auto bound = datalog::ParseProgram(
+      "edge(?X, ?Y) -> tc(?X, ?Y) .\n"
+      "tc(?X, ?Y), tc(?Y, ?Z) -> tc(?X, ?Z) .\n"
+      "tc(?X, v32) -> into(?X) .\n"
+      "edge(?X, v16) -> upto(?X, v16) .\n"
+      "upto(?Y, v16), edge(?X, ?Y) -> upto(?X, v16) .\n",
+      dict);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  CheckEquivalenceSweep(*bound, core::ChainDatabase(32, dict));
 }
 
 TEST(ParallelChaseTest, RepeatedPredicatesAndNegationSweep) {
@@ -207,61 +221,82 @@ TEST(ParallelChaseTest, RandomGraphStrategyAndThreadSweep) {
 }
 
 TEST(ParallelChaseTest, ParallelRehashMatchesSequentialInserts) {
-  // Drives Relation's partition-parallel rehash directly: a relation
-  // already holding 40k tuples (above the 32k parallel-rehash
-  // threshold) takes a batch whose staged influx overloads the dedup
-  // table, so BatchInserter::Prepare doubles it through the pool. The
-  // committed relation must be indistinguishable from plain sequential
-  // Insert()s of the same stream: same tuples at the same indexes, and
-  // every tuple findable through the rebuilt table.
+  // Drives Relation's partition-parallel rehash and the two-phase batch
+  // commit directly: a relation already holding 40k tuples (above the
+  // 32k parallel-rehash threshold) takes a batch whose staged influx
+  // overloads the dedup table, so BatchInserter::Prepare doubles it
+  // through the pool. The stream is committed as one shard and as three
+  // shards cut between in-stream duplicates and their first
+  // occurrences. Either way the committed relation must be
+  // indistinguishable from plain sequential Insert()s of the same
+  // stream: same tuples at the same indexes, and every tuple findable
+  // through the rebuilt table.
   using chase::Relation;
   auto term = [](uint32_t v) { return datalog::Term::Constant(v); };
-  Relation rel(2), ref(2);
+  Relation ref(2);
   for (uint32_t i = 0; i < 40000; ++i) {
-    chase::Tuple t = {term(i % 9000), term(i)};
-    rel.Insert(t);
-    ref.Insert(t);
+    ref.Insert(chase::Tuple{term(i % 9000), term(i)});
   }
-  ASSERT_EQ(rel.size(), 40000u);
+  ASSERT_EQ(ref.size(), 40000u);
 
   // Staged stream: fresh tuples, repeats of stored tuples, in-stream
   // duplicates — row-major with precomputed Hash32, as the sharded
   // chase commit stages them.
   std::vector<chase::Term> flat;
+  // (first occurrence, repeat) stream positions of in-stream duplicates.
+  std::vector<std::pair<uint32_t, uint32_t>> repeats;
   auto stage = [&](uint32_t a, uint32_t b) {
     flat.push_back(term(a));
     flat.push_back(term(b));
+    return static_cast<uint32_t>(flat.size() / 2 - 1);
   };
   for (uint32_t i = 0; i < 20000; ++i) {
-    stage(i % 9000, 40000 + i);                   // fresh
+    uint32_t first = stage(i % 9000, 40000 + i);  // fresh
     if (i % 5 == 0) stage(i % 9000, i);           // already stored
-    if (i % 7 == 0) stage(i % 9000, 40000 + i);   // in-stream duplicate
+    if (i % 7 == 0) {
+      repeats.emplace_back(first, stage(i % 9000, 40000 + i));  // duplicate
+    }
   }
   uint32_t n = static_cast<uint32_t>(flat.size() / 2);
   std::vector<uint32_t> hashes(n);
   for (uint32_t j = 0; j < n; ++j) {
     hashes[j] = Relation::Hash32(flat.data() + 2 * j, 2);
   }
-
-  common::ThreadPool pool(3);
-  chase::BatchInserter batch(&rel);
-  batch.AddShard(flat.data(), hashes.data(), n);
-  batch.Prepare(&pool);
-  pool.ParallelFor(Relation::kDedupPartitions,
-                   [&](size_t p) { batch.ScanPartition(p); });
-  batch.CommitWinners();
-  pool.ParallelFor(Relation::kDedupPartitions,
-                   [&](size_t p) { batch.FinalizeSlots(p); });
-
   for (uint32_t j = 0; j < n; ++j) {
     ref.Insert(chase::Tuple{flat[2 * j], flat[2 * j + 1]});
   }
-  ASSERT_EQ(rel.size(), ref.size());
-  EXPECT_EQ(rel.size(), 60000u);
-  for (uint32_t i = 0; i < rel.size(); i += 13) {
-    EXPECT_EQ(rel.tuple(i)[0], ref.tuple(i)[0]) << i;
-    EXPECT_EQ(rel.tuple(i)[1], ref.tuple(i)[1]) << i;
-    EXPECT_EQ(rel.FindIndex(rel.tuple(i)), i) << i;
+  ASSERT_EQ(ref.size(), 60000u);
+
+  // Shard cuts: none, or right before two in-stream repeats, so each
+  // repeat's first occurrence lies in the shard before it.
+  const uint32_t cut1 = repeats[repeats.size() / 3].second;
+  const uint32_t cut2 = repeats[2 * repeats.size() / 3].second;
+  ASSERT_LT(repeats[repeats.size() / 3].first, cut1);
+  ASSERT_LT(repeats[2 * repeats.size() / 3].first, cut2);
+  const std::vector<std::vector<uint32_t>> splits = {{0, n},
+                                                     {0, cut1, cut2, n}};
+  common::ThreadPool pool(3);
+  for (const std::vector<uint32_t>& bounds : splits) {
+    SCOPED_TRACE(std::to_string(bounds.size() - 1) + " shard(s)");
+    Relation rel(2);
+    for (uint32_t i = 0; i < 40000; ++i) {
+      rel.Insert(chase::Tuple{term(i % 9000), term(i)});
+    }
+    chase::BatchInserter batch(&rel);
+    for (size_t s = 0; s + 1 < bounds.size(); ++s) {
+      batch.AddShard(flat.data() + 2 * size_t{bounds[s]},
+                     hashes.data() + bounds[s], bounds[s + 1] - bounds[s]);
+    }
+    batch.Prepare(&pool);
+    pool.ParallelFor(Relation::kDedupPartitions,
+                     [&](size_t p) { batch.ScanPartition(p); });
+    EXPECT_EQ(batch.CommitWinners(), 20000u);
+
+    ASSERT_EQ(rel.size(), ref.size());
+    for (uint32_t i = 0; i < rel.size(); ++i) {
+      ASSERT_EQ(rel.tuple(i), ref.tuple(i)) << i;
+      ASSERT_EQ(rel.FindIndex(ref.tuple(i)), i) << i;
+    }
   }
 }
 
@@ -509,7 +544,7 @@ TEST(JoinPassTest, BoundPositionPlansAscendingSupersets) {
   ExpectSlicesConcatenate(*two_bound, db, options);
 }
 
-// ---- the work-stealing pool ------------------------------------------
+// ---- the thread pool -------------------------------------------------
 
 TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
   common::ThreadPool pool(3);
@@ -522,8 +557,8 @@ TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ThreadPoolTest, StealsSkewedWork) {
-  // All the real work lands in the first indices; stealing must spread
+TEST(ThreadPoolTest, BalancesSkewedWork) {
+  // All the real work lands in the first indices; the pool must spread
   // it without dropping or duplicating any index.
   common::ThreadPool pool(4);
   std::atomic<uint64_t> checksum{0};
