@@ -85,8 +85,8 @@ class ChaseRun {
     uint32_t facts;
   };
 
-  /// Sharding thresholds: a pass fans out only when its depth-0 visit
-  /// order has at least two shards of kMinDriverPerShard tuples;
+  /// Sharding thresholds: a pass fans out only when its driver has at
+  /// least two shards of kMinDriverPerShard tuples;
   /// kShardsPerThread-fold oversubscription lets the pool's shared
   /// counter rebalance shards whose join fan-out is skewed.
   static constexpr size_t kMinDriverPerShard = 64;
@@ -194,12 +194,13 @@ class ChaseRun {
 
   /// One rule pass: plans the join once (JoinPass), picks the shard
   /// count, stages every shard's matches (see StageMatch), then commits
-  /// them in shard order. With a pool, a pass whose depth-0 visit order
-  /// has at least two shards' worth of tuples runs as contiguous slices
-  /// of that order, concurrently over the one plan; any other pass runs
-  /// whole on this thread. The slice streams concatenate to the whole
-  /// pass's (the JoinPass sharding contract) and commits replay on this
-  /// thread, so the result is bit-identical at every thread count.
+  /// them in shard order. Each shard runs one contiguous slice of the
+  /// pass's driver; with a pool, a driver of at least two shards' worth
+  /// of tuples is split, and the slices run concurrently over the one
+  /// plan, while any other pass runs as one slice on this thread. The
+  /// slice streams concatenate to the whole pass's (the JoinPass sharding
+  /// contract) and commits replay on this thread, so the result is
+  /// bit-identical at every thread count.
   Status ApplyRule(size_t rule_index, const MatchOptions& match_options) {
     const Rule& rule = program_.rules()[rule_index];
     if (rule.IsConstraint()) return Status::OK();
@@ -210,13 +211,12 @@ class ChaseRun {
     // Section 2), and inserting during the index scan would invalidate
     // the matcher's column and permutation views.
     JoinPass pass(rule, *instance_, match_options);
-    std::vector<uint32_t> order;
+    const size_t driver = pass.DriverSize();
     size_t num_shards = 1;
     if (pool_ != nullptr) {
-      order = pass.DriverOrder();
       size_t max_shards = (pool_->num_workers() + 1) * kShardsPerThread;
       num_shards = std::max<size_t>(
-          1, std::min(max_shards, order.size() / kMinDriverPerShard));
+          1, std::min(max_shards, driver / kMinDriverPerShard));
     }
     const bool sharded = num_shards > 1;
 
@@ -237,11 +237,8 @@ class ChaseRun {
         StageMatch(rule, match, fast, hash_arity, &stage);
         return true;
       };
-      size_t begin = order.size() * s / num_shards;
-      size_t end = order.size() * (s + 1) / num_shards;
-      stage.status = sharded ? pass.RunSlice(order.data() + begin,
-                                             end - begin, stage_match)
-                             : pass.Run(stage_match);
+      stage.status = pass.RunSlice(driver * s / num_shards,
+                                   driver * (s + 1) / num_shards, stage_match);
     };
     if (sharded) {
       pool_->ParallelFor(num_shards, stage_shard);

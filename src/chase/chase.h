@@ -58,12 +58,13 @@ struct ChaseOptions {
   JoinStrategy join_strategy = JoinStrategy::kAuto;
 
   /// Number of threads the chase may use for its match passes, at most
-  /// common::kMaxThreads. Every pass is planned once (a JoinPass). 1
-  /// (the default) runs it whole on the calling thread; N > 1 spawns a
-  /// pool of N-1 workers (the calling thread participates)
-  /// and splits every large-enough pass's depth-0 visit order into
-  /// contiguous slices, run concurrently over that plan into
-  /// thread-local staging buffers, then merge-committed in slice order.
+  /// common::kMaxThreads. Every pass is planned once (a JoinPass),
+  /// driver included, and runs as contiguous slices of that driver. 1
+  /// (the default) runs each pass as one slice on the calling thread;
+  /// N > 1 spawns a pool of N-1 workers (the calling thread
+  /// participates) and splits every large-enough pass's driver into
+  /// slices, run concurrently over that plan into thread-local staging
+  /// buffers, then merge-committed in slice order.
   ///
   /// Determinism guarantee: the concatenated slice match streams equal
   /// the whole pass's stream (the JoinPass sharding contract), and
@@ -156,7 +157,9 @@ Status ResumeChase(const datalog::Program& program, Instance* instance,
 /// (round-0) evaluation pass would execute with `options`'s strategy
 /// knobs — delta passes re-plan per window, so per-round plans can
 /// differ; this is the `--explain` / EXPLAIN surface, not a trace.
-/// Builds lazy sorted statistics as a side effect (same as planning).
+/// Planning resolves each pass's driver too, so rendering builds the
+/// permutation indexes the plans read and sorts a merge driver's window,
+/// as a chase pass would.
 std::string ExplainProgramPlans(const datalog::Program& program,
                                 const Instance& instance,
                                 const ChaseOptions& options = {});

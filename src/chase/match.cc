@@ -1,6 +1,7 @@
 #include "chase/match.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstdio>
 
@@ -22,19 +23,31 @@ constexpr size_t kAutoMergeMinWindow = 32;
 enum class Access : uint8_t {
   // The whole window, ascending tuple index.
   kScan,
-  // Depth 0: the window in value order of column `pos`, feeding the
-  // merge cursor (a kScan below kAutoMergeMinWindow under kAuto).
+  // Depth 0, only when the merge join engages: the window in value
+  // order of column `pos`, feeding the merge cursor.
   kSortedScan,
   // The shortest of the bound positions' posting ranges.
   kPostings,
   // Every position bound: one dedup-table lookup.
   kFindIndex,
-  // Depth 1: a galloping cursor over the sorted permutation of column
-  // `pos` while the driver runs in value order, else probed like
-  // kPostings / kFindIndex.
+  // Depth 1, only when the merge join engages: a galloping cursor over
+  // the sorted permutation of column `pos`.
   kMergeCursor,
   // Depth >= 1: one trie of the leapfrog residual.
   kLeapfrog,
+};
+
+/// A read-only run of candidate tuple indices: ids[0, size) when `ids`
+/// is set, else the ascending run first, first + 1, ... (a scan window,
+/// or the one tuple a dedup lookup found).
+struct Candidates {
+  const uint32_t* ids = nullptr;
+  uint32_t first = 0;
+  size_t size = 0;
+
+  uint32_t operator[](size_t i) const {
+    return ids != nullptr ? ids[i] : first + static_cast<uint32_t>(i);
+  }
 };
 
 /// One planned join step: the slot enumerated at this depth, its
@@ -109,7 +122,7 @@ struct LfSlice {
 /// plan is identical across all branches of the search, across join
 /// strategies, and across thread counts. PlanJoin records it, with the
 /// bound positions of every depth, in one DepthPlan per depth; the
-/// search, the depth-0 driver order and EXPLAIN all read that record.
+/// search, the driver and EXPLAIN all read that record.
 /// The order is cost-based greedy: the delta atom is pinned first (its
 /// window drives the pass), then each depth takes the atom with the
 /// smallest estimated match count given the variables bound so far —
@@ -120,10 +133,12 @@ struct LfSlice {
 /// driver enumerates as usual; the remaining atoms are joined
 /// variable-at-a-time over lexicographic permutations with galloping
 /// seeks), else a depth-1 merge cursor when the first two atoms share a
-/// variable, with per-binding posting probes — binary-searched Equal()
-/// ranges, scanning the shortest — as the fallback everywhere deeper.
-/// Immutable once built; every run reads it through a Matcher of its
-/// own.
+/// variable and the driver window is worth sorting, with per-binding
+/// posting probes — binary-searched Equal() ranges, scanning the
+/// shortest — as the fallback everywhere deeper. The depth-0 candidates
+/// (the driver) are resolved once too, into one span every run and
+/// slice reads. Immutable once built; every run reads it through a
+/// Matcher of its own.
 struct JoinPass::Plan {
   Plan(const Rule& r, const Instance& inst, const MatchOptions& opts)
       : rule(r), instance(inst), options(opts) {
@@ -135,6 +150,7 @@ struct JoinPass::Plan {
       }
     }
     PlanJoin();
+    ResolveDriver();
   }
 
   /// Renders the plan: strategy, then one line per atom in join order
@@ -280,8 +296,17 @@ struct JoinPass::Plan {
     // argument — probes would enumerate in tuple-index order) and a
     // second atom sharing one of the driver's variables. The shared
     // variable must be bound at its first occurrence in the driver, so
-    // its bind order follows the sorted column.
-    if (depths[0].num_bound > 0) return;
+    // its bind order follows the sorted column. It engages only over a
+    // non-empty driver window large enough to amortize sorting it (any
+    // size under kMerge) and a non-empty second relation for the cursor
+    // to walk; otherwise both atoms keep the access paths above.
+    const DepthPlan& driver = depths[0];
+    if (driver.num_bound > 0 || driver.size() == 0 ||
+        depths[1].rel == nullptr || depths[1].rel->size() == 0 ||
+        (options.join_strategy != JoinStrategy::kMerge &&
+         driver.size() < kAutoMergeMinWindow)) {
+      return;
+    }
     const Atom& a0 = AtomAt(0);
     const Atom& a1 = AtomAt(1);
     for (uint32_t p = 0; p < a0.args.size(); ++p) {
@@ -469,23 +494,76 @@ struct JoinPass::Plan {
     }
   }
 
-  /// Whether depth 0 runs in value order as the merge join's driver: a
-  /// kSortedScan whose non-empty window is large enough to amortize
-  /// sorting it (any size under kMerge), over a second atom with a
-  /// non-empty relation for the cursor to walk (else the driver scans in
-  /// index order; depth 1 finds no candidates either way). Reads only
-  /// the plan, so a whole run and every slice of its driver order decide
-  /// alike.
-  bool SortedDriver() const {
-    const DepthPlan& driver = depths[0];
-    if (driver.access != Access::kSortedScan || driver.size() == 0) {
-      return false;
+  /// The candidates of the depth-`depth` atom under `binding`, read
+  /// through its planned access path: the window for a scan, one
+  /// dedup-table lookup for a fully bound atom, else the shortest bound
+  /// posting range clamped to the window. A candidate may still disagree
+  /// with the binding (a scan checks no position, a posting range only
+  /// its own), so callers unify. `probe` is the caller's scratch tuple.
+  Candidates Probe(size_t depth, const Binding& binding, Tuple* probe) const {
+    const DepthPlan& plan = depths[depth];
+    if (plan.size() == 0) return {};
+    const Atom& atom = AtomAt(depth);
+    if (plan.access == Access::kFindIndex) {
+      // The dedup table answers the membership question in O(1); no
+      // posting range (or permutation sync) needed. Head-satisfaction
+      // probes with a fully bound frontier take this path even while the
+      // relation is growing between firings.
+      probe->clear();
+      for (Term arg : atom.args) probe->push_back(binding.Apply(arg));
+      uint32_t idx = plan.rel->FindIndex(*probe);
+      if (idx == Relation::kNotFound || idx < plan.begin || idx >= plan.end) {
+        return {};
+      }
+      return Candidates{nullptr, idx, 1};
     }
-    if (options.join_strategy != JoinStrategy::kMerge &&
-        driver.size() < kAutoMergeMinWindow) {
-      return false;
+    if (plan.access != Access::kPostings) {
+      return Candidates{nullptr, static_cast<uint32_t>(plan.begin),
+                        plan.size()};
     }
-    return depths[1].rel != nullptr && depths[1].rel->size() > 0;
+    // Only the shortest bound posting range: callers unify every bound
+    // position, so the longer ranges need no walk.
+    SortedRange shortest;
+    for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
+      if (!BoundAt(depth, pos)) continue;
+      SortedRange p = plan.rel->Postings(pos, binding.Apply(atom.args[pos]));
+      if (p.empty()) return {};  // some bound position has no fact
+      if (shortest.empty() || p.size() < shortest.size()) shortest = p;
+    }
+    // Posting entries ascend by tuple index, so clamping to the window
+    // is a binary search at either end (skipped when it covers them).
+    const uint32_t* lo = shortest.begin();
+    const uint32_t* hi = shortest.end();
+    if (lo != hi && *lo < plan.begin) {
+      lo = std::lower_bound(lo, hi, static_cast<uint32_t>(plan.begin));
+    }
+    if (lo != hi && hi[-1] >= plan.end) {
+      hi = std::lower_bound(lo, hi, static_cast<uint32_t>(plan.end));
+    }
+    return Candidates{lo, 0, static_cast<size_t>(hi - lo)};
+  }
+
+  /// Resolves the driver every run and slice reads: the window sorted
+  /// by the driver column when the merge join engages (and the sorted
+  /// permutation its cursor walks), else what the depth-0 access path
+  /// finds under the seed. A body without a positive atom has one
+  /// driver position: the empty match.
+  void ResolveDriver() {
+    if (depths.empty()) {
+      driver = Candidates{nullptr, 0, 1};
+      return;
+    }
+    const DepthPlan& plan = depths[0];
+    if (plan.access == Access::kSortedScan) {
+      plan.rel->SortWindow(plan.pos, static_cast<uint32_t>(plan.begin),
+                           static_cast<uint32_t>(plan.end), &sorted_driver);
+      driver = Candidates{sorted_driver.data(), 0, sorted_driver.size()};
+      cursor = depths[1].rel->Sorted(depths[1].pos);
+      return;
+    }
+    Tuple probe;
+    driver = Probe(0, options.seed != nullptr ? *options.seed : Binding(),
+                   &probe);
   }
 
   const Rule& rule;
@@ -499,6 +577,9 @@ struct JoinPass::Plan {
   bool lftj = false;              // residual runs as a leapfrog triejoin
   std::vector<LfAtom> lf_atoms;
   std::vector<LfVar> lf_vars;
+  Candidates driver;                   // depth 0, see ResolveDriver
+  std::vector<uint32_t> sorted_driver;  // the merge driver's window
+  SortedRange cursor;                  // the permutation the cursor walks
 };
 
 /// One run over a planned pass: the scratch state the search mutates
@@ -506,15 +587,16 @@ struct JoinPass::Plan {
 /// poll). Concurrent slices of a pass share only the immutable Plan.
 class JoinPass::Matcher {
  public:
-  Matcher(const Plan& plan, const MatchFn& fn,
-          const uint32_t* slice = nullptr, size_t slice_size = 0)
+  /// A run over positions [begin, end) of the plan's driver.
+  Matcher(const Plan& plan, const MatchFn& fn, size_t begin, size_t end)
       : plan_(plan),
         fn_(fn),
-        slice_(slice),
-        slice_size_(slice_size),
+        begin_(begin),
+        end_(end),
         deadline_set_(plan.options.deadline !=
                       std::chrono::steady_clock::time_point{}),
         refs_(plan.positive.size()),
+        cursor_(plan.cursor.begin()),
         lf_slices_(plan.lf_atoms.size()) {
     // positive is in body order, so slot order == body order and refs_
     // can be handed to the callback without re-sorting.
@@ -524,95 +606,6 @@ class JoinPass::Matcher {
   Status Run() {
     if (!DeadlineTripped()) Recurse(0);
     return status_;
-  }
-
-  /// Feeds `visit` the candidate tuple indices of the depth-`depth` atom
-  /// under the current binding, read through the planned access path, in
-  /// the order the join visits them; stops (returning false) when
-  /// `visit` does. A candidate may still disagree with the binding (a
-  /// scan checks no position, a posting probe only the position of its
-  /// shortest range), so `visit` must unify.
-  template <typename Visit>
-  bool ForEachCandidate(size_t depth, const Visit& visit) {
-    const DepthPlan& plan = plan_.depths[depth];
-    if (plan.rel == nullptr) return true;
-    const Relation* rel = plan.rel;
-    const Atom& atom = plan_.AtomAt(depth);
-    const size_t begin = plan.begin;
-    const size_t end = plan.end;
-    if (begin >= end) return true;
-
-    Access access = plan.access;
-    if (access == Access::kMergeCursor) {
-      if (merge_active_) {
-        // The driver is feeding us nondecreasing values of the shared
-        // variable, so one galloping cursor walks the sorted permutation
-        // forward instead of probing per binding.
-        Term v = binding_.Apply(atom.args[plan.pos]);
-        cursor_ = cursor_range_.SeekValue(cursor_, v);
-        for (const uint32_t* it = cursor_;
-             it != cursor_range_.end() && cursor_range_.ValueAt(it) == v;
-             ++it) {
-          uint32_t idx = *it;
-          if (idx < begin || idx >= end) continue;
-          if (!visit(idx)) return false;
-        }
-        return true;
-      }
-      // The driver ran in tuple-index order: probe per binding.
-      access =
-          plan_.FullyBound(depth) ? Access::kFindIndex : Access::kPostings;
-    }
-
-    if (access == Access::kFindIndex) {
-      // The dedup table answers the membership question in O(1); no
-      // posting range (or permutation sync) needed. Head-satisfaction
-      // probes with a fully bound frontier take this path even while the
-      // relation is growing between firings.
-      probe_tuple_.clear();
-      for (Term arg : atom.args) probe_tuple_.push_back(binding_.Apply(arg));
-      uint32_t idx = rel->FindIndex(probe_tuple_);
-      if (idx == Relation::kNotFound || idx < begin || idx >= end) {
-        return true;
-      }
-      return visit(idx);
-    }
-
-    if (access == Access::kPostings) {
-      // Scan only the shortest bound posting range: `visit` unifies
-      // every bound position, so the longer ranges need no walk.
-      SortedRange shortest;
-      for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
-        if (!plan_.BoundAt(depth, pos)) continue;
-        SortedRange p = rel->Postings(pos, binding_.Apply(atom.args[pos]));
-        if (p.empty()) return true;  // some bound position has no fact
-        if (shortest.empty() || p.size() < shortest.size()) shortest = p;
-      }
-      // Posting entries ascend by tuple index, so the window seek is a
-      // binary search instead of a skip-scan.
-      for (const uint32_t* it = std::lower_bound(
-               shortest.begin(), shortest.end(), static_cast<uint32_t>(begin));
-           it != shortest.end() && *it < end; ++it) {
-        if (!visit(*it)) return false;
-      }
-      return true;
-    }
-
-    // Full window scan; the sorted driver orders it by value to feed the
-    // merge cursor.
-    if (access == Access::kSortedScan && plan_.SortedDriver()) {
-      OpenMergeCursor();
-      rel->SortWindow(plan.pos, static_cast<uint32_t>(begin),
-                      static_cast<uint32_t>(end), &window_perm_);
-      for (uint32_t idx : window_perm_) {
-        if (!visit(idx)) return false;
-      }
-      return true;
-    }
-    for (uint32_t idx = static_cast<uint32_t>(begin); idx < end; ++idx) {
-      if (!visit(idx)) return false;
-    }
-    return true;
   }
 
  private:
@@ -641,13 +634,9 @@ class JoinPass::Matcher {
       if (a.rel == nullptr) return true;
       if (a.fully_restricted) {
         // Every position bound: O(1) membership witness, no trie walk.
-        probe_tuple_.clear();
-        for (Term arg : a.atom->args) {
-          probe_tuple_.push_back(binding_.Apply(arg));
-        }
-        uint32_t idx = a.rel->FindIndex(probe_tuple_);
-        if (idx == Relation::kNotFound || idx >= a.window_end) return true;
-        refs_[a.slot] = FactRef{a.atom->predicate, idx};
+        Candidates hit = plan_.Probe(i + 1, binding_, &probe_tuple_);
+        if (hit.size == 0) return true;
+        refs_[a.slot] = FactRef{a.atom->predicate, hit[0]};
         continue;
       }
       LfSlice& s = lf_slices_[i];
@@ -809,7 +798,6 @@ class JoinPass::Matcher {
   template <bool kPoll>
   bool EnumerateCandidates(size_t depth) {
     const DepthPlan& plan = plan_.depths[depth];
-    if (plan.rel == nullptr) return true;
     const Relation* rel = plan.rel;
     const Atom& atom = plan_.AtomAt(depth);
 
@@ -836,24 +824,33 @@ class JoinPass::Matcher {
       return keep_going;
     };
 
-    // A slice run enumerates exactly its slice of the pass's depth-0
-    // order; try_tuple's unification re-checks bound positions.
-    if (depth == 0 && slice_ != nullptr) {
-      if (plan_.SortedDriver()) OpenMergeCursor();
-      for (size_t i = 0; i < slice_size_; ++i) {
-        if (!try_tuple(slice_[i])) return false;
+    // try_tuple's unification re-checks what a candidate run leaves
+    // unchecked. Depth 0 reads this run's positions of the driver.
+    if (depth == 0) {
+      for (size_t i = begin_; i < end_; ++i) {
+        if (!try_tuple(plan_.driver[i])) return false;
       }
       return true;
     }
-    return ForEachCandidate(depth, try_tuple);
-  }
-
-  /// Opens the depth-1 sorted permutation the merge cursor walks.
-  void OpenMergeCursor() {
-    const DepthPlan& second = plan_.depths[1];
-    cursor_range_ = second.rel->Sorted(second.pos);
-    cursor_ = cursor_range_.begin();
-    merge_active_ = true;
+    if (plan.access == Access::kMergeCursor) {
+      // The driver feeds nondecreasing values of the shared variable, so
+      // one galloping cursor walks the sorted permutation forward
+      // instead of probing per binding.
+      const SortedRange& range = plan_.cursor;
+      Term v = binding_.Apply(atom.args[plan.pos]);
+      cursor_ = range.SeekValue(cursor_, v);
+      for (const uint32_t* it = cursor_;
+           it != range.end() && range.ValueAt(it) == v; ++it) {
+        if (*it < plan.begin || *it >= plan.end) continue;
+        if (!try_tuple(*it)) return false;
+      }
+      return true;
+    }
+    const Candidates candidates = plan_.Probe(depth, binding_, &probe_tuple_);
+    for (size_t i = 0; i < candidates.size; ++i) {
+      if (!try_tuple(candidates[i])) return false;
+    }
+    return true;
   }
 
   bool EmitIfNegativesHold() {
@@ -883,18 +880,15 @@ class JoinPass::Matcher {
 
   const Plan& plan_;
   const MatchFn& fn_;
-  const uint32_t* slice_;  // null: depth 0 enumerates its own candidates
-  size_t slice_size_;
+  const size_t begin_;  // this run's positions [begin_, end_) of the
+  const size_t end_;    // plan's driver
   const bool deadline_set_;  // options.deadline is not the epoch
 
   Binding binding_;
   std::vector<FactRef> refs_;        // matched fact per slot (= body order)
   Tuple scratch_tuple_;              // reused for negated-atom probes
   Tuple probe_tuple_;                // reused for fully-ground atom probes
-  std::vector<uint32_t> window_perm_;  // driver window in value order
-  SortedRange cursor_range_;         // depth-1 sorted permutation
-  const uint32_t* cursor_ = nullptr;
-  bool merge_active_ = false;
+  const uint32_t* cursor_;           // merge cursor into plan_.cursor
   std::vector<LfSlice> lf_slices_;   // per leapfrog atom
   // Recursion scratch stacks (see LeapfrogVar); grown once, reused.
   std::vector<const uint32_t*> lf_save_;
@@ -909,25 +903,15 @@ JoinPass::JoinPass(const datalog::Rule& rule, const Instance& instance,
 
 JoinPass::~JoinPass() = default;
 
-std::vector<uint32_t> JoinPass::DriverOrder() const {
-  std::vector<uint32_t> order;
-  if (plan_->depths.empty()) return order;
-  const MatchFn unused;  // collecting the candidates reaches no match
-  Matcher(*plan_, unused).ForEachCandidate(0, [&](uint32_t idx) {
-    order.push_back(idx);
-    return true;
-  });
-  return order;
-}
+size_t JoinPass::DriverSize() const { return plan_->driver.size; }
 
 Status JoinPass::Run(const MatchFn& fn) const {
-  return Matcher(*plan_, fn).Run();
+  return RunSlice(0, DriverSize(), fn);
 }
 
-Status JoinPass::RunSlice(const uint32_t* order, size_t size,
-                          const MatchFn& fn) const {
-  if (size == 0) return Status::OK();
-  return Matcher(*plan_, fn, order, size).Run();
+Status JoinPass::RunSlice(size_t begin, size_t end, const MatchFn& fn) const {
+  assert(begin <= end && end <= DriverSize());
+  return Matcher(*plan_, fn, begin, end).Run();
 }
 
 std::string JoinPass::Explain() const { return plan_->Explain(); }

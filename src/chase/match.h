@@ -74,7 +74,8 @@ inline constexpr size_t kNoTupleLimit = static_cast<size_t>(-1);
 ///    original execution path, kept as the ablation baseline and the
 ///    fallback).
 ///  * kMerge — merge join wherever it is structurally available: when
-///    the first two atoms in join order share a variable, the driver
+///    the first two atoms in join order share a variable (and the
+///    driver window and the second relation are non-empty), the driver
 ///    atom's window is enumerated in value order of that variable and
 ///    the second atom is read through a monotone galloping cursor on
 ///    its sorted permutation instead of per-binding probes.
@@ -135,34 +136,37 @@ struct MatchOptions {
 using MatchFn = std::function<bool(const Match&)>;
 
 /// One planned body-matching pass over (rule, instance, options): join
-/// order, access paths and leapfrog tries are worked out once, at
-/// construction (which may build the permutation indexes they read),
-/// and read by every run. The rule, instance and options must outlive
-/// the pass; nothing may insert into the instance while it is in use.
-/// Each run keeps its scratch state to itself, so any number may run
-/// concurrently. Sharding contract: the match streams of RunSlice over
-/// contiguous slices of DriverOrder(), concatenated in slice order,
-/// reproduce Run's stream exactly — same matches, same order.
+/// order, access paths, leapfrog tries and the driver — the depth-0
+/// candidate tuples, in visit order — are worked out once, at
+/// construction (which may build the permutation indexes they read and
+/// sort the driver's window), and read by every run. The driver is the
+/// window, the window in value order of the driver column when the merge
+/// join engages, or what a bound driver's dedup lookup or shortest
+/// posting range finds; runs re-check bound positions by unification.
+/// The rule, instance and options must outlive the pass; nothing may
+/// insert into the instance while it is in use. Each run keeps its
+/// scratch state to itself, so any number may run concurrently.
+/// Sharding contract: the match streams of RunSlice over contiguous
+/// position ranges of the driver, concatenated in range order, reproduce
+/// Run's stream exactly — same matches, same order.
 class JoinPass {
  public:
   JoinPass(const datalog::Rule& rule, const Instance& instance,
            const MatchOptions& options);
   ~JoinPass();
 
-  /// The depth-0 tuple visit order, window-clamped: in value order of
-  /// the driver column when the merge join engages, else ascending. May
-  /// be a superset of the matching tuples (a bound driver visits its
-  /// shortest posting range; runs re-check bound positions by
-  /// unification); empty without a positive atom or a driver candidate.
-  std::vector<uint32_t> DriverOrder() const;
+  /// The number of driver positions: 0 without a driver candidate, 1
+  /// for a body without positive atoms (its one empty match).
+  size_t DriverSize() const;
 
-  /// Enumerates every match, invoking `fn` per match (see MatchBody).
+  /// Enumerates every match, invoking `fn` per match (see MatchBody):
+  /// RunSlice(0, DriverSize(), fn).
   Status Run(const MatchFn& fn) const;
 
-  /// Enumerates the matches whose depth-0 tuple is one of
-  /// order[0, size), visiting them in that order.
-  Status RunSlice(const uint32_t* order, size_t size,
-                  const MatchFn& fn) const;
+  /// Enumerates the matches whose depth-0 tuple sits at driver positions
+  /// [begin, end), visiting them in that order. Polls the deadline when
+  /// it starts, however short the range.
+  Status RunSlice(size_t begin, size_t end, const MatchFn& fn) const;
 
   /// The plan as ExplainMatchPlan renders it.
   std::string Explain() const;

@@ -31,6 +31,22 @@ auto ByValueThenIndex(const Term* column) {
   };
 }
 
+// Extends `perm`, ordered by `less` over its first perm->size() tuple
+// indices, to cover tuples [0, count): sorts the new tail and merges it
+// with the sorted prefix.
+template <typename Less>
+void ExtendPerm(std::vector<uint32_t>* perm, uint32_t count,
+                const Less& less) {
+  const uint32_t synced = static_cast<uint32_t>(perm->size());
+  perm->resize(count);
+  for (uint32_t idx = synced; idx < count; ++idx) (*perm)[idx] = idx;
+  std::sort(perm->begin() + synced, perm->end(), less);
+  if (synced > 0) {
+    std::inplace_merge(perm->begin(), perm->begin() + synced, perm->end(),
+                       less);
+  }
+}
+
 }  // namespace
 
 const uint32_t* SortedRange::SeekValue(const uint32_t* from, Term v) const {
@@ -199,16 +215,8 @@ Relation::Indexes::Indexes(const Indexes& other)
 void Relation::SyncSorted(uint32_t pos) const {
   MutexLock lock(index_.mu);
   std::vector<uint32_t>& perm = index_.sorted[pos];
-  uint32_t synced = static_cast<uint32_t>(perm.size());
-  if (synced == count_) return;  // another reader built it first
-  perm.resize(count_);
-  for (uint32_t idx = synced; idx < count_; ++idx) perm[idx] = idx;
-  auto by_value = ByValueThenIndex(ColumnData(pos));
-  std::sort(perm.begin() + synced, perm.end(), by_value);
-  if (synced > 0) {
-    std::inplace_merge(perm.begin(), perm.begin() + synced, perm.end(),
-                       by_value);
-  }
+  if (perm.size() == count_) return;  // another reader built it first
+  ExtendPerm(&perm, count_, ByValueThenIndex(ColumnData(pos)));
   index_.synced[pos].store(count_, std::memory_order_release);
 }
 
@@ -286,23 +294,15 @@ const std::vector<uint32_t>& Relation::LexPerm(
   }
   MutexLock lock(index_.mu);
   std::vector<uint32_t>& perm = index_.lex[key];
-  uint32_t synced = static_cast<uint32_t>(perm.size());
-  if (synced == count_) return perm;
-  perm.resize(count_);
-  for (uint32_t idx = synced; idx < count_; ++idx) perm[idx] = idx;
-  auto by_lex = [this, &key](uint32_t a, uint32_t b) {
+  if (perm.size() == count_) return perm;
+  ExtendPerm(&perm, count_, [this, &key](uint32_t a, uint32_t b) {
     for (uint32_t pos : key) {
       Term va = Value(pos, a);
       Term vb = Value(pos, b);
       if (va != vb) return va < vb;
     }
     return a < b;
-  };
-  std::sort(perm.begin() + synced, perm.end(), by_lex);
-  if (synced > 0) {
-    std::inplace_merge(perm.begin(), perm.begin() + synced, perm.end(),
-                       by_lex);
-  }
+  });
   return perm;
 }
 

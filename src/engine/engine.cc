@@ -36,14 +36,6 @@ bool IsMonotone(const datalog::Program& program) {
   return true;
 }
 
-chase::SaturatedSizes SnapshotSizes(const chase::Instance& instance) {
-  chase::SaturatedSizes sizes;
-  for (const auto& [pred, rel] : instance.relations()) {
-    sizes[pred] = rel.size();
-  }
-  return sizes;
-}
-
 }  // namespace
 
 std::string_view EntailmentRegimeName(EntailmentRegime regime) {
@@ -559,10 +551,24 @@ Status Engine::AttachProgram(const datalog::Program& program) {
     }
   }
   if (journal_ != nullptr) {
-    // ToString() emits parseable datalog syntax, so replaying the
-    // record through AttachRules reattaches exactly these rules.
+    // Replay (AttachRules) and a checkpoint's reopen parse the rules
+    // back from this text, which prints a constant's raw text: one that
+    // is not a bare identifier ("New York", "?city") would come back as
+    // something else, or fail to parse. Refuse what cannot come back.
+    std::string text = program.ToString();
+    Result<datalog::Program> parsed = datalog::ParseProgram(text, dict_);
+    if (!parsed.ok() || parsed->size() != program.size() ||
+        !std::equal(program.rules().begin(), program.rules().end(),
+                    parsed->rules().begin(),
+                    [](const Rule& a, const Rule& b) {
+                      return a.body == b.body && a.head == b.head;
+                    })) {
+      return Status::InvalidArgument(
+          "a journaled session attaches only rules that parse back from "
+          "their datalog text, and these do not: " + text);
+    }
     TRIQ_RETURN_IF_ERROR(
-        JournalOp(Journal::Op::kAttachRules, {program.ToString()}));
+        JournalOp(Journal::Op::kAttachRules, {std::move(text)}));
   }
   TRIQ_RETURN_IF_ERROR(program_.Append(program));
   // New rules invalidate the published closure, and the next
@@ -643,10 +649,10 @@ Status Engine::MaterializeLocked(chase::ChaseStats* stats) {
   // materializations().
   if (!incremental) rebuild_count_.fetch_add(1, std::memory_order_relaxed);
   materialize_count_.fetch_add(1, std::memory_order_relaxed);
-  chase::SaturatedSizes saturated = SnapshotSizes(next);
+  chase::SaturatedSizes saturated = next.RelationSizes();
   auto snap = std::make_shared<const EngineSnapshot>(std::move(next),
                                                      std::move(saturated));
-  base_consumed_ = SnapshotSizes(base_);
+  base_consumed_ = base_.RelationSizes();
   base_null_map_ = std::move(null_map);
   rules_dirty_ = false;
   std::atomic_store(&snapshot_,

@@ -455,7 +455,12 @@ class Engine {
 
   /// Appends a Datalog∃,¬s,⊥ rule set to the data program materialized
   /// by this session (OWL 2 RL, the Section 2 vocabulary libraries, or
-  /// user rules). Must be built over the engine dictionary.
+  /// user rules). Must be built over the engine dictionary. A journaled
+  /// session records the rules as datalog text, which replay parses
+  /// back, so it attaches only a program whose text parses back to the
+  /// same rules: a hand-built constant whose text is not a datalog
+  /// constant ("New York", "?city") gets InvalidArgument, and nothing is
+  /// journaled or attached.
   Status AttachProgram(const datalog::Program& program);
 
   /// Convenience: parses `rule_text` over the engine dictionary and

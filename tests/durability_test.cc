@@ -324,5 +324,72 @@ TEST(DurabilityTest, CrashedMidChaseRecoveryReplaysToTheFullClosure) {
   EXPECT_EQ(tc->size(), 3u);
 }
 
+/// The hand-built rule triple(?X, in, <city>) -> hit(?X) over `dict`:
+/// `city` is interned as a constant, whatever its text.
+datalog::Program CityRule(const std::shared_ptr<Dictionary>& dict,
+                          const std::string& city) {
+  using datalog::Term;
+  auto constant = [&](const std::string& text) {
+    return Term::Constant(dict->Intern(text));
+  };
+  const Term x = Term::Variable(dict->Intern("?X"));
+  datalog::Rule rule;
+  rule.body.push_back(
+      {dict->Intern("triple"), {x, constant("in"), constant(city)}});
+  rule.head.push_back({dict->Intern("hit"), {x}});
+  datalog::Program program(dict);
+  EXPECT_TRUE(program.AddRule(std::move(rule)).ok());
+  return program;
+}
+
+TEST(DurabilityTest, JournaledAttachRefusesRulesItsJournalCannotReplay) {
+  // "New York" renders as two tokens and "?city" as a variable, so the
+  // journaled text would fail to reopen or answer differently: a
+  // journaled session refuses both, and journals nothing.
+  const std::string wal = FreshWal("unreplayable.wal");
+  {
+    auto engine = Engine::Open(JournaledOptions(wal));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE((*engine)->AddTriple("bob", "in", "Paris").ok());
+    for (const char* city : {"New York", "?city"}) {
+      ASSERT_TRUE((*engine)->AddTriple("alice", "in", city).ok());
+      const size_t records = (*engine)->stats().journal_records;
+      Status status =
+          (*engine)->AttachProgram(CityRule((*engine)->dict_ptr(), city));
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << city;
+      EXPECT_EQ((*engine)->stats().journal_records, records) << city;
+      EXPECT_EQ((*engine)->program().size(), 0u) << city;
+    }
+  }
+  auto reopened = Engine::Open(JournaledOptions(wal));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->program().size(), 0u);
+}
+
+TEST(DurabilityTest, JournaledHandBuiltProgramReopensIdentical) {
+  const std::string wal = FreshWal("hand_built.wal");
+  uint64_t closure_fp = 0;
+  {
+    auto engine = Engine::Open(JournaledOptions(wal));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE((*engine)->AddTriple("alice", "in", "Paris").ok());
+    ASSERT_TRUE((*engine)->AddTriple("bob", "in", "Rome").ok());
+    ASSERT_TRUE(
+        (*engine)->AttachProgram(CityRule((*engine)->dict_ptr(), "Paris"))
+            .ok());
+    auto hits = (*engine)->Answers("hit");
+    ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+    EXPECT_EQ(hits->size(), 1u);
+    auto closure = (*engine)->CurrentSnapshot();
+    ASSERT_TRUE(closure.ok());
+    closure_fp = chase::FactFingerprint((*closure)->instance);
+  }
+  auto reopened = Engine::Open(JournaledOptions(wal));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto closure = (*reopened)->CurrentSnapshot();
+  ASSERT_TRUE(closure.ok());
+  EXPECT_EQ(chase::FactFingerprint((*closure)->instance), closure_fp);
+}
+
 }  // namespace
 }  // namespace triq

@@ -275,6 +275,13 @@ TEST(MatchTest, ExplainMatchPlanGolden) {
             "  0: f(?Y, ?Z)  sorted-scan(pos 0)  rows~40 (window 40)\n"
             "  1: e(?X, ?Y)  merge-cursor(pos 1)  rows~1.44 (window 64)\n");
 
+  // The same merge shape over a driver window under 32 tuples: kAuto
+  // does not sort it, so EXPLAIN prints the scan and probes that run.
+  EXPECT_EQ(explain("h(?X, ?Y), e(?Y, ?Z) -> g(?X, ?Z)", {}),
+            "  strategy: hash (auto)\n"
+            "  0: h(?X, ?Y)  scan  rows~6 (window 6)\n"
+            "  1: e(?Y, ?Z)  postings  rows~1.44 (window 64)\n");
+
   MatchOptions merge;
   merge.join_strategy = JoinStrategy::kMerge;
   EXPECT_EQ(explain("h(?X, ?Y), e(?Y, ?Z) -> g(?X, ?Z)", merge),

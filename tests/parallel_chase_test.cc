@@ -6,7 +6,7 @@
 // that down with storage-order fingerprints across an equivalence sweep
 // (naive vs. seminaive × threads ∈ {1, 2, 4, 8}); at the matcher level
 // through the JoinPass sharding contract (slices of one planned pass's
-// depth-0 order, run one after another or concurrently on a pool,
+// driver, run one after another or concurrently on a pool,
 // concatenate to the whole pass's match stream, for merge, posting and
 // leapfrog plans); on the degenerate shard shapes (empty delta, single
 // tuple, too small to shard); and for the thread pool itself.
@@ -391,15 +391,13 @@ std::vector<std::string> MatchStream(const datalog::Rule& rule,
 }
 
 /// Collects the match stream of slice `s` of `num_slices` contiguous
-/// slices of `order`, the pass's depth-0 order.
-std::vector<std::string> SliceStream(const chase::JoinPass& pass,
-                                     const std::vector<uint32_t>& order,
-                                     size_t s, size_t num_slices,
-                                     const Instance& db) {
-  size_t begin = order.size() * s / num_slices;
-  size_t end = order.size() * (s + 1) / num_slices;
+/// slices of the pass's driver.
+std::vector<std::string> SliceStream(const chase::JoinPass& pass, size_t s,
+                                     size_t num_slices, const Instance& db) {
+  const size_t driver = pass.DriverSize();
   std::vector<std::string> out;
-  Status status = pass.RunSlice(order.data() + begin, end - begin,
+  Status status = pass.RunSlice(driver * s / num_slices,
+                                driver * (s + 1) / num_slices,
                                 [&](const chase::Match& match) {
                                   out.push_back(MatchLine(match, db));
                                   return true;
@@ -409,20 +407,18 @@ std::vector<std::string> SliceStream(const chase::JoinPass& pass,
 }
 
 /// Asserts the sharding contract for one planned pass: the slice
-/// streams of 1, 2, 3 and 7 contiguous slices of its depth-0 order
-/// concatenate to the whole pass's stream.
+/// streams of 1, 2, 3 and 7 contiguous slices of its driver concatenate
+/// to the whole pass's stream.
 void ExpectSlicesConcatenate(const datalog::Rule& rule, const Instance& db,
                              const chase::MatchOptions& options) {
   std::vector<std::string> unsharded = MatchStream(rule, db, options);
   ASSERT_FALSE(unsharded.empty());
   chase::JoinPass pass(rule, db, options);
-  const std::vector<uint32_t> order = pass.DriverOrder();
-  ASSERT_FALSE(order.empty());
+  ASSERT_GT(pass.DriverSize(), 0u);
   for (size_t num_slices : {1, 2, 3, 7}) {
     std::vector<std::string> concatenated;
     for (size_t s = 0; s < num_slices; ++s) {
-      std::vector<std::string> piece =
-          SliceStream(pass, order, s, num_slices, db);
+      std::vector<std::string> piece = SliceStream(pass, s, num_slices, db);
       concatenated.insert(concatenated.end(), piece.begin(), piece.end());
     }
     EXPECT_EQ(concatenated, unsharded)
@@ -459,6 +455,16 @@ TEST(JoinPassTest, ConcatenatedSlicesEqualUnshardedStream) {
     chase::MatchOptions options;
     options.join_strategy = strategy;
     ExpectSlicesConcatenate(*rule, db, options);
+    // A delta window past tuple 0, large enough for kAuto's merge join:
+    // the plan sorts just that window, and every slice reads it.
+    options.delta_body_index = 0;
+    options.delta_begin = 40;
+    options.delta_end = 120;
+    EXPECT_EQ(chase::ExplainMatchPlan(*rule, db, options).find("merge") !=
+                  std::string::npos,
+              strategy != chase::JoinStrategy::kHash);
+    EXPECT_EQ(chase::JoinPass(*rule, db, options).DriverSize(), 80u);
+    ExpectSlicesConcatenate(*rule, db, options);
   }
 }
 
@@ -494,12 +500,11 @@ TEST(JoinPassTest, SlicesOfOnePlanRunConcurrently) {
     ASSERT_TRUE(rule.ok());
     chase::MatchOptions options;
     chase::JoinPass pass(*rule, db, options);
-    const std::vector<uint32_t> order = pass.DriverOrder();
     constexpr size_t kSlices = 16;
     std::vector<std::vector<std::string>> pieces(kSlices);
     common::ThreadPool pool(3);
     pool.ParallelFor(kSlices, [&](size_t s) {
-      pieces[s] = SliceStream(pass, order, s, kSlices, db);
+      pieces[s] = SliceStream(pass, s, kSlices, db);
     });
     std::vector<std::string> concatenated;
     for (const auto& piece : pieces) {
@@ -512,9 +517,8 @@ TEST(JoinPassTest, SlicesOfOnePlanRunConcurrently) {
 }
 
 TEST(JoinPassTest, BoundPositionPlansAscendingSupersets) {
-  // Constants in the depth-0 atom: the pass's depth-0 order is the
-  // shortest bound posting range (ascending); slices re-check by
-  // unification.
+  // Constants in the depth-0 atom: the pass's driver is the shortest
+  // bound posting range (ascending); slices re-check by unification.
   auto dict = std::make_shared<Dictionary>();
   Instance db(dict);
   for (int i = 0; i < 80; ++i) {
@@ -524,24 +528,26 @@ TEST(JoinPassTest, BoundPositionPlansAscendingSupersets) {
   chase::MatchOptions options;
   auto rule = datalog::ParseRule("t(?X, e, ?Y) -> hop(?X, ?Y)", dict.get());
   ASSERT_TRUE(rule.ok());
-  std::vector<uint32_t> order =
-      chase::JoinPass(*rule, db, options).DriverOrder();
-  EXPECT_EQ(order.size(), 40u);  // the 'e' posting list, not all 80
-  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  // The 'e' posting list, not all 80.
+  EXPECT_EQ(chase::JoinPass(*rule, db, options).DriverSize(), 40u);
   ExpectSlicesConcatenate(*rule, db, options);
 
-  // Bound at two positions: the order is the shorter 'o1' range (27
+  // Bound at two positions: the driver is the shorter 'o1' range (27
   // tuples), not its intersection with the 'e' range (13 tuples).
   auto two_bound = datalog::ParseRule("t(?X, e, o1) -> hop(?X)", dict.get());
   ASSERT_TRUE(two_bound.ok());
-  order = chase::JoinPass(*two_bound, db, options).DriverOrder();
-  std::vector<uint32_t> o1_range;
-  for (uint32_t i = 0; i < 80; ++i) {
-    if (i % 3 == 1) o1_range.push_back(i);
-  }
-  EXPECT_EQ(order, o1_range);
+  EXPECT_EQ(chase::JoinPass(*two_bound, db, options).DriverSize(), 27u);
   EXPECT_EQ(MatchStream(*two_bound, db, options).size(), 13u);
   ExpectSlicesConcatenate(*two_bound, db, options);
+
+  // A seed binding the other positions: the driver is the one tuple
+  // the dedup lookup finds, so all slices but one are empty.
+  chase::Binding seed;
+  seed.Bind(rule->body[0].args[0], datalog::Term::Constant(dict->Intern("s4")));
+  seed.Bind(rule->body[0].args[2], datalog::Term::Constant(dict->Intern("o1")));
+  options.seed = &seed;
+  EXPECT_EQ(chase::JoinPass(*rule, db, options).DriverSize(), 1u);
+  ExpectSlicesConcatenate(*rule, db, options);
 }
 
 // ---- the thread pool -------------------------------------------------
