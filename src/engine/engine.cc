@@ -71,94 +71,21 @@ chase::ChaseOptions EngineOptions::ToChaseOptions() const {
 
 // ---- QueryClaims ------------------------------------------------------
 
-namespace {
-
-void SortUnique(std::vector<PredicateId>* preds) {
-  std::sort(preds->begin(), preds->end());
-  preds->erase(std::unique(preds->begin(), preds->end()), preds->end());
+std::vector<PredicateId> QueryClaims::Acquire(std::vector<PredicateId> heads) {
+  std::sort(heads.begin(), heads.end());
+  heads.erase(std::unique(heads.begin(), heads.end()), heads.end());
+  MutexLock lock(mu_);
+  for (PredicateId pred : heads) ++heads_[pred];
+  return heads;
 }
 
-}  // namespace
-
-Status QueryClaims::Acquire(std::vector<PredicateId> heads,
-                            std::vector<PredicateId> reads,
-                            std::string program_text, const Dictionary& dict,
-                            Token* token) {
-  SortUnique(&heads);
-  SortUnique(&reads);
+void QueryClaims::Release(std::vector<PredicateId>* token) {
   MutexLock lock(mu_);
-  // A text no live token holds gets the next id, but is registered only
-  // once every check below passes.
-  auto known = identities_.find(program_text);
-  const uint64_t identity =
-      known != identities_.end() ? known->second.identity : next_identity_;
-  // Validate every claim before recording any: a rejected Prepare must
-  // leave the registry exactly as it found it.
-  for (PredicateId pred : heads) {
+  for (PredicateId pred : *token) {
     auto it = heads_.find(pred);
-    if (it != heads_.end() && it->second.identity != identity) {
-      return Status::InvalidArgument(
-          "predicate '" + dict.Text(pred) +
-          "' is already derived by a different prepared query");
-    }
-    // Another query reading this predicate would see our facts or not
-    // depending on evaluation order — same staleness in the other
-    // direction.
-    auto reader = reads_.find(pred);
-    if (reader != reads_.end() && reader->second.identity != identity) {
-      return Status::InvalidArgument(
-          "query derives predicate '" + dict.Text(pred) +
-          "', which another prepared query reads (evaluation-order "
-          "dependent); combine them into one program");
-    }
+    if (--it->second == 0) heads_.erase(it);
   }
-  // Reading another query's derived predicate is just as unsound as the
-  // data program doing it: whether those facts exist depends on
-  // evaluation order, and a cached evaluation would never see them. A
-  // query reading its *own* derived predicates (same identity) is
-  // ordinary recursion and stays allowed.
-  for (PredicateId pred : reads) {
-    auto it = heads_.find(pred);
-    if (it != heads_.end() && it->second.identity != identity) {
-      return Status::InvalidArgument(
-          "query reads predicate '" + dict.Text(pred) +
-          "', which another prepared query derives (evaluation-order "
-          "dependent); combine them into one program");
-    }
-  }
-  if (known == identities_.end()) {
-    known = identities_
-                .emplace(std::move(program_text), Claim{next_identity_++, 0})
-                .first;
-  }
-  ++known->second.refs;
-  for (PredicateId pred : heads) {
-    ++heads_.emplace(pred, Claim{identity, 0}).first->second.refs;
-  }
-  for (PredicateId pred : reads) {
-    ++reads_.emplace(pred, Claim{identity, 0}).first->second.refs;
-  }
-  token->heads = std::move(heads);
-  token->reads = std::move(reads);
-  token->identity = &known->first;
-  return Status::OK();
-}
-
-void QueryClaims::Release(Token* token) {
-  if (token->identity == nullptr) return;
-  MutexLock lock(mu_);
-  for (PredicateId pred : token->heads) {
-    auto it = heads_.find(pred);
-    if (it != heads_.end() && --it->second.refs == 0) heads_.erase(it);
-  }
-  for (PredicateId pred : token->reads) {
-    auto it = reads_.find(pred);
-    if (it != reads_.end() && --it->second.refs == 0) reads_.erase(it);
-  }
-  // The last token under this identity forgets its text.
-  auto it = identities_.find(*token->identity);
-  if (--it->second.refs == 0) identities_.erase(it);
-  token->identity = nullptr;
+  token->clear();
 }
 
 bool QueryClaims::HeadClaimed(PredicateId pred) const {
@@ -166,9 +93,9 @@ bool QueryClaims::HeadClaimed(PredicateId pred) const {
   return heads_.count(pred) > 0;
 }
 
-size_t QueryClaims::programs() const {
+size_t QueryClaims::size() const {
   MutexLock lock(mu_);
-  return identities_.size();
+  return heads_.size();
 }
 
 // ---- PreparedQuery ----------------------------------------------------
@@ -177,7 +104,7 @@ PreparedQuery::~PreparedQuery() {
   // claims_ is null after a move-from; the registry outlives the engine's
   // last snapshot (shared_ptr), so release is safe in either destruction
   // order.
-  if (claims_ != nullptr) claims_->Release(&token_);
+  if (claims_ != nullptr) claims_->Release(&heads_);
 }
 
 Result<std::unique_ptr<chase::Instance>> PreparedQuery::ChaseOverlay(
@@ -735,7 +662,7 @@ EngineStats Engine::stats() const {
     out.journal_truncated_bytes = journal_truncated_bytes_;
   }
   out.dictionary_symbols = dict_->size();
-  out.query_programs = claims_->programs();
+  out.claimed_predicates = claims_->size();
   MutexLock lock(cache_mu_);
   out.sparql_cache_size = sparql_lru_.size();
   return out;
@@ -779,23 +706,19 @@ Result<PreparedQuery> Engine::Prepare(datalog::Program program,
   TRIQ_ASSIGN_OR_RETURN(
       core::TriqQuery query,
       core::TriqQuery::Create(std::move(program), answer_predicate));
-  // The claim registry's identity for (program, answer).
-  std::string program_text = query.program().ToString();
-  program_text.push_back('\x1f');
-  program_text += std::to_string(query.answer_predicate());
+  std::vector<PredicateId> heads;
+  for (const Rule& rule : query.program().rules()) {
+    for (const Atom& head : rule.head) heads.push_back(head.predicate);
+  }
 
   MutexLock lock(writer_mu_);
   // The query's derived (head) predicates must be disjoint from the data
   // program and the loaded facts: its rules run *after* the data closure
   // is already fixed, so feeding data rules from them would silently
-  // under-derive. The claim registry then validates query-vs-query
-  // conflicts, in full, before recording anything.
+  // under-derive, and its overlay relation would hide the snapshot's
+  // facts. The claim, taken before writer_mu_ drops, keeps later loads
+  // and attached rules off these heads while the handle lives.
   std::unordered_set<PredicateId> data_predicates = program_.Predicates();
-  std::vector<PredicateId> heads, reads;
-  for (const Rule& rule : query.program().rules()) {
-    for (const Atom& head : rule.head) heads.push_back(head.predicate);
-    for (const Atom& atom : rule.body) reads.push_back(atom.predicate);
-  }
   for (PredicateId pred : heads) {
     if (data_predicates.count(pred) > 0) {
       return Status::InvalidArgument(
@@ -809,11 +732,8 @@ Result<PreparedQuery> Engine::Prepare(datalog::Program program,
           "', which has loaded facts");
     }
   }
-  QueryClaims::Token token;
-  TRIQ_RETURN_IF_ERROR(claims_->Acquire(std::move(heads), std::move(reads),
-                                        std::move(program_text), *dict_,
-                                        &token));
-  return PreparedQuery(this, std::move(query), claims_, std::move(token));
+  return PreparedQuery(this, std::move(query), claims_,
+                       claims_->Acquire(std::move(heads)));
 }
 
 Result<PreparedQuery> Engine::Prepare(std::string_view rule_text,
@@ -843,7 +763,8 @@ struct Engine::SparqlEntry {
   PreparedQuery prepared;
 
   Mutex mu;
-  EngineSnapshotPtr snapshot TRIQ_GUARDED_BY(mu);
+  // Held weakly: a plan never keeps a superseded closure alive.
+  std::weak_ptr<const EngineSnapshot> snapshot TRIQ_GUARDED_BY(mu);
   sparql::MappingSet mappings TRIQ_GUARDED_BY(mu);
 };
 
@@ -882,9 +803,7 @@ Result<sparql::MappingSet> Engine::Query(const std::string& sparql_text) {
     auto it = sparql_index_.find(std::string_view(sparql_text));
     if (it != sparql_index_.end()) {
       // Two threads raced on the same miss: adopt the winner's entry and
-      // drop ours. The two translations got different fresh names, so
-      // they never share an identity: dropping ours releases only its
-      // own claims and forgets its own program text.
+      // drop ours, which releases its own claims.
       sparql_lru_.splice(sparql_lru_.begin(), sparql_lru_, it->second);
       entry = sparql_lru_.front().second;
     } else {
@@ -903,7 +822,10 @@ Result<sparql::MappingSet> Engine::Query(const std::string& sparql_text) {
 
   TRIQ_ASSIGN_OR_RETURN(EngineSnapshotPtr snap, CurrentSnapshot());
   MutexLock lock(entry->mu);
-  if (entry->snapshot != snap) {
+  // Owners compare without taking a reference, and an expired pointer
+  // keeps its control block, so it never matches a newer snapshot.
+  if (entry->snapshot.owner_before(snap) ||
+      snap.owner_before(entry->snapshot)) {
     // First query of this text against this snapshot: chase, decode, and
     // keep only the rows — the overlay dies here. Later hits on an
     // unchanged session return the cached mappings. A failure returns
@@ -912,7 +834,7 @@ Result<sparql::MappingSet> Engine::Query(const std::string& sparql_text) {
                           entry->prepared.ChaseOverlay(*snap, nullptr));
     entry->mappings = AnswersToMappings(
         entry->translated, overlay != nullptr ? *overlay : snap->instance);
-    entry->snapshot = std::move(snap);
+    entry->snapshot = snap;
   }
   return entry->mappings;
 }

@@ -174,68 +174,37 @@ struct EngineSnapshot {
 
 using EngineSnapshotPtr = std::shared_ptr<const EngineSnapshot>;
 
-/// Thread-safe registry of the predicates prepared queries own. A
-/// query's derived (head) predicates and read (body) predicates are
-/// claimed while any handle to it is alive, and released when the last
-/// one drops; claims are reference-counted per program identity, so
-/// identical queries share and conflicting ones are rejected. Shared via
-/// shared_ptr between the Engine and every PreparedQuery/cached plan, so
-/// release is safe in either destruction order.
-///
-/// Identity lifetime: a program's identity is its full text (never a
-/// hash — whether two queries may share derived predicates is a
-/// soundness question). The registry holds each text once, with an id
-/// and a count of the tokens holding it, for exactly as long as some
-/// token does: the last Release forgets the text. Ids come from a
-/// counter that never repeats, so once every claim under an id is
-/// released no live claim can name it again, and a later Acquire of the
-/// same text simply starts a new identity.
+/// Thread-safe count, per predicate, of the live queries that derive it.
+/// Every query chases over a private overlay of a snapshot, so queries
+/// never see each other's derived facts and may share or read each
+/// other's head predicates freely. The counts guard the data side: while
+/// any PreparedQuery or cached SPARQL plan derives a predicate, loads
+/// and AttachProgram may not touch it, since an overlay relation for a
+/// predicate the snapshot also holds would hide the snapshot's facts.
+/// Shared via shared_ptr between the Engine and every handle, so release
+/// is safe in either destruction order.
 class QueryClaims {
  public:
-  /// One query's claim: returned by Acquire, surrendered to Release.
-  struct Token {
-    std::vector<datalog::PredicateId> heads;
-    std::vector<datalog::PredicateId> reads;
-    /// The registry's copy of the program text this token holds a
-    /// reference on; null when the token is inactive (never acquired,
-    /// or already released).
-    const std::string* identity = nullptr;
-  };
+  /// Claims `heads` and returns the token to hand back to Release: the
+  /// heads sorted and deduplicated.
+  [[nodiscard]] std::vector<datalog::PredicateId> Acquire(
+      std::vector<datalog::PredicateId> heads);
 
-  /// Validates `heads`/`reads` (deduplicated internally) against every
-  /// live claim and, on success, records them into `token` under the
-  /// identity `program_text`. Conflicts — a head someone else derives or
-  /// reads, a read someone else derives, under a different identity —
-  /// return InvalidArgument and record nothing, identity included.
-  Status Acquire(std::vector<datalog::PredicateId> heads,
-                 std::vector<datalog::PredicateId> reads,
-                 std::string program_text, const Dictionary& dict,
-                 Token* token);
-
-  /// Releases a token acquired above (idempotent; inactive tokens are
-  /// ignored).
-  void Release(Token* token);
+  /// Releases a token from Acquire and empties it, so a second Release
+  /// of the same token does nothing.
+  void Release(std::vector<datalog::PredicateId>* token);
 
   /// Whether some live query derives `pred` (the loader/attach guard).
   bool HeadClaimed(datalog::PredicateId pred) const;
 
-  /// How many distinct program identities live tokens hold.
-  size_t programs() const;
+  /// How many distinct predicates live tokens claim.
+  size_t size() const;
 
  private:
-  // An identity id and the number of live tokens holding it.
-  struct Claim {
-    uint64_t identity;
-    uint32_t refs;
-  };
-
   mutable Mutex mu_;
-  std::unordered_map<datalog::PredicateId, Claim> heads_ TRIQ_GUARDED_BY(mu_);
-  std::unordered_map<datalog::PredicateId, Claim> reads_ TRIQ_GUARDED_BY(mu_);
-  // Program text -> its identity. Node-based, so a token's pointer to
-  // its key stays valid while the token holds a reference.
-  std::unordered_map<std::string, Claim> identities_ TRIQ_GUARDED_BY(mu_);
-  uint64_t next_identity_ TRIQ_GUARDED_BY(mu_) = 1;
+  // Predicate -> the number of live tokens claiming it.
+  std::unordered_map<datalog::PredicateId, uint32_t> heads_
+      TRIQ_GUARDED_BY(mu_);
 };
 
 class Engine;
@@ -243,9 +212,9 @@ class Engine;
 /// A query parsed and validated once, then evaluated many times against
 /// the engine's published snapshots. Obtained from Engine::Prepare;
 /// holds a pointer to its engine, which must outlive it. Move-only: the
-/// handle owns its predicate claims and releases them on destruction, so
-/// dropping a PreparedQuery frees its head predicates for later
-/// Prepares.
+/// handle owns its head-predicate claims and releases them on
+/// destruction, so dropping a PreparedQuery frees its head predicates
+/// for later loads and AttachProgram calls.
 ///
 /// Evaluation model: the first Evaluate against a given snapshot runs
 /// the chase of the *query program only* over a private overlay of that
@@ -295,11 +264,11 @@ class PreparedQuery {
 
   PreparedQuery(Engine* engine, core::TriqQuery query,
                 std::shared_ptr<QueryClaims> claims,
-                QueryClaims::Token token)
+                std::vector<datalog::PredicateId> heads)
       : engine_(engine),
         query_(std::move(query)),
         claims_(std::move(claims)),
-        token_(std::move(token)),
+        heads_(std::move(heads)),
         eval_(std::make_unique<EvalState>()) {}
 
   /// Chases the query program over a fresh overlay of `snap`, which must
@@ -311,16 +280,16 @@ class PreparedQuery {
 
   Engine* engine_;
   core::TriqQuery query_;
-  // Claim ownership; claims_ is null after a move-from, and the
-  // destructor only releases while it is set.
+  // Claim ownership: the token heads_ holds on claims_. claims_ is null
+  // after a move-from, and the destructor only releases while it is set.
   std::shared_ptr<QueryClaims> claims_;
-  QueryClaims::Token token_;
+  std::vector<datalog::PredicateId> heads_;
   std::unique_ptr<EvalState> eval_;
 };
 
 /// Counters a running session exposes for ops introspection (all
-/// monotonically increasing except the cache size and the live query
-/// programs).
+/// monotonically increasing except the cache size and the claimed
+/// predicates).
 struct EngineStats {
   uint64_t materializations = 0;
   uint64_t rebuilds = 0;
@@ -331,9 +300,9 @@ struct EngineStats {
   /// Symbols in the session dictionary (it never shrinks; every SPARQL
   /// plan-cache miss still interns the translation's fresh names).
   size_t dictionary_symbols = 0;
-  /// Distinct program identities with live claims: prepared handles and
-  /// cached SPARQL plans, counting identical programs once.
-  size_t query_programs = 0;
+  /// Distinct predicates that live prepared handles and cached SPARQL
+  /// plans derive (QueryClaims::size()).
+  size_t claimed_predicates = 0;
   /// Journal activity (all zero without a journal): appends/bytes/syncs
   /// and checkpoints since Open, plus what recovery found at Open —
   /// replayed tail records and torn bytes truncated.
@@ -541,10 +510,12 @@ class Engine {
 
   /// Validates (program, answer_predicate) as a TriqQuery whose head
   /// predicates are disjoint from the data program and the loaded facts,
-  /// and returns a PreparedQuery bound to this session. The program may
+  /// and returns a PreparedQuery bound to this session. Queries may share
+  /// predicates: each handle answers (Π_data ∪ Π_query, answer) on its
+  /// own and never sees another query's derived facts. The program may
   /// be empty: evaluation then just reads the answer relation the data
-  /// program derives. The handle owns its predicate claims; dropping it
-  /// releases them.
+  /// program derives. The handle claims its head predicates against
+  /// loads and AttachProgram; dropping it releases them.
   Result<PreparedQuery> Prepare(datalog::Program program,
                                 std::string_view answer_predicate);
 
@@ -558,9 +529,10 @@ class Engine {
   /// and decodes the answers as solution mappings. Translation and
   /// preparation are cached per query text in an LRU of
   /// options().sparql_cache_capacity plans, and each plan keeps the
-  /// mappings it last decoded with the snapshot they came from (the
-  /// overlay chased for them is dropped once decoded), so repeated
-  /// calls on an unchanged session reuse both. Thread-safe.
+  /// mappings it last decoded with a weak reference to the snapshot they
+  /// came from (the overlay chased for them is dropped once decoded, and
+  /// a superseded snapshot is never kept alive), so repeated calls on an
+  /// unchanged session reuse both. Thread-safe.
   Result<sparql::MappingSet> Query(const std::string& sparql_text);
 
   /// Renders the join plan of every data-program rule against the

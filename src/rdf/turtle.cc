@@ -52,8 +52,10 @@ class StreamingParser {
  public:
   explicit StreamingParser(const TripleSink& sink) : sink_(sink) {}
 
-  /// Feeds one input line (without its trailing newline).
+  /// Feeds one input line (without its trailing newline; a trailing
+  /// '\r' is dropped here, so CRLF input parses as LF input).
   Status FeedLine(std::string_view raw) {
+    if (!raw.empty() && raw.back() == '\r') raw.remove_suffix(1);
     // Strip a '#' comment; quote state is tracked per line, matching
     // the historical ParseTurtle behavior.
     size_t keep = raw.size();
@@ -74,6 +76,9 @@ class StreamingParser {
 
   /// Flushes the final (possibly '.'-less) statement at end of input.
   Status Finish() {
+    // Scanning the last line's '\n' moved line_no_ past it; errors here
+    // name the last line read.
+    if (line_no_ > 1) --line_no_;
     TRIQ_RETURN_IF_ERROR(
         EmitStatement(std::string_view(pending_).substr(stmt_start_)));
     pending_.clear();
@@ -134,7 +139,9 @@ class StreamingParser {
 Status ParseTurtle(std::string_view text, const TripleSink& sink) {
   StreamingParser parser(sink);
   size_t line_start = 0;
-  while (line_start <= text.size()) {
+  // Like std::getline, a final '\n' ends the last line: no empty line
+  // follows it.
+  while (line_start < text.size()) {
     size_t eol = text.find('\n', line_start);
     std::string_view line = eol == std::string_view::npos
                                 ? text.substr(line_start)
@@ -150,7 +157,6 @@ Status ParseTurtleStream(std::istream& in, const TripleSink& sink) {
   StreamingParser parser(sink);
   std::string line;
   while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
     TRIQ_RETURN_IF_ERROR(parser.FeedLine(line));
   }
   if (in.bad()) {

@@ -23,7 +23,8 @@ using TripleSink = std::function<void(
 ///   subject predicate object .
 /// one statement per '.', terms are whitespace-separated tokens; quoted
 /// strings ("...") are literals and may contain spaces; '#' starts a
-/// line comment. This is intentionally a small, dependency-free subset
+/// line comment; a line's trailing '\r' is dropped, so CRLF input reads
+/// as LF input. This is intentionally a small, dependency-free subset
 /// sufficient for the paper's examples and the test corpora. On a
 /// malformed statement the statements before it have already reached
 /// the sink.

@@ -4,9 +4,11 @@
 //    each see a consistent snapshot — the full closure of some chain
 //    prefix, never a mix of two closures, and never an older closure
 //    than one it already saw.
+//  * Programs that share a head predicate evaluate independently while
+//    a writer republishes.
 //  * Dropping a PreparedQuery releases its head-predicate claims.
 //  * The SPARQL plan cache is bounded (LRU) with hit/miss/eviction
-//    counters, and an evicted plan's program identity is forgotten.
+//    counters, and an evicted plan releases its claims.
 //  * A query-side chase tripping max_facts or the per-query deadline
 //    fails with ResourceExhausted and leaves the session usable; a
 //    failed SPARQL evaluation caches nothing in its plan.
@@ -19,6 +21,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -27,6 +30,7 @@
 
 #include "chase/chase.h"
 #include "chase/fact_dump.h"
+#include "core/triq.h"
 #include "engine/engine.h"
 
 namespace {
@@ -191,31 +195,103 @@ TEST(EngineConcurrencyTest, ConcurrentSparqlSharesOneCachedPlan) {
   EXPECT_EQ(stats.sparql_cache_size, 1u);
 }
 
+TEST(EngineConcurrencyTest, ProgramsSharingAHeadEvaluateIndependently) {
+  // Four programs derive q from one edge chain, each by its own rule.
+  const std::vector<std::string> programs = {
+      "triple(?X, edge, ?Y) -> q(?X) .",
+      "triple(?X, edge, ?Y) -> q(?Y) .",
+      "triple(?X, edge, ?Y), triple(?Y, edge, ?Z) -> q(?X) .",
+      "triple(?X, edge, ?Y), triple(?Y, edge, ?Z) -> q(?Z) .",
+  };
+  constexpr int kInitialLength = 15;  // 16 nodes
+  constexpr int kWrites = 8;
+
+  Engine engine;
+  for (int i = 0; i < kInitialLength; ++i) {
+    ASSERT_TRUE(engine.AddTriple(Node(i), "edge", Node(i + 1)).ok());
+  }
+  std::vector<triq::PreparedQuery> handles;
+  handles.reserve(programs.size());
+  for (const std::string& text : programs) {
+    auto prepared = engine.Prepare(text, "q");
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    handles.push_back(std::move(*prepared));
+  }
+
+  std::atomic<bool> writes_done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (triq::PreparedQuery& handle : handles) {
+    readers.emplace_back([&handle, &writes_done, &failures] {
+      do {
+        if (!handle.Evaluate().ok()) ++failures;
+      } while (!writes_done.load());
+    });
+  }
+  std::thread writer([&] {
+    for (int i = kInitialLength; i < kInitialLength + kWrites; ++i) {
+      if (!engine.AddTriple(Node(i), "edge", Node(i + 1)).ok() ||
+          !engine.Materialize().ok()) {
+        ++failures;
+      }
+    }
+    writes_done.store(true);
+  });
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Each handle answers exactly its own (Π, q) over the final snapshot.
+  auto snap = engine.CurrentSnapshot();
+  ASSERT_TRUE(snap.ok());
+  std::vector<std::set<triq::chase::Tuple>> answers;
+  for (size_t i = 0; i < handles.size(); ++i) {
+    SCOPED_TRACE(programs[i]);
+    auto got = handles[i].Evaluate();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    auto reference = triq::core::TriqQuery::Create(handles[i].program(), "q");
+    ASSERT_TRUE(reference.ok());
+    auto expected = reference->Evaluate((*snap)->instance);
+    ASSERT_TRUE(expected.ok());
+    answers.emplace_back(got->begin(), got->end());
+    EXPECT_EQ(answers.back(),
+              std::set<triq::chase::Tuple>(expected->begin(), expected->end()));
+  }
+  for (size_t i = 0; i < answers.size(); ++i) {
+    for (size_t j = i + 1; j < answers.size(); ++j) {
+      EXPECT_NE(answers[i], answers[j]) << programs[i] << " / " << programs[j];
+    }
+  }
+}
+
 TEST(EngineConcurrencyTest, DroppingPreparedQueryReleasesItsClaims) {
   Engine engine;
   ASSERT_TRUE(engine.LoadTurtle("a edge b .").ok());
+  const std::string query = "triple(?X, edge, ?Y) -> q(?X) .";
+  const std::string rules = "triple(?X, edge, ?Y) -> q(?Y) .";
   {
-    auto held = engine.Prepare("triple(?X, edge, ?Y) -> q(?X) .", "q");
+    auto held = engine.Prepare(query, "q");
     ASSERT_TRUE(held.ok());
-    // While the handle lives, a conflicting program may not claim q...
-    auto clash = engine.Prepare("triple(?X, edge, ?Y) -> q(?Y) .", "q");
-    EXPECT_FALSE(clash.ok());
-    EXPECT_EQ(clash.status().code(), StatusCode::kInvalidArgument);
-    // ...nor may the data program mention it.
-    EXPECT_FALSE(engine.AttachRules("triple(?X, edge, ?Y) -> q(?Y) .").ok());
+    // While the handle lives, the data program may not mention q.
+    EXPECT_FALSE(engine.AttachRules(rules).ok());
+    EXPECT_EQ(engine.stats().claimed_predicates, 1u);
   }
-  // The handle is gone: its claims must be released, so the previously
-  // conflicting Prepare, AttachRules, and loads all succeed now.
-  auto again = engine.Prepare("triple(?X, edge, ?Y) -> q(?Y) .", "q");
-  EXPECT_TRUE(again.ok()) << again.status().ToString();
+  // The handle is gone, and so is its claim.
+  EXPECT_EQ(engine.stats().claimed_predicates, 0u);
+
+  std::optional<triq::PreparedQuery> moved;
   {
-    auto moved = std::move(again);
-    // Moving transfers the claim; dropping the moved-from shell must not
-    // release it early.
-    auto clash = engine.Prepare("triple(?X, edge, ?Y) -> q(?X) .", "q");
-    EXPECT_FALSE(clash.ok());
+    auto shell = engine.Prepare(query, "q");
+    ASSERT_TRUE(shell.ok());
+    moved.emplace(std::move(*shell));
   }
-  EXPECT_TRUE(engine.AttachRules("triple(?X, edge, ?Y) -> q(?Y) .").ok());
+  // Moving transferred the claim: destroying the moved-from shell above
+  // did not release it.
+  EXPECT_EQ(engine.stats().claimed_predicates, 1u);
+  EXPECT_FALSE(engine.AttachRules(rules).ok());
+  moved.reset();
+  // The last handle is gone: the data program may now derive q.
+  EXPECT_TRUE(engine.AttachRules(rules).ok());
 }
 
 TEST(EngineConcurrencyTest, SparqlCacheEvictsLeastRecentlyUsedPlan) {
@@ -247,13 +323,13 @@ TEST(EngineConcurrencyTest, SparqlCacheEvictsLeastRecentlyUsedPlan) {
   EXPECT_EQ(stats.sparql_cache_size, 2u);
 }
 
-TEST(EngineConcurrencyTest, EvictedSparqlPlansForgetTheirProgramIdentities) {
+TEST(EngineConcurrencyTest, EvictedSparqlPlansReleaseTheirClaims) {
   Engine engine(EngineOptions().SetSparqlCacheCapacity(2));
   LoadChain(&engine, 8);
   ASSERT_TRUE(engine.Materialize().ok());
 
-  // Every text is distinct, so every call misses; each miss registers a
-  // new program identity, and each eviction must forget one.
+  // Every text is distinct, so every call misses; each miss claims its
+  // translation's fresh heads, and each eviction must release them.
   constexpr int kThreads = 4;
   constexpr int kPerThread = 25;
   std::atomic<int> failures{0};
@@ -273,8 +349,8 @@ TEST(EngineConcurrencyTest, EvictedSparqlPlansForgetTheirProgramIdentities) {
   EXPECT_EQ(stats.sparql_cache_misses,
             static_cast<uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(stats.sparql_cache_size, 2u);
-  // Only the two cached plans still hold identities.
-  EXPECT_EQ(stats.query_programs, 2u);
+  // Only the two cached plans still hold claims: q@N and answer@N each.
+  EXPECT_EQ(stats.claimed_predicates, 4u);
 }
 
 TEST(EngineConcurrencyTest, QueryTrippingMaxFactsLeavesSessionUsable) {

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -407,16 +408,22 @@ TEST(EngineTest, InvalidOptionsSurfaceFromMaterialize) {
 TEST(EngineTest, QueryHeadPredicateClaims) {
   Engine engine;
   ASSERT_TRUE(engine.LoadTurtle("a edge b .").ok());
-  auto first =
-      engine.Prepare("triple(?X, edge, ?Y) -> q(?X) .", "q");
-  ASSERT_TRUE(first.ok());
-  // Identical program: shares the claim.
-  auto same = engine.Prepare("triple(?X, edge, ?Y) -> q(?X) .", "q");
-  EXPECT_TRUE(same.ok());
-  // Different program, same head predicate: rejected.
-  auto clash = engine.Prepare("triple(?X, edge, ?Y) -> q(?Y) .", "q");
-  ASSERT_FALSE(clash.ok());
-  EXPECT_EQ(clash.status().code(), triq::StatusCode::kInvalidArgument);
+  auto sources = engine.Prepare("triple(?X, edge, ?Y) -> q(?X) .", "q");
+  ASSERT_TRUE(sources.ok());
+  // A different program deriving the same head prepares too, and each
+  // handle answers its own program.
+  auto targets = engine.Prepare("triple(?X, edge, ?Y) -> q(?Y) .", "q");
+  ASSERT_TRUE(targets.ok()) << targets.status().ToString();
+  auto row = [&engine](std::string_view name) {
+    return std::vector<triq::chase::Tuple>{
+        {triq::chase::Term::Constant(engine.dict().Find(name))}};
+  };
+  auto from_targets = targets->Evaluate();
+  auto from_sources = sources->Evaluate();
+  ASSERT_TRUE(from_targets.ok());
+  ASSERT_TRUE(from_sources.ok());
+  EXPECT_EQ(*from_sources, row("a"));
+  EXPECT_EQ(*from_targets, row("b"));
   // A query may not derive a predicate the data program mentions.
   ASSERT_TRUE(engine.AttachRules("triple(?X, edge, ?Y) -> tc(?X, ?Y) .").ok());
   auto data_clash = engine.Prepare("triple(?X, edge, ?Y) -> tc(?Y, ?X) .",
@@ -426,29 +433,32 @@ TEST(EngineTest, QueryHeadPredicateClaims) {
             triq::StatusCode::kInvalidArgument);
 }
 
-TEST(EngineTest, CrossQueryReadsAreRejectedInBothPrepareOrders) {
-  // One query reading another's derived predicate would make answers
-  // depend on evaluation order (and go stale under caching) — rejected
-  // regardless of which side is prepared first.
+TEST(EngineTest, QueriesNeverSeeEachOthersDerivedFacts) {
+  // Each handle answers (Π_data ∪ Π_query, p) over its own overlay, so a
+  // query reading a predicate another query derives finds no such facts,
+  // whichever of the two is prepared first.
   const std::string derives = "triple(?X, edge, ?Y) -> mid(?X) .";
   const std::string reads = "mid(?X) -> top(?X) .";
-  {
+  for (bool deriver_first : {true, false}) {
+    SCOPED_TRACE(deriver_first ? "deriver prepared first"
+                               : "reader prepared first");
     Engine engine;
     ASSERT_TRUE(engine.LoadTurtle("a edge b .").ok());
-    auto deriver = engine.Prepare(derives, "mid");  // held: claims live
-    ASSERT_TRUE(deriver.ok());
-    auto reader = engine.Prepare(reads, "top");
-    ASSERT_FALSE(reader.ok());
-    EXPECT_EQ(reader.status().code(), triq::StatusCode::kInvalidArgument);
-  }
-  {
-    Engine engine;
-    ASSERT_TRUE(engine.LoadTurtle("a edge b .").ok());
-    auto reader = engine.Prepare(reads, "top");  // held: claims live
-    ASSERT_TRUE(reader.ok());
-    auto deriver = engine.Prepare(derives, "mid");
-    ASSERT_FALSE(deriver.ok());
-    EXPECT_EQ(deriver.status().code(), triq::StatusCode::kInvalidArgument);
+    auto first = deriver_first ? engine.Prepare(derives, "mid")
+                               : engine.Prepare(reads, "top");
+    auto second = deriver_first ? engine.Prepare(reads, "top")
+                                : engine.Prepare(derives, "mid");
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    PreparedQuery& deriver = deriver_first ? *first : *second;
+    PreparedQuery& reader = deriver_first ? *second : *first;
+    // The deriver's overlay exists by the time the reader runs.
+    auto derived = deriver.Evaluate();
+    auto read = reader.Evaluate();
+    ASSERT_TRUE(derived.ok());
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(derived->size(), 1u);
+    EXPECT_TRUE(read->empty());
   }
   // Combined into one program, the same rules are plain recursion.
   Engine engine;
@@ -460,74 +470,27 @@ TEST(EngineTest, CrossQueryReadsAreRejectedInBothPrepareOrders) {
   EXPECT_EQ(answers->size(), 1u);
 }
 
-TEST(QueryClaimsTest, IdentityLivesExactlyAsLongAsItsTokens) {
+TEST(QueryClaimsTest, CountsEachHeadUntilItsLastTokenIsReleased) {
   auto dict = Dict();
   const triq::SymbolId q = dict->Intern("q");
-  const triq::SymbolId triple = dict->Intern("triple");
+  const triq::SymbolId r = dict->Intern("r");
   triq::QueryClaims claims;
-  triq::QueryClaims::Token first, second, clash;
-  ASSERT_TRUE(claims.Acquire({q}, {triple}, "A", *dict, &first).ok());
-  ASSERT_TRUE(claims.Acquire({q, q}, {triple}, "A", *dict, &second).ok());
-  // Identical text: one registry entry, held twice.
-  ASSERT_NE(first.identity, nullptr);
-  EXPECT_EQ(first.identity, second.identity);
-  EXPECT_EQ(*first.identity, "A");
-  EXPECT_EQ(claims.programs(), 1u);
-
-  // A different program deriving q is rejected and records nothing.
-  EXPECT_FALSE(claims.Acquire({q}, {triple}, "B", *dict, &clash).ok());
-  EXPECT_EQ(clash.identity, nullptr);
-  EXPECT_EQ(claims.programs(), 1u);
+  // Repeated heads collapse into one sorted claim.
+  std::vector<triq::SymbolId> first = claims.Acquire({r, q, q});
+  EXPECT_EQ(first, (std::vector<triq::SymbolId>{q, r}));
+  std::vector<triq::SymbolId> second = claims.Acquire({q});
+  EXPECT_EQ(claims.size(), 2u);
 
   claims.Release(&first);
-  EXPECT_EQ(first.identity, nullptr);
-  EXPECT_EQ(claims.programs(), 1u);  // `second` still holds "A"
+  EXPECT_TRUE(first.empty());
+  claims.Release(&first);  // idempotent: q keeps `second`'s count
   EXPECT_TRUE(claims.HeadClaimed(q));
+  EXPECT_FALSE(claims.HeadClaimed(r));
+  EXPECT_EQ(claims.size(), 1u);
+
   claims.Release(&second);
-  claims.Release(&second);  // idempotent
-  EXPECT_EQ(claims.programs(), 0u);
   EXPECT_FALSE(claims.HeadClaimed(q));
-
-  // "A" is forgotten, so q is free for the program rejected above, and
-  // "A" itself can come back as a new identity once "B" lets go.
-  ASSERT_TRUE(claims.Acquire({q}, {triple}, "B", *dict, &clash).ok());
-  EXPECT_EQ(claims.programs(), 1u);
-  EXPECT_FALSE(claims.Acquire({q}, {triple}, "A", *dict, &first).ok());
-  claims.Release(&clash);
-  ASSERT_TRUE(claims.Acquire({q}, {triple}, "A", *dict, &first).ok());
-  EXPECT_EQ(claims.programs(), 1u);
-  claims.Release(&first);
-  EXPECT_EQ(claims.programs(), 0u);
-}
-
-TEST(EngineTest, PreparedHandlesShareAnIdentityTheLastOneForgets) {
-  Engine engine;
-  ASSERT_TRUE(engine.LoadTurtle("a edge b .").ok());
-  const std::string text = "triple(?X, edge, ?Y) -> q(?X) .";
-  const std::string conflicting = "triple(?X, edge, ?Y) -> q(?Y) .";
-  EXPECT_EQ(engine.stats().query_programs, 0u);
-  {
-    auto first = engine.Prepare(text, "q");
-    auto second = engine.Prepare(text, "q");
-    ASSERT_TRUE(first.ok());
-    ASSERT_TRUE(second.ok());
-    EXPECT_EQ(engine.stats().query_programs, 1u);  // one shared identity
-
-    auto clash = engine.Prepare(conflicting, "q");
-    ASSERT_FALSE(clash.ok());
-    EXPECT_EQ(engine.stats().query_programs, 1u);  // rejection records nothing
-
-    { PreparedQuery dropped = std::move(*first); }
-    EXPECT_EQ(engine.stats().query_programs, 1u);  // `second` still holds it
-  }
-  // The last handle is gone: the identity is forgotten and q is free.
-  EXPECT_EQ(engine.stats().query_programs, 0u);
-  auto again = engine.Prepare(conflicting, "q");
-  ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_EQ(engine.stats().query_programs, 1u);
-  auto answers = again->Evaluate();
-  ASSERT_TRUE(answers.ok());
-  EXPECT_EQ(answers->size(), 1u);
+  EXPECT_EQ(claims.size(), 0u);
 }
 
 TEST(EngineTest, SparqlFreshNamesSkipPredicatesTheDataProgramUses) {
@@ -751,6 +714,28 @@ TEST(EngineTest, QueryMissDecodesEveryAnswerRow) {
   auto hit = engine.Query("{ ?s p ?o }");
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(*hit, *miss);
+  EXPECT_EQ(engine.stats().sparql_cache_hits, 1u);
+}
+
+TEST(EngineTest, CachedSparqlPlanLetsASupersededSnapshotGo) {
+  Engine engine;
+  ASSERT_TRUE(engine.AddTriple("a", "edge", "b").ok());
+  auto first = engine.Query("{ ?x edge ?y }");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->size(), 1u);
+  std::weak_ptr<const triq::EngineSnapshot> decoded;
+  {
+    auto snap = engine.CurrentSnapshot();
+    ASSERT_TRUE(snap.ok());
+    decoded = *snap;
+  }
+  ASSERT_TRUE(engine.AddTriple("b", "edge", "c").ok());
+  ASSERT_TRUE(engine.Materialize().ok());
+  // The plan keeps the rows it decoded, not the closure they came from.
+  EXPECT_TRUE(decoded.expired());
+  auto second = engine.Query("{ ?x edge ?y }");
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->size(), 2u);
   EXPECT_EQ(engine.stats().sparql_cache_hits, 1u);
 }
 

@@ -167,6 +167,23 @@ TEST(TurtleStreamTest, SurfacesErrorsWithLineNumbers) {
   EXPECT_FALSE(ParseTurtleStream(unterminated, &g2).ok());
 }
 
+TEST(TurtleStreamTest, EndOfInputErrorsNameTheLastLineRead) {
+  // With or without a final newline, a one-line input fails at line 1,
+  // from a string and from a stream alike.
+  for (std::string_view text : {"a p", "a p\n", "a \"p", "a \"p\n"}) {
+    SCOPED_TRACE(std::string(text));
+    Graph from_string(Dict());
+    Status status = ParseTurtle(text, &from_string);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.ToString().find("line 1"), std::string::npos)
+        << status.ToString();
+    std::istringstream in{std::string(text)};
+    Graph from_stream(Dict());
+    EXPECT_EQ(ParseTurtleStream(in, &from_stream).ToString(),
+              status.ToString());
+  }
+}
+
 TEST(VocabularyTest, InternsAllTerms) {
   auto dict = Dict();
   Vocabulary v(*dict);

@@ -1,13 +1,13 @@
 // Deterministic mutation fuzzing for the Turtle parser's two sinks: the
 // rdf::Graph sink (ParseTurtle + Instance::FromGraph) and the relation
 // sink (Instance::FromTurtle, which stages the parser's string_view
-// tokens straight into the `triple` relation). Seeded byte flips,
-// truncations, and inserted '"', '.', '#' and newlines of a seed corpus
-// must be accepted or rejected alike by both, with the same error, and
-// an accepted input must give byte-identical fact dumps (dictionary ids,
-// tuple order, null ids). Run under ASan/UBSan in CI, this is also the
-// harness that shows no sink reads a token view after the parser's
-// buffer moved on.
+// tokens straight into the `triple` relation), each fed from a string
+// and from a stream. Seeded byte flips, truncations, and inserted '"',
+// '.', '#' and newlines of a seed corpus must be accepted or rejected
+// alike by all four, with the same error, and an accepted input must
+// give byte-identical fact dumps (dictionary ids, tuple order, null
+// ids). Run under ASan/UBSan in CI, this is also the harness that shows
+// no sink reads a token view after the parser's buffer moved on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,6 +28,10 @@ namespace {
 
 using chase::Instance;
 
+// The one seed every parse must reject, with the same error: a
+// statement cut short by the end of the input.
+constexpr std::string_view kTruncatedSeed = "a p\n";
+
 std::vector<std::string> SeedCorpus() {
   std::vector<std::string> corpus = {
       "a p b .\na p b .\nb p c .",
@@ -36,6 +40,8 @@ std::vector<std::string> SeedCorpus() {
       "c label \"not # a comment\" .",
       "# leading comment\na\np\nb .  # trailing\nc q\n  d . e r f .\n",
       "a p b .\r\nb p c .\r\nd p e",
+      "a p \"x\r\ny\" .\r\n",
+      std::string(kTruncatedSeed),
       "",
   };
   // Past the parser's 4 KiB buffer-compaction threshold, so mutations
@@ -81,7 +87,8 @@ std::string Dump(const Instance& db) {
 }
 
 /// Parses `text` through both sinks, from a string and from a stream,
-/// and checks they agree. Returns whether the string parse accepted it.
+/// and checks all four agree. Returns whether the string parse accepted
+/// it.
 bool ExpectSinksAgree(const std::string& text) {
   rdf::Graph graph(std::make_shared<Dictionary>());
   const Status graph_status = rdf::ParseTurtle(text, &graph);
@@ -106,12 +113,20 @@ bool ExpectSinksAgree(const std::string& text) {
   } else if (!stream_status.ok() && !stream_staged.ok()) {
     EXPECT_EQ(stream_staged.status().ToString(), stream_status.ToString());
   }
+
+  // The string parse and the stream parse read the same lines.
+  EXPECT_EQ(stream_status.ToString(), graph_status.ToString()) << text;
+  EXPECT_EQ(stream_staged.status().ToString(), staged.status().ToString())
+      << text;
+  if (staged.ok() && stream_staged.ok()) {
+    EXPECT_EQ(Dump(*stream_staged), Dump(*staged)) << text;
+  }
   return graph_status.ok();
 }
 
 TEST(TurtleFuzzTest, SeedCorpusParsesAlikeThroughBothSinks) {
   for (const std::string& seed : SeedCorpus()) {
-    EXPECT_TRUE(ExpectSinksAgree(seed)) << seed;
+    EXPECT_EQ(ExpectSinksAgree(seed), seed != kTruncatedSeed) << seed;
   }
 }
 

@@ -8,6 +8,8 @@
 //    (which appends it);
 //  * for the fact dumps tools/turtle_to_facts and bench_all's cache
 //    write, byte for byte;
+//  * LoadTurtle and LoadTurtleFile store the same base for every
+//    fixture, CRLF line breaks included;
 //  * a malformed statement after good ones changes nothing: not the
 //    base, not the answers, not the journal.
 #include <gtest/gtest.h>
@@ -59,6 +61,7 @@ constexpr Fixture kFixtures[] = {
      "a p b .\r\nb p c .\r\nc p \"d\" .\r\nd p e"},
     {"empty", ""},
     {"comment_only", "# nothing here\n   # nor here\n"},
+    {"literal_across_crlf", "a p \"x\r\ny\" .\r\nb p \"\r\n\" .\r\n"},
 };
 
 // Facts the non-empty sessions start with: a null, and symbols and
@@ -201,6 +204,22 @@ TEST(TurtleLoadTest, StagedLoadsStoreExactlyWhatTheGraphPathStores) {
         }
       }
     }
+  }
+}
+
+TEST(TurtleLoadTest, TextAndFileLoadsStoreTheSameBase) {
+  for (const Fixture& fixture : kFixtures) {
+    SCOPED_TRACE(std::string(fixture.name));
+    Engine from_text;
+    Engine from_file;
+    ASSERT_TRUE(from_text.LoadTurtle(fixture.text).ok());
+    ASSERT_TRUE(from_file
+                    .LoadTurtleFile(
+                        WriteTempFile("turtle_text_vs_file.ttl", fixture.text))
+                    .ok());
+    EXPECT_EQ(StorageHash(from_text.base()), StorageHash(from_file.base()));
+    EXPECT_EQ(Lines(from_text.base().ToString()),
+              Lines(from_file.base().ToString()));
   }
 }
 
