@@ -530,7 +530,7 @@ void SuiteEngine(const Config& config, const HarnessOptions& options) {
   // closure. Both are timed inside one iteration so the JSON records
   // their ratio on identical hardware. The journal is rebuilt from a
   // pristine byte image before every iteration because a successful
-  // Materialize() checkpoints (and thereby empties) the journal.
+  // Materialize() checkpoints, rewriting the journal as its image.
   {
     constexpr int kRecovered = 128;
     const std::string wal = "/tmp/triq_bench_recovery_" +
@@ -540,7 +540,6 @@ void SuiteEngine(const Config& config, const HarnessOptions& options) {
         "tc(?X, ?Y), triple(?Y, edge, ?Z) -> tc(?X, ?Z) .";
     auto cleanup = [&] {
       std::remove(wal.c_str());
-      std::remove((wal + ".ckpt").c_str());
       std::remove((wal + ".ckpt.tmp").c_str());
     };
     cleanup();
@@ -583,7 +582,6 @@ void SuiteEngine(const Config& config, const HarnessOptions& options) {
     harness.Run(
         "engine/recovery/" + std::to_string(kRecovered),
         [&](std::map<std::string, double>* counters) {
-          std::remove((wal + ".ckpt").c_str());
           std::remove((wal + ".ckpt.tmp").c_str());
           {
             std::ofstream out(wal, std::ios::binary | std::ios::trunc);

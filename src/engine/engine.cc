@@ -179,23 +179,8 @@ Result<std::unique_ptr<Engine>> Engine::Open(EngineOptions options) {
                     options.journal_batch_interval, &recovery));
 
   // Rebuild the session with the journal still detached, so replay runs
-  // the ordinary mutators without re-appending: first the checkpoint
-  // image (base facts, user rules, and the materialized flag), then the
-  // tail records in append order.
-  if (recovery.has_checkpoint) {
-    TRIQ_ASSIGN_OR_RETURN(
-        chase::Instance image,
-        chase::LoadFactsFromString(recovery.checkpoint_blob, engine->dict_,
-                                   "journal checkpoint"));
-    TRIQ_RETURN_IF_ERROR(engine->LoadDatabase(std::move(image)));
-    if (!recovery.checkpoint_rules.empty()) {
-      TRIQ_RETURN_IF_ERROR(engine->AttachRules(recovery.checkpoint_rules));
-    }
-    if (recovery.checkpoint_materialized) {
-      Result<chase::ChaseStats> stats = engine->Materialize();
-      if (!stats.ok()) return stats.status();
-    }
-  }
+  // the ordinary mutators without re-appending: the checkpoint image's
+  // records, then the tail's, in append order.
   for (const Journal::Record& record : recovery.records) {
     TRIQ_RETURN_IF_ERROR(engine->ReplayRecord(record));
   }
@@ -587,21 +572,26 @@ Status Engine::MaterializeLocked(chase::ChaseStats* stats) {
   needs_materialize_.store(false, std::memory_order_release);
   if (journal_ != nullptr) {
     // Compact: a materialization subsumes the whole journaled history,
-    // so checkpoint the pristine base + rules and reset the journal.
-    // kMaterialize lands first so a crash *during* the checkpoint still
-    // replays the materialization from the old journal. A checkpoint
-    // failure is surfaced but the closure above stays published — the
-    // session is consistent, merely un-compacted (or, on _Exit
-    // failpoints, recomputable from the previous checkpoint). The rules
-    // half is the user rules, in the syntax AttachRules parses back.
+    // so the journal is rewritten as the image that replays it — the
+    // pristine base, the user rules in the syntax AttachRules parses
+    // back, and one kMaterialize. kMaterialize is appended first so a
+    // crash *during* the checkpoint still replays the materialization
+    // from the old file. A checkpoint failure is surfaced but the
+    // closure above stays published — the session is consistent, merely
+    // un-compacted.
     TRIQ_RETURN_IF_ERROR(JournalOp(Journal::Op::kMaterialize, {}));
+    std::vector<Journal::Record> image = {
+        {Journal::Op::kLoadFactsBlob, {"1", ""}}};
+    TRIQ_RETURN_IF_ERROR(chase::SaveFactsToString(base_, &image[0].fields[1]));
     std::string rules;
     for (size_t i = core_rule_prefix_; i < program_.size(); ++i) {
       rules += datalog::RuleToString(program_.rules()[i], *dict_) + " .\n";
     }
-    std::string blob;
-    TRIQ_RETURN_IF_ERROR(chase::SaveFactsToString(base_, &blob));
-    TRIQ_RETURN_IF_ERROR(journal_->Checkpoint(rules, blob, true));
+    if (!rules.empty()) {
+      image.push_back({Journal::Op::kAttachRules, {std::move(rules)}});
+    }
+    image.push_back({Journal::Op::kMaterialize, {}});
+    TRIQ_RETURN_IF_ERROR(journal_->Checkpoint(image));
   }
   return Status::OK();
 }

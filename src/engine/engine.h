@@ -94,7 +94,8 @@ struct EngineOptions {
 
   /// Write-ahead journal file ("" = no durability, the default). Every
   /// mutation is journaled before it applies, and Engine::Open replays
-  /// the journal (checkpoint + tail) back into an identical session.
+  /// the journal (checkpoint image, then tail) back into an identical
+  /// session.
   /// Journaling requires constructing the engine through Engine::Open —
   /// the plain constructor ignores this field (it cannot report
   /// recovery errors).
@@ -305,7 +306,10 @@ struct EngineStats {
   size_t claimed_predicates = 0;
   /// Journal activity (all zero without a journal): appends/bytes/syncs
   /// and checkpoints since Open, plus what recovery found at Open —
-  /// replayed tail records and torn bytes truncated.
+  /// records replayed and torn bytes truncated. `journal_records` and
+  /// `journal_bytes` count appends only, never the image a checkpoint
+  /// writes; `journal_recovered_records` counts every record replayed,
+  /// the image's included.
   bool journal_enabled = false;
   uint64_t journal_records = 0;
   uint64_t journal_bytes = 0;
@@ -349,10 +353,12 @@ class Engine {
   ~Engine();
 
   /// Constructs an engine with crash recovery: when
-  /// options.journal_path is set, loads the latest checkpoint, replays
-  /// the journal tail (truncating at the first torn record), and
-  /// attaches the journal so every further mutation is logged before it
-  /// applies. Replay reproduces the original call sequence through the
+  /// options.journal_path is set, replays the journal's records — the
+  /// last checkpoint's image, then the tail (truncated at the first torn
+  /// record) — and attaches the journal so every further mutation is
+  /// logged before it applies. A file that is
+  /// not a journal, or a damaged image, fails with DataLoss and is left
+  /// unchanged. Replay reproduces the original call sequence through the
   /// public mutators, so the rebuilt base is bit-identical for
   /// engine-dictionary sources and fact/null-identical (dictionary ids
   /// possibly permuted) for foreign-dictionary ones — either way

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "common/crc32.h"
@@ -17,9 +18,8 @@ namespace triq {
 namespace {
 
 constexpr char kJournalMagic[8] = {'T', 'R', 'I', 'Q', 'J', 'R', 'N', 'L'};
-constexpr char kCkptMagic[8] = {'T', 'R', 'I', 'Q', 'C', 'K', 'P', 'T'};
-constexpr uint32_t kVersion = 1;
-// magic + version + epoch.
+constexpr uint32_t kVersion = 2;
+// magic + version + image_end.
 constexpr size_t kHeaderSize = 8 + 4 + 8;
 
 void PutU32(std::string* out, uint32_t v) {
@@ -49,48 +49,86 @@ Status IoError(const std::string& what, const std::string& path) {
   return Status::DataLoss(what + " " + path + ": " + std::strerror(errno));
 }
 
-/// Reads a whole file; returns false only when it does not exist.
-Result<bool> ReadFile(const std::string& path, std::string* out) {
+/// Reads a whole file; an absent file reads as empty.
+Status ReadFile(const std::string& path, std::string* out) {
   out->clear();
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
-    if (errno == ENOENT) return false;
+    if (errno == ENOENT) return Status::OK();
     return IoError("cannot open", path);
   }
   char buf[1 << 16];
   for (;;) {
     ssize_t n = ::read(fd, buf, sizeof(buf));
     if (n < 0) {
+      Status status = IoError("cannot read", path);
       ::close(fd);
-      return IoError("cannot read", path);
+      return status;
     }
     if (n == 0) break;
     out->append(buf, static_cast<size_t>(n));
   }
   ::close(fd);
-  return true;
+  return Status::OK();
 }
 
-std::string JournalHeader(uint64_t epoch) {
+Status WriteAll(int fd, const std::string& path, const char* data,
+                size_t size) {
+  size_t written = 0;
+  while (written < size) {
+    ssize_t n = ::write(fd, data + written, size - written);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return IoError("cannot write", path);
+    }
+    written += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
+
+/// The header of a file whose image ends at offset `image_end`.
+std::string Header(uint64_t image_end) {
   std::string header(kJournalMagic, sizeof(kJournalMagic));
   PutU32(&header, kVersion);
-  PutU64(&header, epoch);
+  PutU64(&header, image_end);
   return header;
 }
 
-/// Parses record frames from `bytes` starting after the header. Stops
-/// at the first torn/corrupt frame; `*valid_end` is the offset of the
-/// last frame that checked out.
-void ParseRecords(const std::string& bytes, std::vector<Journal::Record>* out,
-                  size_t* valid_end) {
-  size_t pos = kHeaderSize;
-  *valid_end = pos;
+/// Appends one record's frame to `out`: Append writes one, Checkpoint
+/// writes an image of them.
+Status AppendFrame(Journal::Op op, const std::vector<std::string>& fields,
+                   std::string* out) {
+  // The payload's length bounds every field's, so one check covers the
+  // frame and its fields.
+  uint64_t payload_size = 1;
+  for (const std::string& field : fields) payload_size += 4 + field.size();
+  TRIQ_RETURN_IF_ERROR(Journal::CheckLength(payload_size, "record"));
+  out->reserve(out->size() + 8 + payload_size);
+  PutU32(out, static_cast<uint32_t>(payload_size));
+  const size_t crc_at = out->size();
+  PutU32(out, 0);  // the payload's CRC, filled in below
+  out->push_back(static_cast<char>(op));
+  for (const std::string& field : fields) {
+    PutU32(out, static_cast<uint32_t>(field.size()));
+    *out += field;
+  }
+  std::string crc;
+  PutU32(&crc, Crc32(out->data() + crc_at + 4, payload_size));
+  out->replace(crc_at, 4, crc);
+  return Status::OK();
+}
+
+/// Parses record frames from `bytes` starting at `pos`. Stops at the
+/// first torn/corrupt frame and returns the offset just past the last
+/// frame that checked out.
+size_t ParseRecords(std::string_view bytes, size_t pos,
+                    std::vector<Journal::Record>* out) {
   while (pos + 8 <= bytes.size()) {
     const uint32_t len = GetU32(bytes.data() + pos);
     const uint32_t crc = GetU32(bytes.data() + pos + 4);
-    if (len < 1 || pos + 8 + len > bytes.size()) return;  // torn frame
+    if (len < 1 || len > bytes.size() - pos - 8) break;  // torn frame
     const char* payload = bytes.data() + pos + 8;
-    if (Crc32(payload, len) != crc) return;  // bit rot / torn write
+    if (Crc32(payload, len) != crc) break;  // bit rot / torn write
     Journal::Record record;
     record.op = static_cast<Journal::Op>(static_cast<uint8_t>(payload[0]));
     size_t field_pos = 1;
@@ -102,7 +140,7 @@ void ParseRecords(const std::string& bytes, std::vector<Journal::Record>* out,
       }
       const uint32_t field_len = GetU32(payload + field_pos);
       field_pos += 4;
-      if (field_pos + field_len > len) {
+      if (field_len > len - field_pos) {
         well_formed = false;
         break;
       }
@@ -111,69 +149,57 @@ void ParseRecords(const std::string& bytes, std::vector<Journal::Record>* out,
     }
     // A CRC-valid but structurally broken frame means a buggy writer;
     // treat it like a tear — replaying garbage is worse than stopping.
-    if (!well_formed) return;
+    if (!well_formed) break;
     out->push_back(std::move(record));
     pos += 8 + len;
-    *valid_end = pos;
   }
+  return pos;
 }
 
-Status LoadCheckpoint(const std::string& ckpt_path, Journal::Recovery* out,
-                      uint64_t* epoch) {
-  std::string bytes;
-  TRIQ_ASSIGN_OR_RETURN(bool exists, ReadFile(ckpt_path, &bytes));
-  *epoch = 0;
-  if (!exists) return Status::OK();
-  // magic + version + epoch + materialized + rules_len + blob_len + crc.
-  constexpr size_t kMin = 8 + 4 + 8 + 4 + 4 + 4 + 4;
-  if (bytes.size() < kMin ||
-      std::memcmp(bytes.data(), kCkptMagic, sizeof(kCkptMagic)) != 0) {
-    return Status::DataLoss("journal checkpoint " + ckpt_path +
-                            ": bad magic or truncated");
+/// Reads the records of a journal file's bytes into `recovery` and
+/// returns the offset just past the last good tail record. DataLoss,
+/// and nothing read, when the bytes are not a version-2 journal or the
+/// image they hold is damaged.
+Result<size_t> Recover(const std::string& path, std::string_view bytes,
+                       Journal::Recovery* recovery) {
+  if (bytes.size() < kHeaderSize ||
+      std::memcmp(bytes.data(), kJournalMagic, sizeof(kJournalMagic)) != 0 ||
+      GetU32(bytes.data() + 8) != kVersion) {
+    return Status::DataLoss("journal " + path +
+                            ": not a version-2 triq journal; left unchanged");
   }
-  const size_t body = bytes.size() - 4;
-  if (Crc32(bytes.data(), body) != GetU32(bytes.data() + body)) {
-    return Status::DataLoss("journal checkpoint " + ckpt_path +
-                            ": checksum mismatch");
+  const uint64_t image_end = GetU64(bytes.data() + 12);
+  std::vector<Journal::Record> records;
+  if (image_end < kHeaderSize || image_end > bytes.size() ||
+      ParseRecords(bytes.substr(0, image_end), kHeaderSize, &records) !=
+          image_end) {
+    return Status::DataLoss("journal " + path +
+                            ": the checkpoint image is damaged");
   }
-  size_t pos = 8;
-  const uint32_t version = GetU32(bytes.data() + pos);
-  pos += 4;
-  if (version != kVersion) {
-    return Status::DataLoss("journal checkpoint " + ckpt_path +
-                            ": unsupported version");
-  }
-  *epoch = GetU64(bytes.data() + pos);
-  pos += 8;
-  out->checkpoint_materialized = GetU32(bytes.data() + pos) != 0;
-  pos += 4;
-  const uint32_t rules_len = GetU32(bytes.data() + pos);
-  pos += 4;
-  if (rules_len > body - pos - 4) {
-    return Status::DataLoss("journal checkpoint " + ckpt_path +
-                            ": rules length out of range");
-  }
-  out->checkpoint_rules.assign(bytes.data() + pos, rules_len);
-  pos += rules_len;
-  const uint32_t blob_len = GetU32(bytes.data() + pos);
-  pos += 4;
-  if (blob_len != body - pos) {
-    return Status::DataLoss("journal checkpoint " + ckpt_path +
-                            ": blob length out of range");
-  }
-  out->checkpoint_blob.assign(bytes.data() + pos, blob_len);
-  out->has_checkpoint = true;
-  return Status::OK();
+  const size_t end = ParseRecords(bytes, image_end, &records);
+  recovery->records = std::move(records);
+  recovery->truncated_bytes = bytes.size() - end;
+  return end;
+}
+
+/// Fsyncs the directory holding `path`, so a rename into it is durable.
+Status SyncDirectory(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return IoError("cannot open directory", dir);
+  Status status =
+      ::fsync(fd) == 0 ? Status::OK() : IoError("cannot fsync directory", dir);
+  ::close(fd);
+  return status;
 }
 
 }  // namespace
 
-Journal::Journal(std::string path, int fd, uint64_t epoch, uint64_t end_offset,
-                 JournalFsync fsync, size_t batch_interval)
+Journal::Journal(std::string path, JournalFsync fsync, size_t batch_interval)
     : path_(std::move(path)),
-      fd_(fd),
-      epoch_(epoch),
-      end_offset_(end_offset),
       fsync_(fsync),
       batch_interval_(batch_interval == 0 ? 1 : batch_interval) {}
 
@@ -189,83 +215,63 @@ Result<std::unique_ptr<Journal>> Journal::Open(const std::string& path,
                                                size_t batch_interval,
                                                Recovery* recovery) {
   *recovery = Recovery{};
-  uint64_t ckpt_epoch = 0;
-  TRIQ_RETURN_IF_ERROR(LoadCheckpoint(path + ".ckpt", recovery, &ckpt_epoch));
-
   std::string bytes;
-  TRIQ_ASSIGN_OR_RETURN(bool exists, ReadFile(path, &bytes));
-  (void)exists;
-
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd < 0) return IoError("cannot open", path);
-  auto journal = std::unique_ptr<Journal>(
-      new Journal(path, fd, ckpt_epoch, kHeaderSize, fsync, batch_interval));
+  TRIQ_RETURN_IF_ERROR(ReadFile(path, &bytes));
+  auto journal =
+      std::unique_ptr<Journal>(new Journal(path, fsync, batch_interval));
   // Uncontended: the journal is not shared until Open returns, but the
   // analysis (rightly) wants the file state touched under its lock.
   MutexLock lock(journal->mu_);
-
-  // Decide what the on-disk tail means. A torn header only happens when
-  // a crash interrupted file creation or a checkpoint reset — both
-  // leave no live records — so it resets cleanly to the checkpoint
-  // epoch.
-  bool reset = false;
-  uint64_t journal_epoch = ckpt_epoch;
-  if (bytes.size() < kHeaderSize ||
-      std::memcmp(bytes.data(), kJournalMagic, sizeof(kJournalMagic)) != 0 ||
-      GetU32(bytes.data() + 8) != kVersion) {
-    recovery->truncated_bytes += bytes.size();
-    reset = true;
-  } else {
-    journal_epoch = GetU64(bytes.data() + 12);
-    if (journal_epoch == ckpt_epoch) {
-      size_t valid_end = kHeaderSize;
-      ParseRecords(bytes, &recovery->records, &valid_end);
-      recovery->truncated_bytes += bytes.size() - valid_end;
-      if (valid_end < bytes.size()) {
-        if (::ftruncate(fd, static_cast<off_t>(valid_end)) != 0) {
-          return IoError("cannot truncate", path);
-        }
-      }
-      journal->end_offset_ = valid_end;
-    } else if (journal_epoch + 1 == ckpt_epoch) {
-      // Crash between the checkpoint rename and the journal reset: the
-      // checkpoint already contains everything these records applied.
-      std::vector<Record> stale;
-      size_t valid_end = kHeaderSize;
-      ParseRecords(bytes, &stale, &valid_end);
-      recovery->stale_records_dropped = stale.size();
-      reset = true;
-    } else {
-      return Status::DataLoss(
-          "journal " + path + " (epoch " + std::to_string(journal_epoch) +
-          ") does not match its checkpoint (epoch " +
-          std::to_string(ckpt_epoch) + "); was the .ckpt file replaced?");
-    }
+  if (bytes.empty()) {
+    // Absent or empty: install a fresh journal the way a checkpoint
+    // installs its file, with an empty image.
+    TRIQ_RETURN_IF_ERROR(journal->Install(Header(kHeaderSize), false));
+    return journal;
   }
-
-  if (reset) {
-    if (::ftruncate(fd, 0) != 0) return IoError("cannot truncate", path);
-    if (::lseek(fd, 0, SEEK_SET) < 0) return IoError("cannot seek", path);
-    const std::string header = JournalHeader(ckpt_epoch);
-    TRIQ_RETURN_IF_ERROR(journal->WriteAll(header.data(), header.size()));
-    if (::fsync(fd) != 0) return IoError("cannot fsync", path);
-  } else if (::lseek(fd, 0, SEEK_END) < 0) {
+  TRIQ_ASSIGN_OR_RETURN(const size_t end, Recover(path, bytes, recovery));
+  journal->fd_ = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+  if (journal->fd_ < 0) return IoError("cannot open", path);
+  if (end < bytes.size() &&
+      ::ftruncate(journal->fd_, static_cast<off_t>(end)) != 0) {
+    return IoError("cannot truncate", path);
+  }
+  if (::lseek(journal->fd_, static_cast<off_t>(end), SEEK_SET) < 0) {
     return IoError("cannot seek", path);
   }
+  journal->end_offset_ = end;
   return journal;
 }
 
-Status Journal::WriteAll(const char* data, size_t size) {
-  size_t written = 0;
-  while (written < size) {
-    ssize_t n = ::write(fd_, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return IoError("cannot write", path_);
-    }
-    written += static_cast<size_t>(n);
+Status Journal::Install(const std::string& file, bool checkpoint) {
+  const std::string tmp_path = path_ + ".ckpt.tmp";
+  int fd =
+      ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return IoError("cannot open", tmp_path);
+  if (checkpoint && FailpointHit("journal.checkpoint.crash")) {
+    // Torn tmp file: never renamed, so recovery never reads it.
+    (void)::write(fd, file.data(), file.size() / 2);
+    (void)::fsync(fd);
+    std::_Exit(42);
   }
-  return Status::OK();
+  Status status = WriteAll(fd, tmp_path, file.data(), file.size());
+  if (status.ok() && ::fsync(fd) != 0) {
+    status = IoError("cannot fsync", tmp_path);
+  }
+  if (status.ok() && ::rename(tmp_path.c_str(), path_.c_str()) != 0) {
+    status = IoError("cannot rename", tmp_path);
+  }
+  if (!status.ok()) {
+    ::close(fd);
+    return status;
+  }
+  if (checkpoint && FailpointHit("journal.reset.crash")) std::_Exit(42);
+  // The rename committed the new file: appends go there from now on,
+  // even if the directory sync below fails.
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = fd;
+  end_offset_ = file.size();
+  appends_since_sync_ = 0;
+  return SyncDirectory(path_);
 }
 
 Status Journal::CheckLength(uint64_t size, const char* what) {
@@ -276,21 +282,8 @@ Status Journal::CheckLength(uint64_t size, const char* what) {
 }
 
 Status Journal::Append(Op op, const std::vector<std::string>& fields) {
-  // The payload's length bounds every field's, so one check covers the
-  // frame and its fields.
-  uint64_t payload_size = 1;
-  for (const std::string& field : fields) payload_size += 4 + field.size();
-  TRIQ_RETURN_IF_ERROR(CheckLength(payload_size, "record"));
-  std::string payload(1, static_cast<char>(op));
-  for (const std::string& field : fields) {
-    PutU32(&payload, static_cast<uint32_t>(field.size()));
-    payload += field;
-  }
   std::string frame;
-  frame.reserve(payload.size() + 8);
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32(&frame, Crc32(payload.data(), payload.size()));
-  frame += payload;
+  TRIQ_RETURN_IF_ERROR(AppendFrame(op, fields, &frame));
 
   MutexLock lock(mu_);
   if (broken_) {
@@ -302,16 +295,16 @@ Status Journal::Append(Op op, const std::vector<std::string>& fields) {
   // error (and the tail is rewound like any failed append); the crash
   // variant *is* the crash (recovery tests fork first).
   if (FailpointHit("journal.write.short")) {
-    TRIQ_IGNORE_STATUS(WriteAll(frame.data(), frame.size() / 2));
+    TRIQ_IGNORE_STATUS(WriteAll(fd_, path_, frame.data(), frame.size() / 2));
     return AbandonAppend(Status::DataLoss(
         "failpoint journal.write.short: torn append to " + path_));
   }
   if (FailpointHit("journal.write.crash")) {
-    TRIQ_IGNORE_STATUS(WriteAll(frame.data(), frame.size() / 2));
+    TRIQ_IGNORE_STATUS(WriteAll(fd_, path_, frame.data(), frame.size() / 2));
     (void)::fsync(fd_);
     std::_Exit(42);
   }
-  Status written = WriteAll(frame.data(), frame.size());
+  Status written = WriteAll(fd_, path_, frame.data(), frame.size());
   if (!written.ok()) return AbandonAppend(std::move(written));
   end_offset_ += frame.size();
   records_appended_.fetch_add(1, std::memory_order_relaxed);
@@ -354,66 +347,17 @@ Status Journal::SyncLocked() {
   return Status::OK();
 }
 
-Status Journal::Checkpoint(const std::string& rules, const std::string& blob,
-                           bool materialized) {
-  TRIQ_RETURN_IF_ERROR(CheckLength(rules.size(), "checkpoint rules"));
-  TRIQ_RETURN_IF_ERROR(CheckLength(blob.size(), "checkpoint blob"));
-  MutexLock lock(mu_);
+Status Journal::Checkpoint(const std::vector<Record>& image) {
   // The caller journals the triggering record before calling this, so a
   // crash anywhere in here recovers to a correct state: before the
-  // rename, the old checkpoint + full journal replay; after it, the new
-  // checkpoint (the epoch mismatch discards the now-stale records).
-  std::string image(kCkptMagic, sizeof(kCkptMagic));
-  PutU32(&image, kVersion);
-  PutU64(&image, epoch_ + 1);
-  PutU32(&image, materialized ? 1 : 0);
-  PutU32(&image, static_cast<uint32_t>(rules.size()));
-  image += rules;
-  PutU32(&image, static_cast<uint32_t>(blob.size()));
-  image += blob;
-  PutU32(&image, Crc32(image.data(), image.size()));
-
-  const std::string ckpt_path = path_ + ".ckpt";
-  const std::string tmp_path = ckpt_path + ".tmp";
-  int tmp_fd =
-      ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (tmp_fd < 0) return IoError("cannot open", tmp_path);
-  if (FailpointHit("journal.checkpoint.crash")) {
-    // Torn tmp file: never renamed, so recovery ignores it entirely.
-    (void)::write(tmp_fd, image.data(), image.size() / 2);
-    (void)::fsync(tmp_fd);
-    std::_Exit(42);
+  // rename, the old file replays it; after it, the new image does.
+  std::string file = Header(0);
+  for (const Record& record : image) {
+    TRIQ_RETURN_IF_ERROR(AppendFrame(record.op, record.fields, &file));
   }
-  size_t written = 0;
-  while (written < image.size()) {
-    ssize_t n = ::write(tmp_fd, image.data() + written, image.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(tmp_fd);
-      return IoError("cannot write", tmp_path);
-    }
-    written += static_cast<size_t>(n);
-  }
-  if (::fsync(tmp_fd) != 0) {
-    ::close(tmp_fd);
-    return IoError("cannot fsync", tmp_path);
-  }
-  ::close(tmp_fd);
-  if (::rename(tmp_path.c_str(), ckpt_path.c_str()) != 0) {
-    return IoError("cannot rename", tmp_path);
-  }
-  if (FailpointHit("journal.reset.crash")) std::_Exit(42);
-
-  // Reset the journal to the new epoch. Always synced: the checkpoint
-  // claims durability for everything before it.
-  if (::ftruncate(fd_, 0) != 0) return IoError("cannot truncate", path_);
-  if (::lseek(fd_, 0, SEEK_SET) < 0) return IoError("cannot seek", path_);
-  ++epoch_;
-  const std::string header = JournalHeader(epoch_);
-  TRIQ_RETURN_IF_ERROR(WriteAll(header.data(), header.size()));
-  if (::fsync(fd_) != 0) return IoError("cannot fsync", path_);
-  end_offset_ = kHeaderSize;
-  appends_since_sync_ = 0;
+  file.replace(0, kHeaderSize, Header(file.size()));
+  MutexLock lock(mu_);
+  TRIQ_RETURN_IF_ERROR(Install(file, true));
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }

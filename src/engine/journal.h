@@ -35,30 +35,37 @@ struct JournalStats {
 /// crashed process rebuilds its pristine base bit for bit by replaying
 /// the log (see Engine::Open).
 ///
-/// On-disk layout:
-///   header: magic "TRIQJRNL", u32 version, u64 epoch
+/// On-disk layout (one file):
+///   header: magic "TRIQJRNL", u32 version (2), u64 image_end
 ///   records: [u32 payload_len][u32 crc32(payload)][payload]
 ///   payload: u8 op, then per field u32 length + bytes
-/// All integers little-endian. Recovery scans records and truncates the
-/// file at the first torn or checksum-failing one: a crash mid-append
-/// loses at most the record being written (which never applied — the
-/// append happens first).
+/// All integers little-endian. The records before offset `image_end`
+/// are the image the last checkpoint wrote; the tail after it holds the
+/// records appended since. Recovery reads both in order and truncates
+/// the file at the first torn or checksum-failing tail record: a crash
+/// mid-append loses at most the record being written (which never
+/// applied — the append happens first). A bad record inside the image
+/// is DataLoss, never a truncation: the image was fsynced before the
+/// rename that installed it, so its damage is bit rot.
 ///
-/// Checkpointing (compaction): Checkpoint() atomically replaces
-/// `<path>.ckpt` with the full session image (rules text + base fact
-/// dump) via write-tmp/fsync/rename, then resets the journal to an
-/// empty file of the next *epoch*. The epoch stitches the pair
-/// together crash-safely: a journal one epoch behind its checkpoint is
-/// the leftover of a reset interrupted between the rename and the
-/// truncate, and its (pre-checkpoint) records are discarded instead of
-/// replayed twice.
+/// Checkpointing (compaction): Checkpoint() rewrites the whole file as
+/// a header plus the image records, framed exactly as Append frames
+/// them: it writes `<path>.ckpt.tmp`, fsyncs it, renames it over
+/// `<path>` and fsyncs the directory. The rename is the one commit
+/// point: a crash before it leaves the old file, a crash after it the
+/// new one, and either replays to the same session. A fresh journal is
+/// installed the same way with an empty image, so `<path>` never holds
+/// a partial header.
 ///
 /// Failpoints (see common/failpoint.h): "journal.write.short" (torn
 /// append, error return), "journal.write.crash" (torn append, _Exit),
 /// "journal.sync.crash" (_Exit after a durable append),
 /// "journal.fsync.fail" (fsync error), "journal.checkpoint.crash"
-/// (_Exit with a torn checkpoint tmp), "journal.reset.crash" (_Exit
-/// after the checkpoint rename, before the journal reset).
+/// (_Exit with a torn tmp file, before the rename),
+/// "journal.reset.crash" (_Exit right after the rename). Writing a
+/// checkpoint's image evaluates no append failpoint, and installing a
+/// fresh journal evaluates none at all, so each op of a workload meets
+/// each crash point at most once.
 ///
 /// Thread safety: the file state is guarded by an internal mutex, so
 /// Append/Sync/Checkpoint are safe to call from any thread (the engine
@@ -79,27 +86,20 @@ class Journal {
     std::vector<std::string> fields;
   };
 
-  /// Everything recovery found: the latest checkpoint image (if any)
-  /// and the journal-tail records to replay on top of it, in append
-  /// order. `truncated_bytes` counts torn bytes dropped from the tail;
-  /// `stale_records_dropped` counts pre-checkpoint records discarded by
-  /// the epoch reconciliation.
+  /// Everything recovery found: the records to replay, the image's
+  /// first and then the tail's, in append order. `truncated_bytes`
+  /// counts torn bytes dropped from the tail.
   struct Recovery {
-    bool has_checkpoint = false;
-    bool checkpoint_materialized = false;
-    std::string checkpoint_rules;
-    std::string checkpoint_blob;
     std::vector<Record> records;
     uint64_t truncated_bytes = 0;
-    uint64_t stale_records_dropped = 0;
   };
 
-  /// Opens (creating if absent) the journal at `path`: loads the
-  /// checkpoint, reconciles epochs, truncates the tail at the first
-  /// corrupt record, and returns the journal positioned for appending.
-  /// A checksum-failing checkpoint file is unrecoverable (DataLoss) —
-  /// the atomic rename guarantees a crashed checkpoint write never
-  /// replaces a good one, so corruption there is real bit rot.
+  /// Opens the journal at `path`, truncates its tail at the first
+  /// corrupt record, and returns it positioned for appending. An absent
+  /// or empty file becomes a fresh journal. Any other file that does
+  /// not begin with a complete version-2 header, and any damage inside
+  /// the image, fails with DataLoss naming the path and leaves the file
+  /// byte-identical.
   static Result<std::unique_ptr<Journal>> Open(const std::string& path,
                                                JournalFsync fsync,
                                                size_t batch_interval,
@@ -123,27 +123,28 @@ class Journal {
   /// Forces an fsync regardless of policy (drain/shutdown path).
   Status Sync();
 
-  /// Atomically installs `<path>.ckpt` = {rules, blob, materialized}
-  /// and resets the journal to an empty next-epoch file (see class
-  /// comment). The reset is always fsynced. Rules or a blob too long
-  /// for their u32 length fields are refused with InvalidArgument, and
-  /// the old checkpoint and journal stay as they were.
-  Status Checkpoint(const std::string& rules, const std::string& blob,
-                    bool materialized);
+  /// Atomically replaces the file with `image` and an empty tail (see
+  /// the class comment); appends then go to the new file. Always
+  /// fsynced. A record too long for its u32 length field is refused
+  /// with InvalidArgument, and the old file stays as it was.
+  Status Checkpoint(const std::vector<Record>& image);
 
-  /// The one length check of both formats: OK when `size` bytes fit a
-  /// u32 length field, else InvalidArgument naming `what`. Append and
-  /// Checkpoint run it on every length before they write anything.
+  /// The one length check of the format: OK when `size` bytes fit a u32
+  /// length field, else InvalidArgument naming `what`. Append and
+  /// Checkpoint run it on every record before they write anything.
   static Status CheckLength(uint64_t size, const char* what);
 
   JournalStats stats() const;
   const std::string& path() const { return path_; }
 
  private:
-  Journal(std::string path, int fd, uint64_t epoch, uint64_t end_offset,
-          JournalFsync fsync, size_t batch_interval);
+  Journal(std::string path, JournalFsync fsync, size_t batch_interval);
 
-  Status WriteAll(const char* data, size_t size) TRIQ_REQUIRES(mu_);
+  /// Writes `file` (a header and its image) to `<path>.ckpt.tmp`,
+  /// fsyncs it, renames it over `<path>`, adopts it for appending and
+  /// fsyncs the directory. `checkpoint` arms the two checkpoint crash
+  /// failpoints.
+  Status Install(const std::string& file, bool checkpoint) TRIQ_REQUIRES(mu_);
   /// Rewinds a failed append's torn tail; marks the journal broken when
   /// even that fails. Returns `status` for tail-call convenience.
   Status AbandonAppend(Status status) TRIQ_REQUIRES(mu_);
@@ -152,10 +153,9 @@ class Journal {
 
   std::string path_;
   mutable Mutex mu_;
-  int fd_ TRIQ_GUARDED_BY(mu_);
-  uint64_t epoch_ TRIQ_GUARDED_BY(mu_);
+  int fd_ TRIQ_GUARDED_BY(mu_) = -1;
   // File offset just past the last good record.
-  uint64_t end_offset_ TRIQ_GUARDED_BY(mu_);
+  uint64_t end_offset_ TRIQ_GUARDED_BY(mu_) = 0;
   bool broken_ TRIQ_GUARDED_BY(mu_) = false;
   JournalFsync fsync_;
   size_t batch_interval_;

@@ -56,11 +56,12 @@ class StreamingParser {
   /// '\r' is dropped here, so CRLF input parses as LF input).
   Status FeedLine(std::string_view raw) {
     if (!raw.empty() && raw.back() == '\r') raw.remove_suffix(1);
-    // Strip a '#' comment; quote state is tracked per line, matching
-    // the historical ParseTurtle behavior.
+    // Strip a '#' comment. The scan starts in the statement scan's quote
+    // state at the start of this line, so a '#' inside a literal that
+    // began on an earlier line stays part of the literal.
     size_t keep = raw.size();
     if (raw.find('#') != std::string_view::npos) {
-      bool in_string = false;
+      bool in_string = in_string_;
       for (size_t i = 0; i < raw.size(); ++i) {
         if (raw[i] == '"') in_string = !in_string;
         if (raw[i] == '#' && !in_string) {

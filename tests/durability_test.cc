@@ -1,9 +1,10 @@
 // Crash-safe durability, end to end: a process killed at EVERY injected
-// crash point (torn append, post-append, checkpoint write, checkpoint
-// reset) must recover through Engine::Open to a state fingerprint-
-// identical to a fresh engine that applied exactly the durable op
-// prefix. Plus: a mid-chase abort publishes nothing, and a cleanly
-// closed journaled session reopens bit-identically.
+// crash point (torn append, post-append, checkpoint write before the
+// rename, right after the rename) must recover through Engine::Open to a
+// state fingerprint-identical to a fresh engine that applied exactly the
+// durable op prefix. Plus: a mid-chase abort publishes nothing, a
+// cleanly closed journaled session reopens bit-identically, and a
+// journal path naming a file that is not a journal is refused untouched.
 //
 // Crashes are real: the workload runs in a fork()ed child that
 // _Exit(42)s inside the failpoint, exactly like kill -9 between two
@@ -16,8 +17,10 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -82,7 +85,6 @@ EngineOptions JournaledOptions(const std::string& wal) {
 std::string FreshWal(const std::string& name) {
   const std::string wal = ::testing::TempDir() + "/" + name;
   std::remove(wal.c_str());
-  std::remove((wal + ".ckpt").c_str());
   std::remove((wal + ".ckpt.tmp").c_str());
   return wal;
 }
@@ -389,6 +391,27 @@ TEST(DurabilityTest, JournaledHandBuiltProgramReopensIdentical) {
   auto closure = (*reopened)->CurrentSnapshot();
   ASSERT_TRUE(closure.ok());
   EXPECT_EQ(chase::FactFingerprint((*closure)->instance), closure_fp);
+}
+
+TEST(DurabilityTest, JournalPathOnATurtleFileIsRefusedUntouched) {
+  // A journal path that names a data file by mistake (say, `triq_server
+  // --journal data.ttl`) must not be taken for a torn journal and wiped.
+  const std::string path = FreshWal("data.ttl");
+  const std::string turtle =
+      "alice knows bob .\nbob knows carol .\ncarol knows dave .\n";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << turtle;
+  }
+  auto opened = Engine::Open(JournaledOptions(path));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(opened.status().message().find(path), std::string::npos)
+      << opened.status().ToString();
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(bytes.str(), turtle);
 }
 
 }  // namespace

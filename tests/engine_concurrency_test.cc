@@ -560,7 +560,6 @@ TEST(EngineConcurrencyTest, JournaledWritesRaceReadersCleanly) {
   // monotone journal counters and a faithful recovery at the end.
   const std::string wal = ::testing::TempDir() + "/race.wal";
   std::remove(wal.c_str());
-  std::remove((wal + ".ckpt").c_str());
   std::remove((wal + ".ckpt.tmp").c_str());
 
   auto opened = Engine::Open(EngineOptions()

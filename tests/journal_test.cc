@@ -1,18 +1,24 @@
 // The write-ahead journal's on-disk contract: append/recover round
 // trips, torn-tail truncation, bit-rot detection, failed-append rewind,
-// the u32 length limit, checkpoint compaction, and the epoch stitching
-// that makes the checkpoint+reset pair crash-atomic (crashes simulated
-// with real fork + _Exit through failpoints).
+// the u32 length limit, checkpoint compaction as a rewrite of the one
+// journal file, both checkpoint crash windows (crashes simulated with
+// real fork + _Exit through failpoints), refusal of files that are not
+// journals, and seeded truncations and bit flips of a journal with an
+// image and a tail.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -30,8 +36,49 @@ std::string TempPath(const std::string& name) {
 
 void RemoveJournal(const std::string& path) {
   std::remove(path.c_str());
-  std::remove((path + ".ckpt").c_str());
   std::remove((path + ".ckpt.tmp").c_str());
+}
+
+bool Exists(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// A journal header: magic, then `version` and the u64 after it (the
+/// image end since version 2, the epoch in version 1), little-endian.
+std::string Header(uint32_t version, uint64_t word) {
+  std::string header = "TRIQJRNL";
+  for (int i = 0; i < 4; ++i) header += static_cast<char>(version >> (8 * i));
+  for (int i = 0; i < 8; ++i) header += static_cast<char>(word >> (8 * i));
+  return header;
+}
+
+/// The image MaterializeLocked checkpoints: base dump, rules, kMaterialize.
+std::vector<Journal::Record> Image() {
+  return {{Op::kLoadFactsBlob, {"1", std::string("dump\0\xff bytes", 12)}},
+          {Op::kAttachRules, {"triple(?X, p, ?Y) -> q(?X) .\n"}},
+          {Op::kMaterialize, {}}};
+}
+
+void ExpectSameRecords(const std::vector<Journal::Record>& got,
+                       const std::vector<Journal::Record>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].op, want[i].op) << "record " << i;
+    EXPECT_EQ(got[i].fields, want[i].fields) << "record " << i;
+  }
 }
 
 Result<std::unique_ptr<Journal>> OpenAt(const std::string& path,
@@ -58,12 +105,73 @@ void ExpectCrash(const std::function<void()>& child) {
 TEST(JournalTest, FreshJournalRecoversEmpty) {
   const std::string path = TempPath("fresh.journal");
   RemoveJournal(path);
-  Journal::Recovery recovery;
-  auto journal = OpenAt(path, &recovery);
-  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
-  EXPECT_FALSE(recovery.has_checkpoint);
-  EXPECT_TRUE(recovery.records.empty());
-  EXPECT_EQ(recovery.truncated_bytes, 0u);
+  {
+    Journal::Recovery recovery;
+    auto journal = OpenAt(path, &recovery);
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    EXPECT_TRUE(recovery.records.empty());
+    EXPECT_EQ(recovery.truncated_bytes, 0u);
+  }
+  // Installed whole, through the checkpoint's rename: a version-2
+  // header whose empty image ends where the header does.
+  EXPECT_EQ(ReadBytes(path), Header(2, 20));
+  EXPECT_FALSE(Exists(path + ".ckpt.tmp"));
+}
+
+TEST(JournalTest, EmptyAndHeaderOnlyFilesAreEmptyJournals) {
+  const std::string path = TempPath("empty.journal");
+  for (const std::string& bytes : {std::string(), Header(2, 20)}) {
+    RemoveJournal(path);
+    WriteBytes(path, bytes);
+    {
+      Journal::Recovery recovery;
+      auto journal = OpenAt(path, &recovery);
+      ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+      EXPECT_TRUE(recovery.records.empty());
+      EXPECT_EQ(recovery.truncated_bytes, 0u);
+      ASSERT_TRUE((*journal)->Append(Op::kAddTriple, {"s", "p", "o"}).ok());
+    }
+    Journal::Recovery recovery;
+    auto journal = OpenAt(path, &recovery);
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    ASSERT_EQ(recovery.records.size(), 1u);
+    EXPECT_EQ(recovery.records[0].fields[0], "s");
+  }
+}
+
+TEST(JournalTest, FilesThatAreNotJournalsAreRefusedAndLeftUnchanged) {
+  // A valid version-2 journal with one tail record, and a version-1
+  // file (old header, epoch 0) holding that same record.
+  const std::string path = TempPath("refused.journal");
+  RemoveJournal(path);
+  {
+    Journal::Recovery recovery;
+    auto journal = OpenAt(path, &recovery);
+    ASSERT_TRUE(journal.ok());
+    ASSERT_TRUE((*journal)->Append(Op::kAddTriple, {"s", "p", "o"}).ok());
+  }
+  const std::string valid = ReadBytes(path);
+  const std::string record = valid.substr(20);
+  const std::string cases[] = {
+      "subject predicate object .\n# a Turtle file, not a journal at all\n",
+      Header(1, 0) + record,
+      std::string(4096, '\0'),
+      valid.substr(0, 12),  // a header cut short
+      // The image claims to end past the last record.
+      Header(2, valid.size() + 1) + record,
+      // The image claims to end inside the record.
+      Header(2, valid.size() - 1) + record,
+  };
+  for (const std::string& bytes : cases) {
+    WriteBytes(path, bytes);
+    Journal::Recovery recovery;
+    auto journal = OpenAt(path, &recovery);
+    ASSERT_FALSE(journal.ok()) << bytes.size() << " bytes opened";
+    EXPECT_EQ(journal.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(journal.status().message().find(path), std::string::npos)
+        << journal.status().ToString();
+    EXPECT_EQ(ReadBytes(path), bytes);
+  }
 }
 
 TEST(JournalTest, AppendThenRecoverRoundTrips) {
@@ -202,7 +310,7 @@ TEST(JournalTest, LengthsPastTheirU32FieldsAreRefused) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(JournalTest, CheckpointCompactsAndKeepsTheTail) {
+TEST(JournalTest, CheckpointRewritesTheJournalAndKeepsTheTail) {
   const std::string path = TempPath("ckpt.journal");
   RemoveJournal(path);
   {
@@ -211,67 +319,45 @@ TEST(JournalTest, CheckpointCompactsAndKeepsTheTail) {
     ASSERT_TRUE(journal.ok());
     ASSERT_TRUE((*journal)->Append(Op::kAddTriple, {"old", "p", "o"}).ok());
     ASSERT_TRUE((*journal)->Append(Op::kMaterialize, {}).ok());
-    ASSERT_TRUE(
-        (*journal)->Checkpoint("rules text", "fact blob bytes", true).ok());
+    ASSERT_TRUE((*journal)->Checkpoint(Image()).ok());
     ASSERT_TRUE((*journal)->Append(Op::kAddTriple, {"tail", "p", "o"}).ok());
-    EXPECT_EQ((*journal)->stats().checkpoints, 1u);
+    const JournalStats stats = (*journal)->stats();
+    EXPECT_EQ(stats.checkpoints, 1u);
+    // Appends only: the image the checkpoint wrote is not counted.
+    EXPECT_EQ(stats.records_appended, 3u);
   }
+  // One file: the checkpoint renamed its tmp file over the journal.
+  EXPECT_FALSE(Exists(path + ".ckpt.tmp"));
   Journal::Recovery recovery;
   auto journal = OpenAt(path, &recovery);
   ASSERT_TRUE(journal.ok()) << journal.status().ToString();
-  EXPECT_TRUE(recovery.has_checkpoint);
-  EXPECT_TRUE(recovery.checkpoint_materialized);
-  EXPECT_EQ(recovery.checkpoint_rules, "rules text");
-  EXPECT_EQ(recovery.checkpoint_blob, "fact blob bytes");
-  ASSERT_EQ(recovery.records.size(), 1u);
-  EXPECT_EQ(recovery.records[0].fields[0], "tail");
-  EXPECT_EQ(recovery.stale_records_dropped, 0u);
+  std::vector<Journal::Record> want = Image();
+  want.push_back({Op::kAddTriple, {"tail", "p", "o"}});
+  ExpectSameRecords(recovery.records, want);
+  EXPECT_EQ(recovery.truncated_bytes, 0u);
 }
 
-TEST(JournalTest, CorruptCheckpointIsDataLossNotSilent) {
-  const std::string path = TempPath("badckpt.journal");
+TEST(JournalTest, CorruptImageIsDataLossNotTruncation) {
+  const std::string path = TempPath("badimage.journal");
   RemoveJournal(path);
   {
     Journal::Recovery recovery;
     auto journal = OpenAt(path, &recovery);
     ASSERT_TRUE(journal.ok());
-    ASSERT_TRUE((*journal)->Checkpoint("r", "b", false).ok());
+    ASSERT_TRUE((*journal)->Checkpoint(Image()).ok());
+    ASSERT_TRUE((*journal)->Append(Op::kAddTriple, {"s", "p", "o"}).ok());
   }
-  {
-    // Flip a byte in the checkpoint body: rename is atomic, so a bad
-    // checksum here is genuine bit rot and must refuse to load.
-    std::fstream file(path + ".ckpt",
-                      std::ios::binary | std::ios::in | std::ios::out);
-    file.seekp(9);
-    file.write("\xff", 1);
-  }
+  // Flip a byte inside the image's first record: the image was fsynced
+  // before its rename, so a bad checksum there is genuine bit rot and
+  // must refuse to load rather than truncate the image away.
+  std::string bytes = ReadBytes(path);
+  bytes[20 + 8 + 3] = static_cast<char>(bytes[20 + 8 + 3] ^ 0x10);
+  WriteBytes(path, bytes);
   Journal::Recovery recovery;
   auto journal = OpenAt(path, &recovery);
   ASSERT_FALSE(journal.ok());
   EXPECT_EQ(journal.status().code(), StatusCode::kDataLoss);
-}
-
-TEST(JournalTest, EpochMismatchRefusesToStitch) {
-  const std::string path = TempPath("epoch.journal");
-  RemoveJournal(path);
-  {
-    Journal::Recovery recovery;
-    auto journal = OpenAt(path, &recovery);
-    ASSERT_TRUE(journal.ok());
-    ASSERT_TRUE((*journal)->Checkpoint("r", "b", false).ok());
-  }
-  {
-    // Fake a journal two epochs ahead of its checkpoint — a replaced or
-    // swapped .ckpt file, not any crash this code can produce.
-    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
-    file.seekp(12);  // epoch field, after magic + version
-    const char epoch3[8] = {3, 0, 0, 0, 0, 0, 0, 0};
-    file.write(epoch3, 8);
-  }
-  Journal::Recovery recovery;
-  auto journal = OpenAt(path, &recovery);
-  ASSERT_FALSE(journal.ok());
-  EXPECT_EQ(journal.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(ReadBytes(path), bytes);
 }
 
 TEST(JournalTest, CrashDuringCheckpointKeepsOldStateReplayable) {
@@ -288,18 +374,20 @@ TEST(JournalTest, CrashDuringCheckpointKeepsOldStateReplayable) {
       std::_Exit(99);
     }
     FailpointsConfigure("journal.checkpoint.crash:1");
-    (void)(*journal)->Checkpoint("rules", "blob", true);  // _Exit(42)
+    (void)(*journal)->Checkpoint(Image());  // _Exit(42)
   });
-  // The tmp file never renamed: no checkpoint, the journal replays in
-  // full, exactly as if the checkpoint had never been attempted.
+  // The torn tmp file was never renamed: the journal replays in full,
+  // exactly as if the checkpoint had never been attempted.
+  EXPECT_TRUE(Exists(path + ".ckpt.tmp"));
   Journal::Recovery recovery;
   auto journal = OpenAt(path, &recovery);
   ASSERT_TRUE(journal.ok()) << journal.status().ToString();
-  EXPECT_FALSE(recovery.has_checkpoint);
-  EXPECT_EQ(recovery.records.size(), 2u);
+  ASSERT_EQ(recovery.records.size(), 2u);
+  EXPECT_EQ(recovery.records[1].fields[0], "d");
+  EXPECT_EQ(recovery.truncated_bytes, 0u);
 }
 
-TEST(JournalTest, CrashAfterCheckpointRenameDropsStaleRecords) {
+TEST(JournalTest, CrashAfterCheckpointRenameRecoversTheImage) {
   const std::string path = TempPath("resetcrash.journal");
   RemoveJournal(path);
   ExpectCrash([&] {
@@ -313,18 +401,15 @@ TEST(JournalTest, CrashAfterCheckpointRenameDropsStaleRecords) {
       std::_Exit(99);
     }
     FailpointsConfigure("journal.reset.crash:1");
-    (void)(*journal)->Checkpoint("rules", "blob", true);  // _Exit(42)
+    (void)(*journal)->Checkpoint(Image());  // _Exit(42)
   });
-  // The rename happened, the journal reset did not: the old records are
-  // one epoch behind the checkpoint and must be discarded, not replayed
-  // on top of the image that already contains them.
+  // The rename is the commit point: the file is the new image alone,
+  // and the records it subsumes are gone with the old file.
   Journal::Recovery recovery;
   auto journal = OpenAt(path, &recovery);
   ASSERT_TRUE(journal.ok()) << journal.status().ToString();
-  EXPECT_TRUE(recovery.has_checkpoint);
-  EXPECT_EQ(recovery.checkpoint_blob, "blob");
-  EXPECT_TRUE(recovery.records.empty());
-  EXPECT_EQ(recovery.stale_records_dropped, 2u);
+  ExpectSameRecords(recovery.records, Image());
+  EXPECT_EQ(recovery.truncated_bytes, 0u);
 }
 
 TEST(JournalTest, CrashMidAppendLosesOnlyTheTornRecord) {
@@ -346,6 +431,110 @@ TEST(JournalTest, CrashMidAppendLosesOnlyTheTornRecord) {
   ASSERT_EQ(recovery.records.size(), 1u);
   EXPECT_EQ(recovery.records[0].fields[0], "a");
   EXPECT_GT(recovery.truncated_bytes, 0u);
+}
+
+/// A journal holding a 3-record image and a 6-record tail, and the
+/// records it holds, image first.
+std::string BuildMutationJournal(const std::string& path,
+                                 std::vector<Journal::Record>* records) {
+  RemoveJournal(path);
+  *records = Image();
+  const std::vector<Journal::Record> tail = {
+      {Op::kAddTriple, {"s", "p", "o"}},
+      {Op::kLoadTurtle, {"a edge b .\nb edge c .\n"}},
+      {Op::kAddTriple, {"c", "edge", "d"}},
+      {Op::kLoadFactsBlob, {"0", std::string("\0\n\xff tail dump", 13)}},
+      {Op::kAttachRules, {"triple(?X, edge, ?Y) -> tc(?X, ?Y) .\n"}},
+      {Op::kMaterialize, {}},
+  };
+  {
+    Journal::Recovery recovery;
+    auto journal = OpenAt(path, &recovery);
+    EXPECT_TRUE(journal.ok()) << journal.status().ToString();
+    if (!journal.ok()) return "";
+    EXPECT_TRUE((*journal)->Checkpoint(*records).ok());
+    for (const Journal::Record& record : tail) {
+      EXPECT_TRUE((*journal)->Append(record.op, record.fields).ok());
+      records->push_back(record);
+    }
+  }
+  return ReadBytes(path);
+}
+
+/// Opens `bytes` as a journal. Either Open fails with DataLoss and the
+/// file stays byte-identical, or it recovers a prefix of `original`
+/// that holds the whole image, truncated so that a second Open finds
+/// nothing more to drop. Returns whether Open succeeded.
+bool ExpectRefusedOrPrefix(const std::string& path, const std::string& bytes,
+                           const std::vector<Journal::Record>& original) {
+  WriteBytes(path, bytes);
+  Journal::Recovery recovery;
+  {
+    auto journal = OpenAt(path, &recovery);
+    if (!journal.ok()) {
+      EXPECT_EQ(journal.status().code(), StatusCode::kDataLoss)
+          << journal.status().ToString();
+      EXPECT_EQ(ReadBytes(path), bytes);
+      return false;
+    }
+  }
+  const size_t kept = recovery.records.size();
+  EXPECT_GE(kept, Image().size());
+  EXPECT_LE(kept, original.size());
+  ExpectSameRecords(recovery.records,
+                    {original.begin(),
+                     original.begin() + std::min(kept, original.size())});
+  Journal::Recovery again;
+  auto reopened = OpenAt(path, &again);
+  EXPECT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(again.records.size(), recovery.records.size());
+  EXPECT_EQ(again.truncated_bytes, 0u);
+  return true;
+}
+
+TEST(JournalTest, FiftyTruncationsRefuseOrRecoverAPrefix) {
+  const std::string path = TempPath("truncated.journal");
+  std::vector<Journal::Record> original;
+  const std::string bytes = BuildMutationJournal(path, &original);
+  ASSERT_GT(bytes.size(), 20u);
+  // Fixed seed: every run cuts at the same 50 points, so a failure here
+  // reproduces byte for byte. A cut to 0 bytes is an empty file, which
+  // is a fresh journal (EmptyAndHeaderOnlyFilesAreEmptyJournals).
+  std::mt19937 rng(0x7E4A11u);
+  size_t refused = 0;
+  size_t recovered = 0;
+  for (int i = 0; i < 50; ++i) {
+    const size_t cut = 1 + rng() % (bytes.size() - 1);
+    SCOPED_TRACE("truncated to " + std::to_string(cut) + " of " +
+                 std::to_string(bytes.size()) + " bytes");
+    (ExpectRefusedOrPrefix(path, bytes.substr(0, cut), original) ? recovered
+                                                                 : refused) +=
+        1;
+  }
+  // Cuts land in the header or image and in the tail alike.
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(recovered, 0u);
+}
+
+TEST(JournalTest, FiftyBitFlipsRefuseOrRecoverAPrefix) {
+  const std::string path = TempPath("bitflipped.journal");
+  std::vector<Journal::Record> original;
+  const std::string bytes = BuildMutationJournal(path, &original);
+  std::mt19937 rng(0xF11B175u);
+  size_t refused = 0;
+  size_t recovered = 0;
+  for (int i = 0; i < 50; ++i) {
+    std::string mutated = bytes;
+    const size_t at = rng() % mutated.size();
+    const unsigned bit = rng() % 8;
+    mutated[at] = static_cast<char>(mutated[at] ^ (1u << bit));
+    SCOPED_TRACE("bit " + std::to_string(bit) + " of byte " +
+                 std::to_string(at) + " flipped");
+    (ExpectRefusedOrPrefix(path, mutated, original) ? recovered : refused) +=
+        1;
+  }
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(recovered, 0u);
 }
 
 }  // namespace

@@ -128,6 +128,22 @@ TEST(TurtleStreamTest, RoundTripsThroughWriter) {
   EXPECT_EQ(WriteTurtle(parsed), WriteTurtle(g));
 }
 
+TEST(TurtleStreamTest, MultiLineLiteralWithHashRoundTripsThroughWriter) {
+  // A literal that spans a line break keeps a '#' on its later line: the
+  // comment scan resumes in the literal, not outside it.
+  Graph g(Dict());
+  g.Add("a", "p", "\"x\ny # z\"");
+  const std::string text = WriteTurtle(g);
+  EXPECT_EQ(text, "a p \"x\ny # z\" .\n");
+  Graph from_string(Dict());
+  ASSERT_TRUE(ParseTurtle(text, &from_string).ok());
+  EXPECT_EQ(WriteTurtle(from_string), text);
+  std::istringstream in(text);
+  Graph from_stream(Dict());
+  ASSERT_TRUE(ParseTurtleStream(in, &from_stream).ok());
+  EXPECT_EQ(WriteTurtle(from_stream), text);
+}
+
 TEST(TurtleStreamTest, AgreesWithStringParserOnTrickyInput) {
   constexpr std::string_view kText = R"(# leading comment
     a p b . b q c .

@@ -24,13 +24,22 @@ file name. A multi-statement line loads, materializes and answers; a
 malformed one gets exactly one ERR line, changes no answer, and leaves
 the connection usable.
 
+Phase 6: a journaled restart. A server on `--journal` takes ADD, RULE,
+MATERIALIZE and ADD, then SHUTDOWN; a second server on the same journal
+answers the same closure and reports the records it replayed. A
+`--journal` naming a Turtle file is refused (exit 1) and the file is
+left byte-identical.
+
 Usage: server_smoke_test.py <path-to-triq_server>
 """
 
+import os
+import shutil
 import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import time
 
 
@@ -427,6 +436,91 @@ def inline_turtle_load(server):
             proc.wait()
 
 
+TC_RULES = (
+    "RULE triple(?X, edge, ?Y) -> tc(?X, ?Y) . "
+    "tc(?X, ?Y), triple(?Y, edge, ?Z) -> tc(?X, ?Z) ."
+)
+
+
+def shutdown(proc, f):
+    expect(send(f, "SHUTDOWN") == ["OK shutting-down"], "SHUTDOWN failed")
+    proc.wait(timeout=15)
+    expect(proc.returncode == 0, f"server exit code {proc.returncode}")
+
+
+def journaled_restart(server):
+    tmp = tempfile.mkdtemp(prefix="triq_smoke_")
+    try:
+        wal = os.path.join(tmp, "s.wal")
+        proc, port = start_server(server, "--journal", wal)
+        try:
+            with connect(port) as s:
+                f = s.makefile("rw")
+                expect(send(f, "ADD a edge b") == ["OK added"], "ADD failed")
+                expect(send(f, TC_RULES) == ["OK attached"], "RULE failed")
+                reply = send(f, "MATERIALIZE")
+                expect(
+                    reply[0].startswith("OK materialized"),
+                    f"MATERIALIZE: {reply}",
+                )
+                expect(send(f, "ADD b edge c") == ["OK added"], "ADD failed")
+                shutdown(proc, f)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+        proc, port = start_server(server, "--journal", wal)
+        try:
+            with connect(port) as s:
+                f = s.makefile("rw")
+                reply = send(f, "ANSWERS tc")
+                rows = {line for line in reply if line.startswith("ROW")}
+                expect(
+                    rows == {"ROW a b", "ROW b c", "ROW a c"}
+                    and reply[-1] == "OK 3",
+                    f"ANSWERS tc after restart: {reply}",
+                )
+                reply = send(f, "STATS")
+                stats = dict(
+                    line.split()[1:3] for line in reply if line.startswith("STAT")
+                )
+                # MATERIALIZE rewrote the journal as its 3-record image
+                # (base, rules, materialize); the second ADD is the tail.
+                expect(
+                    stats.get("journal_enabled") == "true"
+                    and stats.get("journal_recovered_records") == "4"
+                    and stats.get("journal_truncated_bytes") == "0",
+                    f"STATS after restart: {reply}",
+                )
+                shutdown(proc, f)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        expect(not os.path.exists(wal + ".ckpt.tmp"), "checkpoint tmp left")
+
+        data = os.path.join(tmp, "data.ttl")
+        turtle = "alice knows bob .\nbob knows carol .\ncarol knows dave .\n"
+        with open(data, "w") as out:
+            out.write(turtle)
+        try:
+            run = subprocess.run(
+                [server, "--port", "0", "--journal", data],
+                capture_output=True,
+                text=True,
+                timeout=15,
+            )
+        except subprocess.TimeoutExpired:
+            raise AssertionError("--journal on a Turtle file: server kept running")
+        expect(run.returncode == 1, f"--journal data.ttl: exit {run.returncode}")
+        expect("LISTENING" not in run.stdout, f"listened: {run.stdout}")
+        with open(data) as back:
+            expect(back.read() == turtle, "--journal data.ttl changed the file")
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def main():
     server = sys.argv[1]
     scripted_session(server)
@@ -434,6 +528,7 @@ def main():
     flag_parsing(server)
     fresh_query_names(server)
     inline_turtle_load(server)
+    journaled_restart(server)
     print("server smoke test passed")
 
 

@@ -41,6 +41,10 @@ std::vector<std::string> SeedCorpus() {
       "# leading comment\na\np\nb .  # trailing\nc q\n  d . e r f .\n",
       "a p b .\r\nb p c .\r\nd p e",
       "a p \"x\r\ny\" .\r\n",
+      // A literal across a line break: a '#' on its later line is text,
+      // and a quote in a comment after such a literal starts none.
+      "a p \"x\ny # z\" .",
+      "a p \"x\ny\" . # c \"q\nb p o .",
       std::string(kTruncatedSeed),
       "",
   };

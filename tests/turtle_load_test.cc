@@ -62,6 +62,8 @@ constexpr Fixture kFixtures[] = {
     {"empty", ""},
     {"comment_only", "# nothing here\n   # nor here\n"},
     {"literal_across_crlf", "a p \"x\r\ny\" .\r\nb p \"\r\n\" .\r\n"},
+    {"hash_in_multiline_literal",
+     "a p \"x\ny # z\" .\na p \"x\ny\" . # c \"q\nb p o .\n"},
 };
 
 // Facts the non-empty sessions start with: a null, and symbols and
@@ -305,7 +307,7 @@ std::vector<chase::Tuple> SortedAnswers(Engine* engine) {
 }
 
 void RemoveJournal(const std::string& wal) {
-  for (const char* suffix : {"", ".ckpt", ".ckpt.tmp"}) {
+  for (const char* suffix : {"", ".ckpt.tmp"}) {
     std::remove((wal + suffix).c_str());
   }
 }
