@@ -4,11 +4,11 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include "common/crc32.h"
 #include "common/failpoint.h"
+#include "common/strings.h"
 
 namespace triq::chase {
 
@@ -268,14 +268,8 @@ Result<Instance> LoadFactsFromString(const std::string& bytes,
 
 Result<Instance> LoadFacts(const std::string& path,
                            std::shared_ptr<Dictionary> dict) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::InvalidArgument("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    return Status::InvalidArgument("cannot read " + path);
-  }
-  return LoadFactsFromString(buf.str(), std::move(dict), path);
+  TRIQ_ASSIGN_OR_RETURN(std::string image, ReadFile(path));
+  return LoadFactsFromString(image, std::move(dict), path);
 }
 
 uint64_t FactFingerprint(const Instance& instance) {

@@ -57,9 +57,9 @@ Relation& Instance::GetOrCreate(PredicateId predicate, uint32_t arity) {
   if (base_ != nullptr) {
     auto [it, created] = relations_.try_emplace(predicate, arity);
     // An overlay must never grow a relation its base already has — the
-    // overlay copy would shadow the base facts in Find(). The engine's
-    // claim registry keeps query-derived predicates disjoint from data
-    // predicates, so this cannot fire for engine traffic.
+    // overlay copy would shadow the base facts in Find(). The engine
+    // refuses a query whose heads the snapshot under its overlay already
+    // holds, before it chases, so this cannot fire for engine traffic.
     assert(!created || base_->Find(predicate) == nullptr);
     return it->second;
   }

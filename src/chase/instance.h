@@ -53,12 +53,12 @@ struct Derivation {
 /// overlay has no relation for, and null ids are allocated above the
 /// base's range, so a query-time chase can derive query-predicate facts
 /// on top of a published snapshot without ever mutating it. The base and
-/// overlay predicate sets must be disjoint (the engine's claim registry
-/// enforces this) — an overlay never shadows a base relation. An
-/// overlay's own state is sized by its own relations: it looks its
-/// handful of predicates up in its relation map, never in a vector
-/// indexed by predicate id, so a query overlay stays small however far
-/// the dictionary has grown.
+/// overlay predicate sets must be disjoint (the engine checks a query's
+/// heads against the snapshot it overlays before chasing) — an overlay
+/// never shadows a base relation. An overlay's own state is sized by its
+/// own relations: it looks its handful of predicates up in its relation
+/// map, never in a vector indexed by predicate id, so a query overlay
+/// stays small however far the dictionary has grown.
 class Instance {
  public:
   explicit Instance(std::shared_ptr<Dictionary> dict)

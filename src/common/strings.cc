@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <fstream>
 
 namespace triq {
 
@@ -57,6 +58,22 @@ bool ParseCount(std::string_view text, uint64_t max, uint64_t* out) {
   if (ec != std::errc() || ptr != end || value > max) return false;
   *out = value;
   return true;
+}
+
+Result<std::string> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::InvalidArgument("cannot open " + path);
+  // A checked read loop, not `buf << in.rdbuf()`: that copy reports a
+  // read error only on the destination stream, where it looks the same
+  // as an empty file.
+  std::string out;
+  char chunk[1 << 16];
+  do {
+    in.read(chunk, sizeof(chunk));
+    out.append(chunk, static_cast<size_t>(in.gcount()));
+  } while (in);
+  if (in.bad()) return Status::InvalidArgument("cannot read " + path);
+  return out;
 }
 
 }  // namespace triq

@@ -6,6 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/result.h"
+
 namespace triq {
 
 /// Splits `text` on `sep`, trimming ASCII whitespace from each piece;
@@ -25,6 +27,12 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// `max`: no sign, no whitespace, no trailing bytes. Leaves `out`
 /// untouched and returns false otherwise.
 bool ParseCount(std::string_view text, uint64_t max, uint64_t* out);
+
+/// The whole content of the file at `path`. InvalidArgument "cannot open
+/// <path>" when it cannot be opened, and "cannot read <path>" when a read
+/// fails (a directory opens but cannot be read), so only a file that is
+/// really empty reads as "".
+Result<std::string> ReadFile(const std::string& path);
 
 }  // namespace triq
 

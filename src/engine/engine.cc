@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <fstream>
 #include <functional>
-#include <sstream>
-#include <unordered_set>
 #include <utility>
 
 #include "chase/fact_dump.h"
+#include "common/strings.h"
 #include "datalog/parser.h"
 #include "owl/rdf_mapping.h"
 #include "sparql/parser.h"
@@ -34,6 +33,26 @@ bool IsMonotone(const datalog::Program& program) {
     }
   }
   return true;
+}
+
+/// Whether some atom of `program` names `pred`.
+bool Mentions(const datalog::Program& program, PredicateId pred) {
+  for (const Rule& rule : program.rules()) {
+    for (const std::vector<Atom>* atoms : {&rule.body, &rule.head}) {
+      for (const Atom& atom : *atoms) {
+        if (atom.predicate == pred) return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// Whether `cached` was taken from `snap`. Owners compare without taking
+/// a reference, and an expired pointer keeps its control block, so it
+/// never matches a newer snapshot.
+bool SameSnapshot(const std::weak_ptr<const EngineSnapshot>& cached,
+                  const EngineSnapshotPtr& snap) {
+  return !cached.owner_before(snap) && !snap.owner_before(cached);
 }
 
 }  // namespace
@@ -69,43 +88,7 @@ chase::ChaseOptions EngineOptions::ToChaseOptions() const {
   return options;
 }
 
-// ---- QueryClaims ------------------------------------------------------
-
-std::vector<PredicateId> QueryClaims::Acquire(std::vector<PredicateId> heads) {
-  std::sort(heads.begin(), heads.end());
-  heads.erase(std::unique(heads.begin(), heads.end()), heads.end());
-  MutexLock lock(mu_);
-  for (PredicateId pred : heads) ++heads_[pred];
-  return heads;
-}
-
-void QueryClaims::Release(std::vector<PredicateId>* token) {
-  MutexLock lock(mu_);
-  for (PredicateId pred : *token) {
-    auto it = heads_.find(pred);
-    if (--it->second == 0) heads_.erase(it);
-  }
-  token->clear();
-}
-
-bool QueryClaims::HeadClaimed(PredicateId pred) const {
-  MutexLock lock(mu_);
-  return heads_.count(pred) > 0;
-}
-
-size_t QueryClaims::size() const {
-  MutexLock lock(mu_);
-  return heads_.size();
-}
-
 // ---- PreparedQuery ----------------------------------------------------
-
-PreparedQuery::~PreparedQuery() {
-  // claims_ is null after a move-from; the registry outlives the engine's
-  // last snapshot (shared_ptr), so release is safe in either destruction
-  // order.
-  if (claims_ != nullptr) claims_->Release(&heads_);
-}
 
 Result<std::unique_ptr<chase::Instance>> PreparedQuery::ChaseOverlay(
     const EngineSnapshot& snap, chase::ChaseStats* stats) const {
@@ -113,6 +96,26 @@ Result<std::unique_ptr<chase::Instance>> PreparedQuery::ChaseOverlay(
   // derived — read the snapshot directly.
   if (query_.program().rules().empty()) {
     return std::unique_ptr<chase::Instance>();
+  }
+  // The query's rules run after this closure is fixed, so its heads must
+  // stay clear of it: a data rule mentioning one would never see what
+  // the query derives, and an overlay relation would hide the snapshot's
+  // facts of the same predicate.
+  for (const Rule& rule : query_.program().rules()) {
+    for (const Atom& head : rule.head) {
+      const char* clash =
+          Mentions(*snap.program, head.predicate)
+              ? "which the data program mentions; AttachProgram the rules "
+                "instead"
+          : snap.instance.Find(head.predicate) != nullptr
+              ? "which has loaded facts"
+              : nullptr;
+      if (clash != nullptr) {
+        return Status::InvalidArgument(
+            "query derives predicate '" +
+            query_.program().dict().Text(head.predicate) + "', " + clash);
+      }
+    }
   }
   // The data closure is reused as the base — never re-derived, never
   // mutated — so a failed query chase (caps, deadline, inconsistency)
@@ -130,19 +133,19 @@ Result<std::vector<chase::Tuple>> PreparedQuery::Evaluate(
   TRIQ_ASSIGN_OR_RETURN(EngineSnapshotPtr snap, engine_->CurrentSnapshot());
 
   MutexLock lock(eval_->mu);
-  if (eval_->snapshot != snap) {
-    // First evaluation against this snapshot. A failure returns before
-    // anything is replaced, so the last good evaluation stays cached.
+  if (!SameSnapshot(eval_->snapshot, snap)) {
+    // First evaluation against this snapshot: chase, read the answers
+    // and keep only them — the overlay dies here. A failure returns
+    // before anything is replaced, so the last good evaluation stays
+    // cached.
     TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<chase::Instance> overlay,
                           ChaseOverlay(*snap, stats));
-    // The old overlay reads the old snapshot: drop it first.
-    eval_->overlay = std::move(overlay);
-    eval_->snapshot = std::move(snap);
+    eval_->answers = chase::ConstantTuples(
+        (overlay != nullptr ? *overlay : snap->instance)
+            .Find(query_.answer_predicate()));
+    eval_->snapshot = snap;
   }
-  const chase::Instance& answers = eval_->overlay != nullptr
-                                       ? *eval_->overlay
-                                       : eval_->snapshot->instance;
-  return chase::ConstantTuples(answers.Find(query_.answer_predicate()));
+  return eval_->answers;
 }
 
 // ---- Engine: construction and loading ---------------------------------
@@ -151,17 +154,14 @@ Engine::Engine(EngineOptions options)
     : options_(options),
       dict_(std::make_shared<Dictionary>()),
       base_(dict_),
-      program_(dict_),
-      claims_(std::make_shared<QueryClaims>()) {
-  if (options_.regime != EntailmentRegime::kNone) {
-    // The fixed τ_owl2ql_core program (Section 5.2) gives the two
-    // reasoning regimes their semantics; materializing it once here is
-    // what lets every SPARQL query share one inference closure. Same
-    // dictionary by construction, so Append cannot fail.
-    TRIQ_IGNORE_STATUS(program_.Append(translate::BuildOwl2QlCoreProgram(dict_)));
-    core_rule_prefix_ = program_.rules().size();
-  }
-}
+      // The fixed τ_owl2ql_core program (Section 5.2) gives the two
+      // reasoning regimes their semantics; materializing it once here is
+      // what lets every SPARQL query share one inference closure.
+      program_(std::make_shared<const datalog::Program>(
+          options_.regime == EntailmentRegime::kNone
+              ? datalog::Program(dict_)
+              : translate::BuildOwl2QlCoreProgram(dict_))),
+      core_rule_prefix_(program_->rules().size()) {}
 
 Engine::~Engine() {
   // Best-effort flush of batched appends; nothing to report to.
@@ -300,18 +300,11 @@ Status Engine::CheckLoadable(const chase::Instance& src) const {
   EngineSnapshotPtr snap = std::atomic_load(&snapshot_);
   for (const auto& [pred, rel] : src.relations()) {
     // Looked up, not interned, so a rejected load leaves the dictionary
-    // as it was: a name never interned has no claim and no relation.
+    // as it was: a name never interned has no relation.
     PredicateId engine_pred = src.dict_ptr().get() == dict_.get()
                                   ? pred
                                   : dict_->Find(src.dict().Text(pred));
     if (engine_pred == kInvalidSymbol) continue;
-    // Facts may not land in a relation a prepared query derives — its
-    // cached evaluation would silently coexist with them.
-    if (claims_->HeadClaimed(engine_pred)) {
-      return Status::InvalidArgument(
-          "cannot load facts for predicate '" + dict_->Text(engine_pred) +
-          "': it is derived by a prepared query");
-    }
     // Arity mismatches are the one way AddFactChecked can fail below.
     for (const chase::Instance* dst :
          {&base_, snap != nullptr ? &snap->instance : nullptr}) {
@@ -371,11 +364,8 @@ Status Engine::LoadTurtleFile(const std::string& path) {
     // The journal must capture the file's *content* (the file may be
     // rewritten or gone by recovery time), so the journaled session
     // trades the streaming parse for an in-memory one.
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Status::InvalidArgument("cannot open " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return LoadTurtle(buf.str());
+    TRIQ_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+    return LoadTurtle(text);
   }
   std::ifstream in(path);
   if (!in) {
@@ -450,18 +440,6 @@ Status Engine::AttachProgram(const datalog::Program& program) {
         "(Engine::dict_ptr())");
   }
   MutexLock lock(writer_mu_);
-  for (const Rule& rule : program.rules()) {
-    auto claimed = [&](const Atom& atom) {
-      return claims_->HeadClaimed(atom.predicate);
-    };
-    if (std::any_of(rule.body.begin(), rule.body.end(), claimed) ||
-        std::any_of(rule.head.begin(), rule.head.end(), claimed)) {
-      return Status::InvalidArgument(
-          "the attached rules mention a predicate derived by a prepared "
-          "query; rename it (query-derived relations never feed the data "
-          "program)");
-    }
-  }
   if (journal_ != nullptr) {
     // Replay (AttachRules) and a checkpoint's reopen parse the rules
     // back from this text, which prints a constant's raw text: one that
@@ -482,7 +460,9 @@ Status Engine::AttachProgram(const datalog::Program& program) {
     TRIQ_RETURN_IF_ERROR(
         JournalOp(Journal::Op::kAttachRules, {std::move(text)}));
   }
-  TRIQ_RETURN_IF_ERROR(program_.Append(program));
+  auto extended = std::make_shared<datalog::Program>(*program_);
+  TRIQ_RETURN_IF_ERROR(extended->Append(program));
+  program_ = std::move(extended);
   // New rules invalidate the published closure, and the next
   // materialization must restart from the pristine base: the appended
   // rules may derive through facts the old program already consumed.
@@ -508,7 +488,7 @@ Status Engine::MaterializeLocked(chase::ChaseStats* stats) {
     // Gate before any chase round: a program the analyzer cannot prove
     // terminating is rejected outright, witness cycle attached.
     analysis::TerminationVerdict verdict =
-        analysis::AnalyzeTermination(program_);
+        analysis::AnalyzeTermination(*program_);
     if (verdict.termination != analysis::Termination::kGuaranteedTerminating) {
       std::string message =
           "termination guarantee required, but static analysis cannot prove "
@@ -525,7 +505,7 @@ Status Engine::MaterializeLocked(chase::ChaseStats* stats) {
   // sessions always rebuild, because CloneFacts drops the derivation
   // records proof extraction needs.
   const bool incremental = prev != nullptr && !rules_dirty_ &&
-                           !options.track_provenance && IsMonotone(program_);
+                           !options.track_provenance && IsMonotone(*program_);
   chase::Instance next(dict_);
   std::vector<Term> null_map;
   Status status;
@@ -537,7 +517,7 @@ Status Engine::MaterializeLocked(chase::ChaseStats* stats) {
     null_map = base_null_map_;
     status = AppendFacts(base_, base_consumed_, &null_map, &next);
     if (status.ok()) {
-      status = chase::ResumeChase(program_, &next, prev->saturated, options,
+      status = chase::ResumeChase(*program_, &next, prev->saturated, options,
                                   stats);
     }
   } else {
@@ -548,7 +528,7 @@ Status Engine::MaterializeLocked(chase::ChaseStats* stats) {
     for (uint32_t i = 0; i < base_.null_count(); ++i) {
       null_map.push_back(Term::Null(i));
     }
-    status = chase::RunChase(program_, &next, options, stats);
+    status = chase::RunChase(*program_, &next, options, stats);
   }
   if (!status.ok()) {
     // Publish nothing: the previous snapshot keeps serving, and the
@@ -562,8 +542,8 @@ Status Engine::MaterializeLocked(chase::ChaseStats* stats) {
   if (!incremental) rebuild_count_.fetch_add(1, std::memory_order_relaxed);
   materialize_count_.fetch_add(1, std::memory_order_relaxed);
   chase::SaturatedSizes saturated = next.RelationSizes();
-  auto snap = std::make_shared<const EngineSnapshot>(std::move(next),
-                                                     std::move(saturated));
+  auto snap = std::make_shared<const EngineSnapshot>(
+      std::move(next), std::move(saturated), program_);
   base_consumed_ = base_.RelationSizes();
   base_null_map_ = std::move(null_map);
   rules_dirty_ = false;
@@ -584,8 +564,8 @@ Status Engine::MaterializeLocked(chase::ChaseStats* stats) {
         {Journal::Op::kLoadFactsBlob, {"1", ""}}};
     TRIQ_RETURN_IF_ERROR(chase::SaveFactsToString(base_, &image[0].fields[1]));
     std::string rules;
-    for (size_t i = core_rule_prefix_; i < program_.size(); ++i) {
-      rules += datalog::RuleToString(program_.rules()[i], *dict_) + " .\n";
+    for (size_t i = core_rule_prefix_; i < program_->size(); ++i) {
+      rules += datalog::RuleToString(program_->rules()[i], *dict_) + " .\n";
     }
     if (!rules.empty()) {
       image.push_back({Journal::Op::kAttachRules, {std::move(rules)}});
@@ -652,7 +632,6 @@ EngineStats Engine::stats() const {
     out.journal_truncated_bytes = journal_truncated_bytes_;
   }
   out.dictionary_symbols = dict_->size();
-  out.claimed_predicates = claims_->size();
   MutexLock lock(cache_mu_);
   out.sparql_cache_size = sparql_lru_.size();
   return out;
@@ -681,7 +660,7 @@ analysis::ProgramAnalysis Engine::AnalyzeProgram(
     shadow = translate::BuildOwl2QlCoreProgram(shadow.dict_ptr());
     lint.shadow_program = &shadow;
   }
-  return analysis::Analyze(program_, lint);
+  return analysis::Analyze(*program_, lint);
 }
 
 // ---- Engine: queries ---------------------------------------------------
@@ -696,34 +675,7 @@ Result<PreparedQuery> Engine::Prepare(datalog::Program program,
   TRIQ_ASSIGN_OR_RETURN(
       core::TriqQuery query,
       core::TriqQuery::Create(std::move(program), answer_predicate));
-  std::vector<PredicateId> heads;
-  for (const Rule& rule : query.program().rules()) {
-    for (const Atom& head : rule.head) heads.push_back(head.predicate);
-  }
-
-  MutexLock lock(writer_mu_);
-  // The query's derived (head) predicates must be disjoint from the data
-  // program and the loaded facts: its rules run *after* the data closure
-  // is already fixed, so feeding data rules from them would silently
-  // under-derive, and its overlay relation would hide the snapshot's
-  // facts. The claim, taken before writer_mu_ drops, keeps later loads
-  // and attached rules off these heads while the handle lives.
-  std::unordered_set<PredicateId> data_predicates = program_.Predicates();
-  for (PredicateId pred : heads) {
-    if (data_predicates.count(pred) > 0) {
-      return Status::InvalidArgument(
-          "query derives predicate '" + dict_->Text(pred) +
-          "', which the data program mentions; AttachProgram the rules "
-          "instead");
-    }
-    if (base_.Find(pred) != nullptr) {
-      return Status::InvalidArgument(
-          "query derives predicate '" + dict_->Text(pred) +
-          "', which has loaded facts");
-    }
-  }
-  return PreparedQuery(this, std::move(query), claims_,
-                       claims_->Acquire(std::move(heads)));
+  return PreparedQuery(this, std::move(query));
 }
 
 Result<PreparedQuery> Engine::Prepare(std::string_view rule_text,
@@ -741,10 +693,10 @@ Result<PreparedQuery> Engine::Prepare(std::string_view rule_text,
 // ---- Engine: SPARQL ----------------------------------------------------
 
 /// One cached SPARQL plan: the translation (for answer decoding), the
-/// prepared query (whose claims it holds; its own eval state is never
-/// filled), and the mappings last decoded with the snapshot they came
-/// from — the plan's only cached evaluation. Shared (not owned) by the
-/// LRU so in-flight evaluations survive eviction.
+/// prepared query (its own eval state is never filled), and the
+/// mappings last decoded with the snapshot they came from — the plan's
+/// only cached evaluation. Shared (not owned) by the LRU so in-flight
+/// evaluations survive eviction.
 struct Engine::SparqlEntry {
   SparqlEntry(translate::TranslatedQuery t, PreparedQuery p)
       : translated(std::move(t)), prepared(std::move(p)) {}
@@ -772,9 +724,9 @@ Result<sparql::MappingSet> Engine::Query(const std::string& sparql_text) {
 
   if (entry == nullptr) {
     sparql_cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    // Build the plan outside cache_mu_: parsing, translation and claim
-    // acquisition are slow, and concurrent queries for other texts must
-    // not serialize behind them.
+    // Build the plan outside cache_mu_: parsing and translation are
+    // slow, and concurrent queries for other texts must not serialize
+    // behind them.
     TRIQ_ASSIGN_OR_RETURN(auto pattern,
                           sparql::ParsePattern(sparql_text, dict_.get()));
     TRIQ_ASSIGN_OR_RETURN(
@@ -793,7 +745,7 @@ Result<sparql::MappingSet> Engine::Query(const std::string& sparql_text) {
     auto it = sparql_index_.find(std::string_view(sparql_text));
     if (it != sparql_index_.end()) {
       // Two threads raced on the same miss: adopt the winner's entry and
-      // drop ours, which releases its own claims.
+      // drop ours.
       sparql_lru_.splice(sparql_lru_.begin(), sparql_lru_, it->second);
       entry = sparql_lru_.front().second;
     } else {
@@ -812,14 +764,11 @@ Result<sparql::MappingSet> Engine::Query(const std::string& sparql_text) {
 
   TRIQ_ASSIGN_OR_RETURN(EngineSnapshotPtr snap, CurrentSnapshot());
   MutexLock lock(entry->mu);
-  // Owners compare without taking a reference, and an expired pointer
-  // keeps its control block, so it never matches a newer snapshot.
-  if (entry->snapshot.owner_before(snap) ||
-      snap.owner_before(entry->snapshot)) {
-    // First query of this text against this snapshot: chase, decode, and
-    // keep only the rows — the overlay dies here. Later hits on an
-    // unchanged session return the cached mappings. A failure returns
-    // before anything is replaced, so it caches nothing.
+  if (!SameSnapshot(entry->snapshot, snap)) {
+    // First query of this text against this snapshot: check, chase,
+    // decode, and keep only the rows — the overlay dies here. Later hits
+    // on an unchanged session return the cached mappings. A failure
+    // returns before anything is replaced, so it caches nothing.
     TRIQ_ASSIGN_OR_RETURN(std::unique_ptr<chase::Instance> overlay,
                           entry->prepared.ChaseOverlay(*snap, nullptr));
     entry->mappings = AnswersToMappings(
@@ -853,18 +802,16 @@ translate::TranslationOptions Engine::QueryTranslationOptions() const {
 
 Result<std::string> Engine::ExplainProgram() {
   TRIQ_ASSIGN_OR_RETURN(EngineSnapshotPtr snap, CurrentSnapshot());
-  // program_ is writer-side state; the snapshot's instance is immutable.
-  MutexLock lock(writer_mu_);
-  return chase::ExplainProgramPlans(program_, snap->instance,
+  return chase::ExplainProgramPlans(*snap->program, snap->instance,
                                     chase_options());
 }
 
 Result<std::string> Engine::ExplainQuery(const std::string& sparql_text) {
   TRIQ_ASSIGN_OR_RETURN(EngineSnapshotPtr snap, CurrentSnapshot());
-  // Parse + translate only — no claim acquisition and no plan-cache
-  // entry: EXPLAIN must not affect (or be limited by) query execution
-  // state. The translated program's plans are costed against the
-  // materialized snapshot the query would actually join over.
+  // Parse + translate only — no plan-cache entry: EXPLAIN must not
+  // affect (or be limited by) query execution state. The translated
+  // program's plans are costed against the materialized snapshot the
+  // query would actually join over.
   TRIQ_ASSIGN_OR_RETURN(auto pattern,
                         sparql::ParsePattern(sparql_text, dict_.get()));
   TRIQ_ASSIGN_OR_RETURN(

@@ -156,76 +156,53 @@ struct EngineOptions {
   chase::ChaseOptions ToChaseOptions() const;
 };
 
-/// One published materialization: the closure Π(D) plus the bookkeeping
-/// a resume needs. Its facts never change after publication, so any
-/// number of reader threads may scan, probe, and overlay-chase it; the
-/// permutation indexes they read are built on first use, under each
-/// relation's own lock. Readers pin a snapshot with the shared_ptr; a
-/// snapshot superseded by the next publication stays alive until its
-/// last reader drops it (epoch/RCU reclamation for free).
+/// One published materialization: the closure Π(D), the data program
+/// that built it, and the bookkeeping a resume needs. Its facts never
+/// change after publication, so any number of reader threads may scan,
+/// probe, and overlay-chase it; the permutation indexes they read are
+/// built on first use, under each relation's own lock. Readers pin a
+/// snapshot with the shared_ptr; a snapshot superseded by the next
+/// publication stays alive until its last reader drops it (epoch/RCU
+/// reclamation for free).
 struct EngineSnapshot {
-  EngineSnapshot(chase::Instance inst, chase::SaturatedSizes sat)
-      : instance(std::move(inst)), saturated(std::move(sat)) {}
+  EngineSnapshot(chase::Instance inst, chase::SaturatedSizes sat,
+                 std::shared_ptr<const datalog::Program> prog)
+      : instance(std::move(inst)),
+        saturated(std::move(sat)),
+        program(std::move(prog)) {}
 
   chase::Instance instance;
   /// Per-predicate sizes at publication (the resume point for the next
   /// incremental materialization).
   chase::SaturatedSizes saturated;
+  /// The data program `instance` is the closure of: what a query's heads
+  /// are checked against and what ExplainProgram renders. Shared with
+  /// the writer, which replaces its program rather than mutating it.
+  std::shared_ptr<const datalog::Program> program;
 };
 
 using EngineSnapshotPtr = std::shared_ptr<const EngineSnapshot>;
-
-/// Thread-safe count, per predicate, of the live queries that derive it.
-/// Every query chases over a private overlay of a snapshot, so queries
-/// never see each other's derived facts and may share or read each
-/// other's head predicates freely. The counts guard the data side: while
-/// any PreparedQuery or cached SPARQL plan derives a predicate, loads
-/// and AttachProgram may not touch it, since an overlay relation for a
-/// predicate the snapshot also holds would hide the snapshot's facts.
-/// Shared via shared_ptr between the Engine and every handle, so release
-/// is safe in either destruction order.
-class QueryClaims {
- public:
-  /// Claims `heads` and returns the token to hand back to Release: the
-  /// heads sorted and deduplicated.
-  [[nodiscard]] std::vector<datalog::PredicateId> Acquire(
-      std::vector<datalog::PredicateId> heads);
-
-  /// Releases a token from Acquire and empties it, so a second Release
-  /// of the same token does nothing.
-  void Release(std::vector<datalog::PredicateId>* token);
-
-  /// Whether some live query derives `pred` (the loader/attach guard).
-  bool HeadClaimed(datalog::PredicateId pred) const;
-
-  /// How many distinct predicates live tokens claim.
-  size_t size() const;
-
- private:
-  mutable Mutex mu_;
-  // Predicate -> the number of live tokens claiming it.
-  std::unordered_map<datalog::PredicateId, uint32_t> heads_
-      TRIQ_GUARDED_BY(mu_);
-};
 
 class Engine;
 
 /// A query parsed and validated once, then evaluated many times against
 /// the engine's published snapshots. Obtained from Engine::Prepare;
-/// holds a pointer to its engine, which must outlive it. Move-only: the
-/// handle owns its head-predicate claims and releases them on
-/// destruction, so dropping a PreparedQuery frees its head predicates
-/// for later loads and AttachProgram calls.
+/// holds a pointer to its engine, which must outlive it. Move-only.
 ///
-/// Evaluation model: the first Evaluate against a given snapshot runs
-/// the chase of the *query program only* over a private overlay of that
-/// snapshot — the data closure is reused, never re-derived and never
-/// mutated — and the handle keeps that (snapshot, overlay) pair, so
-/// later Evaluates against the same snapshot are pure relation reads
-/// (zero chase rounds; `stats` reports the query-side chase, so a cache
-/// hit leaves it all-zero). A failed query chase (caps, deadline)
-/// discards its overlay and leaves both the session and this handle's
-/// last good evaluation untouched.
+/// Evaluation model: the first Evaluate against a given snapshot checks
+/// that the query's head predicates are disjoint from that snapshot's
+/// data program and facts (InvalidArgument otherwise: its rules run
+/// after the closure is fixed, so a data rule would never see what they
+/// derive), then runs the chase of the *query program only* over a
+/// private overlay of that snapshot — the data closure is reused, never
+/// re-derived and never mutated. The handle keeps the answer tuples
+/// with a weak reference to their snapshot (the overlay is dropped once
+/// they are read, and a superseded snapshot is never kept alive), so
+/// later Evaluates against the same snapshot return them without
+/// chasing (zero chase rounds; `stats` reports the query-side chase, so
+/// a cache hit leaves it all-zero). A failed evaluation (head clash,
+/// caps, deadline) caches nothing and leaves both the session and this
+/// handle's last good evaluation untouched.
 ///
 /// Thread safety: one PreparedQuery may be evaluated from many threads
 /// (evaluations of one handle serialize on an internal mutex; distinct
@@ -234,7 +211,6 @@ class PreparedQuery {
  public:
   PreparedQuery(PreparedQuery&&) noexcept = default;
   PreparedQuery& operator=(PreparedQuery&&) = delete;
-  ~PreparedQuery();
 
   const datalog::Program& program() const { return query_.program(); }
   datalog::PredicateId answer_predicate() const {
@@ -254,43 +230,35 @@ class PreparedQuery {
  private:
   friend class Engine;
 
-  /// The per-handle evaluation cache: the snapshot last evaluated and
-  /// the overlay holding its query-derived facts (null for the empty
-  /// program). Boxed so the handle stays movable (the mutex is not).
+  /// The per-handle evaluation cache: the answers last evaluated, held
+  /// with a weak reference to the snapshot they came from. Boxed so the
+  /// handle stays movable (the mutex is not).
   struct EvalState {
     Mutex mu;
-    EngineSnapshotPtr snapshot TRIQ_GUARDED_BY(mu);
-    std::unique_ptr<chase::Instance> overlay TRIQ_GUARDED_BY(mu);
+    std::weak_ptr<const EngineSnapshot> snapshot TRIQ_GUARDED_BY(mu);
+    std::vector<chase::Tuple> answers TRIQ_GUARDED_BY(mu);
   };
 
-  PreparedQuery(Engine* engine, core::TriqQuery query,
-                std::shared_ptr<QueryClaims> claims,
-                std::vector<datalog::PredicateId> heads)
+  PreparedQuery(Engine* engine, core::TriqQuery query)
       : engine_(engine),
         query_(std::move(query)),
-        claims_(std::move(claims)),
-        heads_(std::move(heads)),
         eval_(std::make_unique<EvalState>()) {}
 
-  /// Chases the query program over a fresh overlay of `snap`, which must
-  /// outlive the returned overlay; null for the empty program, whose
-  /// answers live in the snapshot itself. A failed chase returns its
+  /// Checks the query's heads against `snap` (see the class comment),
+  /// then chases the query program over a fresh overlay of `snap`, which
+  /// must outlive the returned overlay; null for the empty program,
+  /// whose answers live in the snapshot itself. A failure returns its
   /// status and keeps nothing.
   Result<std::unique_ptr<chase::Instance>> ChaseOverlay(
       const EngineSnapshot& snap, chase::ChaseStats* stats) const;
 
   Engine* engine_;
   core::TriqQuery query_;
-  // Claim ownership: the token heads_ holds on claims_. claims_ is null
-  // after a move-from, and the destructor only releases while it is set.
-  std::shared_ptr<QueryClaims> claims_;
-  std::vector<datalog::PredicateId> heads_;
   std::unique_ptr<EvalState> eval_;
 };
 
 /// Counters a running session exposes for ops introspection (all
-/// monotonically increasing except the cache size and the claimed
-/// predicates).
+/// monotonically increasing except the cache size).
 struct EngineStats {
   uint64_t materializations = 0;
   uint64_t rebuilds = 0;
@@ -301,9 +269,6 @@ struct EngineStats {
   /// Symbols in the session dictionary (it never shrinks; every SPARQL
   /// plan-cache miss still interns the translation's fresh names).
   size_t dictionary_symbols = 0;
-  /// Distinct predicates that live prepared handles and cached SPARQL
-  /// plans derive (QueryClaims::size()).
-  size_t claimed_predicates = 0;
   /// Journal activity (all zero without a journal): appends/bytes/syncs
   /// and checkpoints since Open, plus what recovery found at Open —
   /// records replayed and torn bytes truncated. `journal_records` and
@@ -335,17 +300,19 @@ struct EngineStats {
 /// Concurrency model — immutable snapshots, one writer, many readers:
 /// the materialized closure is published as a `shared_ptr<const
 /// EngineSnapshot>` swapped atomically. Readers (Evaluate / Query /
-/// Answers) pin the current snapshot and run lock-free against it;
+/// Answers / ExplainProgram / ExplainQuery) pin the current snapshot and
+/// run lock-free against it, and Prepare takes no engine lock at all;
 /// query-derived facts live in private per-query overlays, never in the
-/// shared closure. Writers (LoadX / AttachX / Materialize) serialize on
-/// an internal mutex, build the next closure off to the side —
-/// incrementally from the appended delta when the data program is
-/// monotone, from the pristine base otherwise — and publish it in one
-/// pointer swap. A reader that needs a snapshot while another thread is
-/// already re-materializing serves the latest published one
-/// (consistent, possibly one version behind) instead of blocking; the
-/// thread that performed the write observes its own write as soon as
-/// its Materialize returns. A failed materialization
+/// shared closure, and a query is checked against the snapshot it
+/// reads, so writers never consult live queries. Writers (LoadX /
+/// AttachX / Materialize) serialize on an internal mutex, build the
+/// next closure off to the side — incrementally from the appended delta
+/// when the data program is monotone, from the pristine base otherwise
+/// — and publish it in one pointer swap. A reader that needs a snapshot
+/// while another thread is already re-materializing serves the latest
+/// published one (consistent, possibly one version behind) instead of
+/// blocking; the thread that performed the write observes its own
+/// write as soon as its Materialize returns. A failed materialization
 /// publishes nothing: the previous snapshot keeps serving.
 class Engine {
  public:
@@ -446,7 +413,7 @@ class Engine {
   /// under a reasoning regime), taken under the writer lock.
   datalog::Program program() const {
     MutexLock lock(writer_mu_);
-    return program_;
+    return *program_;
   }
 
   // ---- Materialization -----------------------------------------------
@@ -514,14 +481,14 @@ class Engine {
 
   // ---- Queries -------------------------------------------------------
 
-  /// Validates (program, answer_predicate) as a TriqQuery whose head
-  /// predicates are disjoint from the data program and the loaded facts,
-  /// and returns a PreparedQuery bound to this session. Queries may share
-  /// predicates: each handle answers (Π_data ∪ Π_query, answer) on its
-  /// own and never sees another query's derived facts. The program may
-  /// be empty: evaluation then just reads the answer relation the data
-  /// program derives. The handle claims its head predicates against
-  /// loads and AttachProgram; dropping it releases them.
+  /// Validates (program, answer_predicate) as a TriqQuery and returns a
+  /// PreparedQuery bound to this session, without taking the writer
+  /// lock. Queries may share predicates: each handle answers
+  /// (Π_data ∪ Π_query, answer) on its own and never sees another
+  /// query's derived facts. The program may be empty: evaluation then
+  /// just reads the answer relation the data program derives. Whether
+  /// its heads are disjoint from the data program and the loaded facts
+  /// is a property of each snapshot, so each Evaluate checks it.
   Result<PreparedQuery> Prepare(datalog::Program program,
                                 std::string_view answer_predicate);
 
@@ -538,20 +505,23 @@ class Engine {
   /// mappings it last decoded with a weak reference to the snapshot they
   /// came from (the overlay chased for them is dropped once decoded, and
   /// a superseded snapshot is never kept alive), so repeated calls on an
-  /// unchanged session reuse both. Thread-safe.
+  /// unchanged session reuse both. Each fresh evaluation checks the
+  /// plan's heads against the snapshot as PreparedQuery::Evaluate does;
+  /// a failure caches nothing. Thread-safe; waits for a writer only
+  /// while no snapshot has been published yet.
   Result<sparql::MappingSet> Query(const std::string& sparql_text);
 
-  /// Renders the join plan of every data-program rule against the
-  /// current materialized snapshot (chase::ExplainProgramPlans): one
+  /// Renders the join plan of every rule of the current snapshot's data
+  /// program against that snapshot (chase::ExplainProgramPlans): one
   /// block per rule with join order, access paths and cardinality
   /// estimates under the session's chase options. Materializes first if
   /// needed — plans are costed on real relation statistics.
   Result<std::string> ExplainProgram();
 
   /// Translates `sparql_text` under the session's entailment regime
-  /// (without caching or claiming predicates) and renders the join plan
-  /// of every rule of the translated query program against the current
-  /// snapshot. The EXPLAIN counterpart of Query().
+  /// (without caching) and renders the join plan of every rule of the
+  /// translated query program against the current snapshot. The
+  /// EXPLAIN counterpart of Query().
   Result<std::string> ExplainQuery(const std::string& sparql_text);
 
  private:
@@ -586,9 +556,8 @@ class Engine {
                      std::vector<chase::Term>* null_map,
                      chase::Instance* dst);
 
-  /// Rejects sources carrying facts for query-derived predicates or
-  /// arity-conflicting relations, before anything is mutated — loads
-  /// are all-or-nothing.
+  /// Rejects sources carrying arity-conflicting relations, before
+  /// anything is mutated — loads are all-or-nothing.
   Status CheckLoadable(const chase::Instance& src) const
       TRIQ_REQUIRES(writer_mu_);
 
@@ -623,7 +592,9 @@ class Engine {
   // ---- Writer state (guarded by writer_mu_) --------------------------
   mutable Mutex writer_mu_;
   chase::Instance base_ TRIQ_GUARDED_BY(writer_mu_);
-  datalog::Program program_ TRIQ_GUARDED_BY(writer_mu_);
+  // Never mutated once built: AttachProgram installs an extended copy,
+  // so a published snapshot shares the program it was built from.
+  std::shared_ptr<const datalog::Program> program_ TRIQ_GUARDED_BY(writer_mu_);
   // Rules 0..core_rule_prefix_ of program_ are the τ_owl2ql_core rules
   // attached at construction (0 under EntailmentRegime::kNone); the lint
   // pass exempts them from per-rule diagnostics, and a checkpoint
@@ -657,15 +628,11 @@ class Engine {
   std::atomic<uint64_t> materialize_count_{0};
   std::atomic<uint64_t> rebuild_count_{0};
 
-  // Predicate claims, shared with every PreparedQuery and cached plan.
-  // Lock order: writer_mu_ before the claims mutex, never the reverse.
-  std::shared_ptr<QueryClaims> claims_;
-
   // ---- SPARQL plan cache (guarded by cache_mu_) ----------------------
   // LRU of shared entries: lookups move the entry to the front;
   // insertion beyond sparql_cache_capacity evicts from the back.
   // Entries are shared_ptrs so an in-flight evaluation survives its
-  // entry's eviction (claims release when the last reference drops).
+  // entry's eviction.
   mutable Mutex cache_mu_;
   std::list<std::pair<std::string, std::shared_ptr<SparqlEntry>>> sparql_lru_
       TRIQ_GUARDED_BY(cache_mu_);

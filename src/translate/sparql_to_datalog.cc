@@ -92,7 +92,7 @@ class Translator {
   /// A predicate no one has named before: `base@N` for the next counter
   /// value whose text this call newly interns. Names already in the
   /// dictionary — e.g. a user rule deriving `q@0` — are skipped, so a
-  /// query never claims a predicate the data program mentions.
+  /// query's fresh heads never name what the data program mentions.
   PredicateId Fresh(const char* base) {
     for (;;) {
       bool created = false;

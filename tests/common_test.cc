@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <string>
 
 #include "common/dictionary.h"
 #include "common/result.h"
@@ -125,6 +128,32 @@ TEST(StringsTest, ParseCountRejectsMalformedAndOverBound) {
   EXPECT_FALSE(ParseCount("1000000000", 1024, &n));
   EXPECT_FALSE(ParseCount("18446744073709551616", UINT64_MAX, &n));
   EXPECT_EQ(n, 7u);  // untouched on failure
+}
+
+TEST(StringsTest, ReadFileTellsAnEmptyFileFromAnUnreadablePath) {
+  const std::string dir = ::testing::TempDir();
+  const std::string path = dir + "/read_file_test.txt";
+  for (const std::string& content :
+       {std::string(), std::string(70000, 'x')}) {
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << content;
+    }
+    Result<std::string> read = ReadFile(path);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(*read, content);
+  }
+  std::remove(path.c_str());
+
+  Result<std::string> missing = ReadFile(path);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(missing.status().message(), "cannot open " + path);
+  // A directory opens, but reading it fails: not an empty file.
+  Result<std::string> directory = ReadFile(dir);
+  ASSERT_FALSE(directory.ok());
+  EXPECT_EQ(directory.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(directory.status().message(), "cannot read " + dir);
 }
 
 }  // namespace

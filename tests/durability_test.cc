@@ -393,6 +393,19 @@ TEST(DurabilityTest, JournaledHandBuiltProgramReopensIdentical) {
   EXPECT_EQ(chase::FactFingerprint((*closure)->instance), closure_fp);
 }
 
+TEST(DurabilityTest, JournaledLoadOfAnUnreadablePathJournalsNothing) {
+  // A directory opens but cannot be read. The journaled load reads the
+  // whole file to journal its content, and must fail as the streaming
+  // load does rather than journal and load an empty text.
+  const std::string wal = FreshWal("unreadable.wal");
+  auto engine = Engine::Open(JournaledOptions(wal));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const uint64_t records = (*engine)->stats().journal_records;
+  Status status = (*engine)->LoadTurtleFile(::testing::TempDir());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ((*engine)->stats().journal_records, records);
+}
+
 TEST(DurabilityTest, JournalPathOnATurtleFileIsRefusedUntouched) {
   // A journal path that names a data file by mistake (say, `triq_server
   // --journal data.ttl`) must not be taken for a torn journal and wiped.

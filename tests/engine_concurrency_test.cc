@@ -6,9 +6,13 @@
 //    than one it already saw.
 //  * Programs that share a head predicate evaluate independently while
 //    a writer republishes.
-//  * Dropping a PreparedQuery releases its head-predicate claims.
+//  * No reader waits for the writer: while a rebuild holds the writer
+//    lock, SPARQL misses and hits, Prepare + Evaluate and ExplainProgram
+//    all serve the published snapshot.
+//  * Writers never consult live queries: rules over a live handle's
+//    head are accepted, and that handle's next evaluation fails.
 //  * The SPARQL plan cache is bounded (LRU) with hit/miss/eviction
-//    counters, and an evicted plan releases its claims.
+//    counters, also under concurrent misses.
 //  * A query-side chase tripping max_facts or the per-query deadline
 //    fails with ResourceExhausted and leaves the session usable; a
 //    failed SPARQL evaluation caches nothing in its plan.
@@ -30,6 +34,7 @@
 
 #include "chase/chase.h"
 #include "chase/fact_dump.h"
+#include "common/failpoint.h"
 #include "core/triq.h"
 #include "engine/engine.h"
 
@@ -264,34 +269,101 @@ TEST(EngineConcurrencyTest, ProgramsSharingAHeadEvaluateIndependently) {
   }
 }
 
-TEST(EngineConcurrencyTest, DroppingPreparedQueryReleasesItsClaims) {
+TEST(EngineConcurrencyTest, NoReaderWaitsForTheWriter) {
+  // A rebuild of the closure over a 1,000-node chain runs about 1,000
+  // chase rounds under the writer lock. Readers serve the snapshot
+  // published before it, so each returns before the writer publishes.
+  constexpr int kLength = 1000;
+  Engine engine;
+  for (int i = 0; i < kLength; ++i) {
+    ASSERT_TRUE(engine.AddTriple(Node(i), "edge", Node(i + 1)).ok());
+  }
+  ASSERT_TRUE(engine.AttachRules("triple(?X, edge, ?Y) -> hop(?X) .").ok());
+  ASSERT_TRUE(engine.Materialize().ok());
+  const std::string cached = "{ ?x edge ?y }";
+  ASSERT_TRUE(engine.Query(cached).ok());
+  ASSERT_TRUE(engine
+                  .AttachRules(
+                      "triple(?X, edge, ?Y) -> tc(?X, ?Y) .\n"
+                      "tc(?X, ?Y), triple(?Y, edge, ?Z) -> tc(?X, ?Z) .")
+                  .ok());
+  const uint64_t before = engine.materializations();
+
+  // Runs while the writer holds the lock; an ASSERT returns from the
+  // lambda only, so the writer is always joined.
+  auto read = [&] {
+    auto miss = engine.Query("{ ?x edge n1 }");
+    ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+    EXPECT_EQ(miss->size(), 1u);
+    EXPECT_EQ(engine.materializations(), before) << "SPARQL miss";
+    auto hit = engine.Query(cached);
+    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+    EXPECT_EQ(hit->size(), static_cast<size_t>(kLength));
+    EXPECT_EQ(engine.materializations(), before) << "SPARQL hit";
+    auto prepared =
+        engine.Prepare("triple(?X, edge, ?Y) -> out(?Y) .", "out");
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    auto answers = prepared->Evaluate();
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    EXPECT_EQ(answers->size(), static_cast<size_t>(kLength));
+    EXPECT_EQ(engine.materializations(), before) << "Prepare + Evaluate";
+    // The published snapshot's program: the hop rule, not the tc rules
+    // still being materialized.
+    auto plans = engine.ExplainProgram();
+    ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+    EXPECT_EQ(plans->rfind("rule 0: triple(?X, edge, ?Y) -> hop(?X)", 0),
+              0u)
+        << *plans;
+    EXPECT_EQ(plans->find("rule 1:"), std::string::npos) << *plans;
+    EXPECT_EQ(engine.materializations(), before) << "ExplainProgram";
+  };
+
+  // Every failpoint site counts once anything is configured, so an
+  // unused one makes the writer's chase rounds visible.
+  ASSERT_TRUE(triq::FailpointsConfigure("engine_concurrency_test.unused"));
+  std::atomic<bool> written{false};
+  std::thread writer([&] {
+    EXPECT_TRUE(engine.Materialize().ok());
+    written.store(true, std::memory_order_release);
+  });
+  while (triq::FailpointEvaluations("chase.round.abort") == 0 &&
+         !written.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  read();
+  writer.join();
+  ASSERT_TRUE(triq::FailpointsConfigure(""));
+  EXPECT_EQ(engine.materializations(), before + 1);
+}
+
+TEST(EngineConcurrencyTest, RulesOverALiveHeadFailThatHandlesEvaluate) {
   Engine engine;
   ASSERT_TRUE(engine.LoadTurtle("a edge b .").ok());
   const std::string query = "triple(?X, edge, ?Y) -> q(?X) .";
-  const std::string rules = "triple(?X, edge, ?Y) -> q(?Y) .";
-  {
-    auto held = engine.Prepare(query, "q");
-    ASSERT_TRUE(held.ok());
-    // While the handle lives, the data program may not mention q.
-    EXPECT_FALSE(engine.AttachRules(rules).ok());
-    EXPECT_EQ(engine.stats().claimed_predicates, 1u);
-  }
-  // The handle is gone, and so is its claim.
-  EXPECT_EQ(engine.stats().claimed_predicates, 0u);
-
+  auto held = engine.Prepare(query, "q");
+  ASSERT_TRUE(held.ok());
   std::optional<triq::PreparedQuery> moved;
   {
     auto shell = engine.Prepare(query, "q");
     ASSERT_TRUE(shell.ok());
+    ASSERT_TRUE(shell->Evaluate().ok());
     moved.emplace(std::move(*shell));
   }
-  // Moving transferred the claim: destroying the moved-from shell above
-  // did not release it.
-  EXPECT_EQ(engine.stats().claimed_predicates, 1u);
-  EXPECT_FALSE(engine.AttachRules(rules).ok());
-  moved.reset();
-  // The last handle is gone: the data program may now derive q.
-  EXPECT_TRUE(engine.AttachRules(rules).ok());
+  // Writers never consult live queries: the data program may derive q
+  // while both handles live.
+  ASSERT_TRUE(engine.AttachRules("triple(?X, edge, ?Y) -> q(?Y) .").ok());
+  for (triq::PreparedQuery* handle : {&*held, &*moved}) {
+    auto clashed = handle->Evaluate();
+    ASSERT_FALSE(clashed.ok());
+    EXPECT_EQ(clashed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(clashed.status().message(),
+              "query derives predicate 'q', which the data program "
+              "mentions; AttachProgram the rules instead");
+  }
+  // The data program's own q is unaffected.
+  auto data_q = engine.Answers("q");
+  ASSERT_TRUE(data_q.ok()) << data_q.status().ToString();
+  EXPECT_EQ(data_q->size(), 1u);
 }
 
 TEST(EngineConcurrencyTest, SparqlCacheEvictsLeastRecentlyUsedPlan) {
@@ -323,13 +395,13 @@ TEST(EngineConcurrencyTest, SparqlCacheEvictsLeastRecentlyUsedPlan) {
   EXPECT_EQ(stats.sparql_cache_size, 2u);
 }
 
-TEST(EngineConcurrencyTest, EvictedSparqlPlansReleaseTheirClaims) {
+TEST(EngineConcurrencyTest, ConcurrentSparqlMissesEvictDownToCapacity) {
   Engine engine(EngineOptions().SetSparqlCacheCapacity(2));
   LoadChain(&engine, 8);
   ASSERT_TRUE(engine.Materialize().ok());
 
-  // Every text is distinct, so every call misses; each miss claims its
-  // translation's fresh heads, and each eviction must release them.
+  // Every text is distinct, so every call misses and inserts a plan, and
+  // evictions keep the cache at its capacity.
   constexpr int kThreads = 4;
   constexpr int kPerThread = 25;
   std::atomic<int> failures{0};
@@ -349,8 +421,6 @@ TEST(EngineConcurrencyTest, EvictedSparqlPlansReleaseTheirClaims) {
   EXPECT_EQ(stats.sparql_cache_misses,
             static_cast<uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(stats.sparql_cache_size, 2u);
-  // Only the two cached plans still hold claims: q@N and answer@N each.
-  EXPECT_EQ(stats.claimed_predicates, 4u);
 }
 
 TEST(EngineConcurrencyTest, QueryTrippingMaxFactsLeavesSessionUsable) {

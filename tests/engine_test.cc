@@ -424,13 +424,19 @@ TEST(EngineTest, QueryHeadPredicateClaims) {
   ASSERT_TRUE(from_sources.ok());
   EXPECT_EQ(*from_sources, row("a"));
   EXPECT_EQ(*from_targets, row("b"));
-  // A query may not derive a predicate the data program mentions.
+  // A query may not derive a predicate the data program mentions. It
+  // prepares, since that is a property of each snapshot, and evaluating
+  // it against one whose program mentions tc fails.
   ASSERT_TRUE(engine.AttachRules("triple(?X, edge, ?Y) -> tc(?X, ?Y) .").ok());
   auto data_clash = engine.Prepare("triple(?X, edge, ?Y) -> tc(?Y, ?X) .",
                                    "tc");
-  ASSERT_FALSE(data_clash.ok());
-  EXPECT_EQ(data_clash.status().code(),
-            triq::StatusCode::kInvalidArgument);
+  ASSERT_TRUE(data_clash.ok()) << data_clash.status().ToString();
+  auto clashed = data_clash->Evaluate();
+  ASSERT_FALSE(clashed.ok());
+  EXPECT_EQ(clashed.status().code(), triq::StatusCode::kInvalidArgument);
+  EXPECT_EQ(clashed.status().message(),
+            "query derives predicate 'tc', which the data program mentions; "
+            "AttachProgram the rules instead");
 }
 
 TEST(EngineTest, QueriesNeverSeeEachOthersDerivedFacts) {
@@ -468,29 +474,6 @@ TEST(EngineTest, QueriesNeverSeeEachOthersDerivedFacts) {
   auto answers = combined->Evaluate();
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(answers->size(), 1u);
-}
-
-TEST(QueryClaimsTest, CountsEachHeadUntilItsLastTokenIsReleased) {
-  auto dict = Dict();
-  const triq::SymbolId q = dict->Intern("q");
-  const triq::SymbolId r = dict->Intern("r");
-  triq::QueryClaims claims;
-  // Repeated heads collapse into one sorted claim.
-  std::vector<triq::SymbolId> first = claims.Acquire({r, q, q});
-  EXPECT_EQ(first, (std::vector<triq::SymbolId>{q, r}));
-  std::vector<triq::SymbolId> second = claims.Acquire({q});
-  EXPECT_EQ(claims.size(), 2u);
-
-  claims.Release(&first);
-  EXPECT_TRUE(first.empty());
-  claims.Release(&first);  // idempotent: q keeps `second`'s count
-  EXPECT_TRUE(claims.HeadClaimed(q));
-  EXPECT_FALSE(claims.HeadClaimed(r));
-  EXPECT_EQ(claims.size(), 1u);
-
-  claims.Release(&second);
-  EXPECT_FALSE(claims.HeadClaimed(q));
-  EXPECT_EQ(claims.size(), 0u);
 }
 
 TEST(EngineTest, SparqlFreshNamesSkipPredicatesTheDataProgramUses) {
@@ -537,15 +520,6 @@ TEST(EngineTest, FailedLoadsCannotDesyncTheClosure) {
   ASSERT_TRUE(prepared.ok());
   ASSERT_TRUE(prepared->Evaluate().ok());
 
-  // Loading facts into a query-derived relation is rejected up front,
-  // leaving the session clean (still materialized).
-  triq::chase::Instance claimed(engine.dict_ptr());
-  claimed.AddFact("q", {"sneaky"});
-  auto status = engine.LoadDatabase(std::move(claimed));
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), triq::StatusCode::kInvalidArgument);
-  EXPECT_TRUE(engine.IsMaterialized());
-
   // Loads are all-or-nothing: an arity conflict against an existing
   // relation is detected before anything is appended, so the unrelated
   // facts riding in the same source must NOT be stranded in the base.
@@ -561,6 +535,19 @@ TEST(EngineTest, FailedLoadsCannotDesyncTheClosure) {
   auto after = prepared->Evaluate();
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->size(), 1u);
+
+  // Loading facts into a query-derived relation is accepted: writers
+  // never consult live queries. The handle's next evaluation reads a
+  // snapshot where q has loaded facts, and fails instead of letting its
+  // overlay hide them.
+  triq::chase::Instance loaded(engine.dict_ptr());
+  loaded.AddFact("q", {"sneaky"});
+  ASSERT_TRUE(engine.LoadDatabase(std::move(loaded)).ok());
+  auto clashed = prepared->Evaluate();
+  ASSERT_FALSE(clashed.ok());
+  EXPECT_EQ(clashed.status().code(), triq::StatusCode::kInvalidArgument);
+  EXPECT_EQ(clashed.status().message(),
+            "query derives predicate 'q', which has loaded facts");
 }
 
 TEST(EngineTest, RejectedForeignLoadInternsNothing) {
@@ -737,6 +724,70 @@ TEST(EngineTest, CachedSparqlPlanLetsASupersededSnapshotGo) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->size(), 2u);
   EXPECT_EQ(engine.stats().sparql_cache_hits, 1u);
+}
+
+TEST(EngineTest, PreparedQueryLetsASupersededSnapshotGo) {
+  Engine engine;
+  ASSERT_TRUE(engine.AddTriple("a", "edge", "b").ok());
+  auto prepared = engine.Prepare("triple(?X, edge, ?Y) -> q(?X, ?Y) .", "q");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto first = prepared->Evaluate();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->size(), 1u);
+  std::weak_ptr<const triq::EngineSnapshot> evaluated;
+  {
+    auto snap = engine.CurrentSnapshot();
+    ASSERT_TRUE(snap.ok());
+    evaluated = *snap;
+  }
+  ASSERT_TRUE(engine.AddTriple("b", "edge", "c").ok());
+  ASSERT_TRUE(engine.Materialize().ok());
+  // The handle keeps the answers it read, not the closure and the
+  // overlay they came from.
+  EXPECT_TRUE(evaluated.expired());
+  auto second = prepared->Evaluate();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->size(), 2u);
+}
+
+TEST(EngineTest, CachedSparqlPlanWhoseHeadTheDataNamesFailsUntilEvicted) {
+  // A plan's heads are fresh q@N / answer@N names, so only a rule or a
+  // load that names one on purpose reaches a cached plan. Evaluating the
+  // plan against a snapshot that holds the clash then fails and caches
+  // nothing, until the plan is evicted and a miss translates afresh.
+  Engine engine(EngineOptions().SetSparqlCacheCapacity(1));
+  ASSERT_TRUE(engine.LoadTurtle("a p b .").ok());
+  const std::string pattern = "{ ?x p ?y }";
+  const size_t symbols = engine.dict().size();
+  ASSERT_TRUE(engine.Query(pattern).ok());
+  std::string answer;
+  for (size_t id = symbols + 1; id <= engine.dict().size(); ++id) {
+    const std::string& text =
+        engine.dict().Text(static_cast<triq::SymbolId>(id));
+    if (text.rfind("answer@", 0) == 0) answer = text;
+  }
+  ASSERT_FALSE(answer.empty());
+  ASSERT_TRUE(
+      engine.AttachRules("triple(?X, p, ?Y) -> " + answer + "(?X, ?Y) .")
+          .ok());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto clashed = engine.Query(pattern);
+    ASSERT_FALSE(clashed.ok()) << "attempt " << attempt;
+    EXPECT_EQ(clashed.status().code(), triq::StatusCode::kInvalidArgument);
+    EXPECT_EQ(clashed.status().message(),
+              "query derives predicate '" + answer +
+                  "', which the data program mentions; AttachProgram the "
+                  "rules instead");
+  }
+  EXPECT_EQ(engine.stats().sparql_cache_hits, 2u);
+
+  // Another text evicts the plan; the next miss picks fresh names.
+  ASSERT_TRUE(engine.Query("{ ?x p b }").ok());
+  auto fresh = engine.Query(pattern);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh->size(), 1u);
+  EXPECT_EQ(engine.stats().sparql_cache_misses, 3u);
+  EXPECT_EQ(engine.stats().sparql_cache_evictions, 2u);
 }
 
 }  // namespace

@@ -158,10 +158,8 @@ def scripted_session(server):
             expect(stats.get("materializations") == "1", f"STATS: {reply}")
             expect(stats.get("sparql_cache_hits") == "1", f"STATS: {reply}")
             expect(stats.get("journal_enabled") == "false", f"STATS: {reply}")
-            # One cached plan claims its two derived predicates (q@N and
-            # answer@N); the dictionary holds at least the loaded and
-            # translated symbols.
-            expect(stats.get("claimed_predicates") == "2", f"STATS: {reply}")
+            # The dictionary holds at least the loaded and translated
+            # symbols.
             expect(
                 int(stats.get("dictionary_symbols", "0")) > 0, f"STATS: {reply}"
             )

@@ -6,9 +6,11 @@ malformed or over-bound --threads must be rejected through triq_run's
 error path (exit 1) before any session is built: trailing garbage must
 not be read as its numeric prefix, and a huge count must not reach the
 thread pool. --prove prints the proof tree of one answer tuple, read off
-the pinned materialized snapshot.
+the pinned materialized snapshot. A rule file that opens but cannot be
+read (a directory) fails triq_run and triq_lint with exit 1 instead of
+reading as an empty program.
 
-Usage: triq_run_flags_test.py <path-to-triq_run>
+Usage: triq_run_flags_test.py <path-to-triq_run> <path-to-triq_lint>
 """
 
 import os
@@ -25,7 +27,7 @@ def run(triq_run, graph, program, threads, *extra):
 
 
 def main():
-    triq_run = sys.argv[1]
+    triq_run, triq_lint = sys.argv[1], sys.argv[2]
     with tempfile.TemporaryDirectory() as tmp:
         graph = os.path.join(tmp, "data.ttl")
         program = os.path.join(tmp, "q.rules")
@@ -62,6 +64,18 @@ def main():
         if proved.returncode != 0 or expected not in proved.stdout:
             sys.exit(f"--prove a,c: exit {proved.returncode}, "
                      f"stdout {proved.stdout!r}, stderr {proved.stderr!r}")
+
+        unreadable = [
+            ("triq_run --program <dir>", run(triq_run, graph, tmp, "1")),
+            ("triq_lint <dir>",
+             subprocess.run([triq_lint, tmp], capture_output=True,
+                            text=True, timeout=30)),
+        ]
+        for name, result in unreadable:
+            if result.returncode != 1 or "cannot read" not in result.stderr:
+                sys.exit(f"{name}: exit {result.returncode}, "
+                         f"stdout {result.stdout!r}, "
+                         f"stderr {result.stderr!r}")
     print("triq_run flag test passed")
 
 

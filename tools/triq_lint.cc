@@ -18,25 +18,16 @@
 // Warnings alone never fail the run. Designed for CI: point it at a
 // directory's .rules files and let the exit code gate the build.
 #include <iostream>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/analyze.h"
 #include "common/dictionary.h"
+#include "common/strings.h"
 #include "datalog/parser.h"
 
 namespace {
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
 
 /// Indents every line of `report` under the file-name header.
 void PrintReport(const std::string& file, const std::string& report) {
@@ -80,16 +71,16 @@ int main(int argc, char** argv) {
 
   bool failed = false;
   for (const std::string& file : files) {
-    std::string text;
-    if (!ReadFile(file, &text)) {
-      std::cerr << "triq_lint: cannot read " << file << "\n";
+    triq::Result<std::string> text = triq::ReadFile(file);
+    if (!text.ok()) {
+      std::cerr << "triq_lint: " << text.status().message() << "\n";
       failed = true;
       continue;
     }
     // Fresh dictionary per file: findings in one file must not change
     // what counts as "used" or "derivable" in the next.
     auto dict = std::make_shared<triq::Dictionary>();
-    auto program = triq::datalog::ParseProgram(text, dict);
+    auto program = triq::datalog::ParseProgram(*text, dict);
     if (!program.ok()) {
       PrintReport(file, "parse error: " + program.status().message());
       failed = true;

@@ -28,9 +28,7 @@
 //                     instance, then the answers
 //   --prove TUPLE     print a proof tree for answer tuple "a,b,c"
 #include <cstdint>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -60,20 +58,9 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
 int RunRuleProgram(const Args& args, triq::Engine* engine) {
-  std::string program_text;
-  if (!ReadFile(args.program_file, &program_text)) {
-    return Fail("cannot read " + args.program_file);
-  }
+  triq::Result<std::string> program_text = triq::ReadFile(args.program_file);
+  if (!program_text.ok()) return Fail(program_text.status().message());
   std::string answer = args.answer_predicate.empty() && args.classify
                            ? "query"
                            : args.answer_predicate;
@@ -85,7 +72,7 @@ int RunRuleProgram(const Args& args, triq::Engine* engine) {
   // answers are read off the materialized instance, exactly the paper's
   // Eval. TriqQuery::Create still vets (Π, answer) well-formedness and
   // classifies.
-  auto program = triq::datalog::ParseProgram(program_text,
+  auto program = triq::datalog::ParseProgram(*program_text,
                                              engine->dict_ptr());
   if (!program.ok()) return Fail(program.status().ToString());
   auto query = triq::core::TriqQuery::Create(*program, answer);

@@ -257,8 +257,6 @@ std::string HandleCommand(Engine& engine, const std::string& line,
              std::to_string(stats.sparql_cache_evictions) + "\n";
     reply += "STAT sparql_cache_size " +
              std::to_string(stats.sparql_cache_size) + "\n";
-    reply += "STAT claimed_predicates " +
-             std::to_string(stats.claimed_predicates) + "\n";
     reply += "STAT dictionary_symbols " +
              std::to_string(stats.dictionary_symbols) + "\n";
     reply += "STAT active_conns " +
